@@ -23,7 +23,6 @@ from .diffeo import (
     CircleDiffeo,
     CircleGrid,
     Composition,
-    InverseMap,
     GridLogDeriv,
     IntervalDiffeo,
     Moebius,
@@ -38,6 +37,7 @@ from .diffeo import (
     iterate,
     metric,
     rotation_number,
+    _table_inverse,
 )
 from .szekeres import (
     FlowTime,
@@ -532,11 +532,19 @@ class _SmoothConjugacy(IntervalDiffeo):
         vals /= vals[-1]
         self._ld = PchipInterpolator(nodes, np.asarray(logd, dtype=float) - c)
         self._dld = self._ld.derivative()
+        self._dense = dense
+        self._vals = vals
         self._val = PchipInterpolator(dense, vals)
+        self._dval = self._val.derivative()
 
     def value(self, x):
         x = self._check_domain(x)
         return np.clip(self._val(x), 0.0, 1.0)
+
+    def inverse_value(self, y):
+        # the dense table read backwards, polished by Newton on the PCHIP
+        # itself (its derivative is not exactly exp(log_deriv))
+        return _table_inverse(y, self._dense, self._vals, self._val, self._dval)
 
     def log_deriv(self, x):
         x = self._check_domain(x)
@@ -545,9 +553,6 @@ class _SmoothConjugacy(IntervalDiffeo):
     def affine_deriv(self, x):
         x = self._check_domain(x)
         return self._dld(x)
-
-    def inverse_map(self):
-        return InverseMap(self)
 
     def __repr__(self):
         return "_SmoothConjugacy()"

@@ -29,6 +29,7 @@ from .gridfn import (
     MonotonicityError,
     ToleranceConfig,
     total_variation,
+    unit_points,
 )
 
 __all__ = [
@@ -67,19 +68,59 @@ __all__ = [
 # solving helpers
 
 
-def bisect_monotone(fn, target, lo, hi, iters: int = 80):
-    """Vectorized bisection for increasing fn: returns y with fn(y)=target.
+def bisect_monotone(fn, target, lo, hi, iters: int = 80, deriv=None):
+    """Vectorized bracketed solve for increasing, pointwise fn: y in
+    [lo, hi] with fn(y) = target (lo and hi broadcast to target's shape).
 
-    lo/hi/target may be arrays (broadcast together)."""
+    Each step shrinks a point's bracket at its current value.  Given the
+    derivative `deriv`, it then takes the Newton step wherever that step
+    stays inside the bracket (bounds included) and is at most half the
+    previous move, and bisects otherwise; a point whose Newton correction is
+    within a few float spacings, the rounding noise of fn, is a root and
+    stays put.  A point is done once it moves by no more than its float
+    spacing, and only points not yet done are evaluated; `iters` caps the
+    steps."""
     target = np.asarray(target, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), target.shape).copy()
+    shape = target.shape
+    target = target.ravel()
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), shape).ravel().copy()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), shape).ravel().copy()
+    y = 0.5 * (lo + hi)
+    move = hi - lo
+    act = np.arange(y.size)
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = fn(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+        if act.size == 0:
+            break
+        ya, la, ha = y[act], lo[act], hi[act]
+        resid = fn(ya) - target[act]
+        below = resid < 0
+        la = np.where(below, ya, la)
+        ha = np.where(below, ha, ya)
+        step = 0.5 * (la + ha)
+        if deriv is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = ya - resid / deriv(ya)
+            dn = np.abs(newton - ya)
+            take = (la <= newton) & (newton <= ha) & (dn <= 0.5 * move[act])
+            step = np.where(take, newton, step)
+            step = np.where(dn <= 4.0 * np.spacing(np.abs(ya)), ya, step)
+        moved = np.abs(step - ya)
+        y[act], lo[act], hi[act], move[act] = step, la, ha, moved
+        act = act[moved > np.spacing(np.abs(step))]
+    return y.reshape(shape)
+
+
+def _table_inverse(y, xs, ys, fn, dfn, steps: int = 3):
+    """Inverse at y of an increasing map tabulated as ys = fn(xs).
+
+    The table read backwards gives the cell holding the root and a linear
+    seed; Newton steps on fn, each clipped to that cell, polish the seed."""
+    i = np.clip(np.searchsorted(ys, y) - 1, 0, len(xs) - 2)
+    lo, hi = xs[i], xs[i + 1]
+    x = np.interp(y, ys, xs)
+    for _ in range(steps):
+        x = np.clip(x - (fn(x) - y) / dfn(x), lo, hi)
+    return x
 
 
 def _refined_max(fn, xs, vals, rounds: int = 2, fan: int = 33):
@@ -126,6 +167,11 @@ class IntervalDiffeo:
     def inverse_map(self) -> "IntervalDiffeo":
         return InverseMap(self)
 
+    def inverse_value(self, y):
+        """f^{-1}(y) for y in [0, 1]; maps with a table or a closed form
+        override this bracketed Newton solve."""
+        return bisect_monotone(self.value, y, 0.0, 1.0, deriv=self.deriv)
+
     def reflect(self) -> "IntervalDiffeo":
         """r o f o r with r(x) = 1 - x: the same map seen from the other
         endpoint.  Subclasses with closed-form reflections override this;
@@ -142,10 +188,7 @@ class IntervalDiffeo:
         return np.exp(self.log_deriv(x))
 
     def _check_domain(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-            raise DomainError("point outside [0, 1]")
-        return np.clip(x, 0.0, 1.0)
+        return unit_points(x, 1e-12)
 
 
 class Moebius(IntervalDiffeo):
@@ -170,6 +213,9 @@ class Moebius(IntervalDiffeo):
 
     def inverse_map(self):
         return Moebius(1.0 / self.a)
+
+    def inverse_value(self, y):
+        return Moebius(1.0 / self.a).value(y)
 
     def reflect(self):
         # 1 - h_a(1 - x) = a x / (1 + (a-1) x) = h_{1/a}(x), exactly
@@ -259,15 +305,19 @@ class Composition(IntervalDiffeo):
 
 
 class InverseMap(IntervalDiffeo):
-    """Generic inverse, evaluated by monotone bisection."""
+    """f^{-1}, evaluated by f.inverse_value: a table read backwards for
+    grid-backed maps, a closed form where one exists, else the bracketed
+    Newton solve of bisect_monotone."""
 
     def __init__(self, f: IntervalDiffeo):
         self.f = f
         self.is_grid_backed = f.is_grid_backed
 
     def value(self, x):
-        x = self._check_domain(x)
-        return bisect_monotone(self.f.value, x, np.zeros_like(x), np.ones_like(x))
+        return self.f.inverse_value(self._check_domain(x))
+
+    def inverse_value(self, y):
+        return self.f.value(y)
 
     def log_deriv(self, x):
         y = self.value(x)
@@ -309,6 +359,9 @@ class ReflectedMap(IntervalDiffeo):
 
     def inverse_map(self):
         return ReflectedMap(self.f.inverse_map())
+
+    def inverse_value(self, y):
+        return 1.0 - self.f.inverse_value(1.0 - y)
 
     def reflect(self):
         return self.f
@@ -390,6 +443,10 @@ class GridLogDeriv(IntervalDiffeo):
     def value(self, x):
         x = self._check_domain(x)
         return self._values(x)
+
+    def inverse_value(self, y):
+        # exact: the piecewise-linear value table read backwards
+        return np.interp(y, self._values.samples, self._values.nodes)
 
     def log_deriv(self, x):
         x = self._check_domain(x)
@@ -482,12 +539,25 @@ class BumpPerturbation(IntervalDiffeo):
         for (a1, b1), (a2, _) in zip(sup, sup[1:]):
             if b1 > a2:
                 raise ValueError("bump supports must be pairwise disjoint")
+        # b maps each support onto itself: tabulate it there for b^{-1}
+        self._tables = []
+        for b in self.bumps:
+            us = np.linspace(*b.support, 1025)
+            self._tables.append((us, self._b(us)))
 
     def _b(self, x):
-        y = np.asarray(x, dtype=float).copy()
+        y = np.asarray(x, dtype=float)
         for b in self.bumps:
             y = y + b.amplitude * b.width * _bump_eta(b._u(x))
         return y
+
+    def _b_inv(self, z):
+        x = np.array(z, dtype=float)
+        for us, bs in self._tables:
+            m = (x > us[0]) & (x < us[-1])
+            if np.any(m):
+                x[m] = _table_inverse(x[m], us, bs, self._b, self._db)
+        return x
 
     def _db(self, x):
         d = np.ones_like(np.asarray(x, dtype=float))
@@ -504,6 +574,9 @@ class BumpPerturbation(IntervalDiffeo):
     def value(self, x):
         x = self._check_domain(x)
         return self.base.value(self._b(x))
+
+    def inverse_value(self, y):
+        return self._b_inv(self.base.inverse_value(y))
 
     def log_deriv(self, x):
         x = self._check_domain(x)
@@ -666,6 +739,15 @@ class CircleDiffeo:
     def displacement(self, x):
         return self.lift(x) - np.asarray(x, dtype=float)
 
+    def inverse_lift(self, x):
+        """F^{-1}(x) by a bracketed Newton solve.  The displacement of a
+        degree-one lift varies by less than 1 over the circle, so the root
+        lies within 1 of x - F(0)."""
+        x = np.asarray(x, dtype=float)
+        c = float(np.asarray(self.lift(np.zeros(1)))[0])
+        return bisect_monotone(self.lift, x, x - c - 2.0, x - c + 2.0,
+                               deriv=lambda y: np.exp(self.log_deriv(y)))
+
     def log_deriv(self, x):
         raise NotImplementedError
 
@@ -683,6 +765,9 @@ class Rotation(CircleDiffeo):
 
     def lift_frac(self, x):
         return np.asarray(x, dtype=float) + self.alpha
+
+    def inverse_lift(self, x):
+        return np.asarray(x, dtype=float) - self.alpha
 
     def log_deriv(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -708,7 +793,8 @@ class CircleGrid(CircleDiffeo):
         s = disp.samples.copy()
         s[-1] = s[0]
         self.disp = GridFunction(s)
-        if not np.all(np.diff(self.disp.samples + self.disp.nodes) > 0):
+        self._lift_table = self.disp.nodes + self.disp.samples
+        if not np.all(np.diff(self._lift_table) > 0):
             raise MonotonicityError("lift is not strictly increasing")
         if logd is not None and abs(logd.samples[-1] - logd.samples[0]) > 1e-6:
             raise ValueError("log-derivative seam mismatch")
@@ -717,6 +803,13 @@ class CircleGrid(CircleDiffeo):
     def lift_frac(self, x):
         x = np.asarray(x, dtype=float)
         return x + self.disp(x)
+
+    def inverse_lift(self, x):
+        # exact: reduce by L(y + 1) = L(y) + 1 into [L(0), L(0) + 1], then
+        # read the piecewise-linear lift table backwards
+        x = np.asarray(x, dtype=float)
+        k = np.floor(x - self._lift_table[0])
+        return k + np.interp(x - k, self._lift_table, self.disp.nodes)
 
     def log_deriv(self, x):
         x = np.asarray(x, dtype=float)
@@ -777,16 +870,10 @@ class CircleInverse(CircleDiffeo):
         self.is_grid_backed = f.is_grid_backed
 
     def lift(self, x):
-        x = np.asarray(x, dtype=float)
-        # F(y) = x: the displacement of a degree-one lift varies by less
-        # than 1 over the circle, so y lies within 1 of x - F(0)
-        c = getattr(self, "_disp0", None)
-        if c is None:
-            c = float(np.asarray(self.f.lift(np.zeros(1)))[0])
-            self._disp0 = c
-        lo = x - c - 2.0
-        hi = x - c + 2.0
-        return bisect_monotone(self.f.lift, x, lo, hi)
+        return self.f.inverse_lift(x)
+
+    def inverse_lift(self, x):
+        return self.f.lift(x)
 
     def lift_frac(self, x):
         return self.lift(np.asarray(x, dtype=float))

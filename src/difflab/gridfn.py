@@ -9,6 +9,7 @@ computable from the node values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,23 @@ class MonotonicityError(ValueError):
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def unit_points(x, slack: float, message: str = "point outside [0, 1]"):
+    """x as a float array on [0, 1], checked in one min/max pass.
+
+    Points more than `slack` outside [0, 1] raise DomainError; NaN is
+    ignored by the check, as every comparison with it is false.  A rounding
+    excursion within `slack` is clipped; otherwise the input comes back
+    uncopied, so callers must not write into the result."""
+    x = np.asarray(x, dtype=float)
+    lo = np.fmin.reduce(x, axis=None, initial=np.inf)
+    hi = np.fmax.reduce(x, axis=None, initial=-np.inf)
+    if lo < -slack or hi > 1.0 + slack:
+        raise DomainError(message)
+    if lo < 0.0 or hi > 1.0:
+        return np.clip(x, 0.0, 1.0)
+    return x
 
 
 @dataclass(frozen=True)
@@ -87,9 +105,11 @@ class GridFunction:
     def N(self) -> int:
         return self.samples.shape[0] - 1
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.N + 1)
+        x = np.linspace(0.0, 1.0, self.N + 1)
+        x.flags.writeable = False
+        return x
 
     @classmethod
     def from_callable(cls, fn, N: int = DEFAULT_CONFIG.grid_N) -> "GridFunction":
@@ -97,10 +117,8 @@ class GridFunction:
         return cls(np.asarray(fn(x), dtype=float))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < -1e-15) or np.any(x > 1 + 1e-15):
-            raise DomainError("evaluation point outside [0, 1]")
-        return np.interp(np.clip(x, 0.0, 1.0), self.nodes, self.samples)
+        x = unit_points(x, 1e-15, "evaluation point outside [0, 1]")
+        return np.interp(x, self.nodes, self.samples)
 
     def is_strictly_increasing(self) -> bool:
         return bool(np.all(np.diff(self.samples) > 0))

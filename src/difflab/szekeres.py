@@ -8,11 +8,13 @@ limit field
     theta(x) = log[ (f^2(x) - f(x)) / (Df(x) * (f(x) - x)) ],
     c0(f) = log Df(0) / (Df(0) - 1)   (:= 1 when Df(0) = 1).
 
-Flows are evaluated through the time-change coordinate tau = int du/X, in
-which the flow is the unit-speed translation: f^t = tau^{-1} o T_t o tau.
-The improper integral near the endpoints is avoided by resolving tau on one
-reference fundamental interval [f(c), c] and transporting by exact
-f-iteration (tau(f(x)) = tau(x) + 1).
+The series is summed once, on one reference fundamental interval [f(c), c];
+X elsewhere is transported there by exact f-iteration, using the invariance
+X(f(x)) = X(x) Df(x).  Flows are evaluated through the time-change coordinate
+tau = int du/X, in which the flow is the unit-speed translation:
+f^t = tau^{-1} o T_t o tau.  The improper integral near the endpoints is
+avoided the same way: tau is resolved on the reference interval and
+transported by tau(f(x)) = tau(x) + 1.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfn import DEFAULT_CONFIG, GridFunction, ToleranceConfig
+from .gridfn import DEFAULT_CONFIG, DomainError, GridFunction, ToleranceConfig
 from .diffeo import IntervalDiffeo, Moebius, bisect_monotone, metric
 
 __all__ = [
@@ -98,13 +100,14 @@ class VectorField1D:
 
 
 def _tau_inv_by_bisection(field: VectorField1D, s):
-    """Invert the (decreasing) tau by bisection on [tiny, 1-tiny]."""
+    """Invert the (decreasing) tau by the bracketed solve on [tiny, 1-tiny]."""
     s = np.asarray(s, dtype=float)
     lo = np.full(s.shape, _TINY)
     hi = np.full(s.shape, 1.0 - _TINY)
-    # tau is decreasing in x; bisect on -tau which is increasing
-    y = bisect_monotone(lambda v: -field.tau(v), -s, lo, hi, iters=100)
-    return y
+    # tau is decreasing in x; solve on -tau, which is increasing with
+    # derivative -1/X
+    return bisect_monotone(lambda v: -field.tau(v), -s, lo, hi, iters=100,
+                           deriv=lambda v: -1.0 / field.X(v))
 
 
 class AnalyticField(VectorField1D):
@@ -242,9 +245,11 @@ def _theta(f: IntervalDiffeo, y, y1, y2):
 class SzekeresField(VectorField1D):
     """X = c0 * (f - id) * exp(Sigma) with Sigma summed to a certified tail.
 
-    Direct evaluation sums the series; when the series is long (slow tails of
-    near-parabolic maps), off-reference points are transported into the
-    resolved fundamental interval using the invariance X(f(x)) = X(x) Df(x).
+    The series is summed once, at construction, on the nodes of the
+    reference fundamental interval [f(anchor), anchor], and interpolated
+    there by a C^1 cubic spline.  X at any other interior point is
+    transported into that interval using the invariance
+    X(f(x)) = X(x) Df(x); X vanishes at 0 and 1.
     """
 
     def __init__(self, f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
@@ -326,6 +331,10 @@ class SzekeresField(VectorField1D):
         # at the repelling end does not force thousands of series terms here
         self._n_ref, _ = _certify(self.anchor)
         self._ref_X = self._X_series(ref_x, terms=self._n_ref)
+        # a C^1 table: a piecewise-linear one puts kinks into the finite
+        # differences of transported fields
+        from scipy.interpolate import CubicSpline
+        self._ref_spline = CubicSpline(ref_x, self._ref_X)
         inv = 1.0 / self._ref_X
         dx = ref_x[1] - ref_x[0]
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * dx)])
@@ -354,17 +363,17 @@ class SzekeresField(VectorField1D):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        if self.n_terms <= 256:
-            out = self._X_series(x)
-        else:
-            out = self._X_transport(x)
-        out = np.where((x <= 0.0) | (x >= 1.0), 0.0, out)
+        out = np.zeros_like(x)
+        # only interior points: the fixed points 0 and 1 never reach the
+        # reference interval
+        interior = (x > 0.0) & (x < 1.0)
+        out[interior] = self._X_transport(x[interior])
         return out[0] if scalar else out
 
     def _X_transport(self, x):
         """X via invariance X(x) = X(f^k x) / Df^k(x), with f^k(x) landing in
         the resolved reference interval."""
-        y = x.astype(float).copy()
+        y = x.copy()
         logchain = np.zeros_like(y)
         lo, hi = self._ref_x[0], self._ref_x[-1]
         for _ in range(self.cfg.max_iter):
@@ -379,8 +388,9 @@ class SzekeresField(VectorField1D):
                 break
             y[below] = self.finv.value(y[below])
             logchain[below] -= self.f.log_deriv(y[below])
-        Xref = np.interp(y, self._ref_x, self._ref_X)
-        return Xref / np.exp(logchain)
+        # a point that used up the iteration budget is read at the nearer
+        # end of the table, never extrapolated
+        return self._ref_spline(np.clip(y, lo, hi)) * np.exp(-logchain)
 
     def DX(self, x):
         x = np.asarray(x, dtype=float)
@@ -422,6 +432,8 @@ class SzekeresField(VectorField1D):
 
     def tau(self, x):
         x = np.asarray(x, dtype=float)
+        if not np.all((x > 0.0) & (x < 1.0)):
+            raise DomainError("tau is infinite outside the open interval (0, 1)")
         scalar = x.ndim == 0
         y, k = self._to_ref(x)
         t = np.interp(y, self._ref_x, self._ref_tau) - k

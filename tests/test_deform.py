@@ -146,6 +146,14 @@ class TestRegularizeFlow:
         with pytest.raises(ValueError):
             regularize_flow(moebius_field(2.0), r="5")
 
+    def test_flowable_chart_of_example_action(self):
+        # the Szekeres field of the chart is read from a C^1 table; a
+        # piecewise-linear one left an identity error near 1e-5
+        decomp = classify_action(example_two_component_action())
+        comp = next(c for c in decomp.components if c.tag == "flowable")
+        rep = regularize_flow(comp.field)
+        assert rep.checks["deriv_identity_max_err"] <= 1e-6
+
 
 class TestLogLinearDeform:
     def test_endpoints(self):

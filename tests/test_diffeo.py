@@ -16,10 +16,14 @@ from difflab import (
     BumpPerturbation,
     CircleGrid,
     Composition,
+    DomainError,
     FlowTime,
     GridFunction,
+    GridLogDeriv,
+    InverseMap,
     Moebius,
     Rotation,
+    bisect_monotone,
     circle_compose,
     circle_inverse,
     commutator_residual,
@@ -33,6 +37,8 @@ from difflab import (
     moebius_field,
     rotation_number,
 )
+from difflab.deform import _SmoothConjugacy
+from difflab.diffeo import CircleDiffeo
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -250,3 +256,143 @@ def test_iterate_is_power(a, n):
     x = np.linspace(0.0, 1.0, 33)
     assert np.max(np.abs(iterate(Moebius(a), n).value(x)
                          - Moebius(a ** n).value(x))) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# inverses: table reads, closed forms and the bracketed Newton solve
+
+
+def _bisect80(fn, target, lo, hi):
+    """The plain 80-step bisection the inverses are measured against."""
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), np.shape(target)).copy()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), np.shape(target)).copy()
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = fn(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _check_inverse(f, n=513):
+    y = np.linspace(0.0, 1.0, n)
+    finv = InverseMap(f)
+    assert np.max(np.abs(f.value(finv.value(y)) - y)) <= 1e-12
+    assert np.max(np.abs(finv.value(f.value(y)) - y)) <= 1e-12
+    assert np.max(np.abs(finv.value(y) - _bisect80(f.value, y, 0.0, 1.0))) <= 1e-13
+
+
+_X = np.linspace(0.0, 1.0, 4097)
+INVERSE_CASES = {
+    "grid_log_deriv": lambda: GridLogDeriv(GridFunction(0.5 * np.sin(6.0 * _X))),
+    "smooth_conjugacy": lambda: _SmoothConjugacy(
+        _X, 0.5 * np.sin(6.0 * _X) + 0.3 * np.cos(13.0 * _X)),
+    "bump_perturbation": lambda: BumpPerturbation(
+        Moebius(2.0), [Bump(0.45, 0.2, 0.09), Bump(0.8, 0.05, 0.02)]),
+    "composition_with_flow": lambda: Composition(
+        [FlowTime(moebius_field(2.0), 0.7),
+         BumpPerturbation(Moebius(0.5), [Bump(0.3, 0.1, 0.05)])]),
+}
+
+
+class TestInverses:
+    @pytest.mark.parametrize("name", sorted(INVERSE_CASES))
+    def test_round_trip_and_bisection(self, name):
+        _check_inverse(INVERSE_CASES[name]())
+
+    def test_reflected_grid_map(self):
+        _check_inverse(INVERSE_CASES["grid_log_deriv"]().reflect())
+
+    def test_circle_grid_lift(self):
+        c = conjugated_rotation(0.0)
+        h = c.maps[0]
+        assert isinstance(h, CircleGrid)
+        x = np.linspace(-3.3, 2.7, 1001)
+        hinv = circle_inverse(h)
+        assert np.max(np.abs(h.lift(hinv.lift(x)) - x)) <= 1e-12
+        assert np.max(np.abs(hinv.lift(h.lift(x)) - x)) <= 1e-12
+        c0 = float(h.lift(np.zeros(1))[0])
+        ref = _bisect80(h.lift, x, x - c0 - 2.0, x - c0 + 2.0)
+        assert np.max(np.abs(hinv.lift(x) - ref)) <= 1e-13
+
+    def test_circle_solve_matches_table(self):
+        h = conjugated_rotation(0.0).maps[0]
+        x = np.linspace(-1.5, 1.5, 301)
+        assert np.max(np.abs(CircleDiffeo.inverse_lift(h, x)
+                             - h.inverse_lift(x))) <= 1e-13
+
+    @pytest.mark.parametrize("target", [0.5, 0.25])
+    def test_exact_root_stays_put(self, target):
+        calls = []
+
+        def fn(y):
+            calls.append(1)
+            return y
+
+        y = bisect_monotone(fn, np.array([target]), 0.0, 1.0, deriv=np.ones_like)
+        assert y[0] == target
+        assert len(calls) <= 3
+
+    def test_bisection_without_derivative(self):
+        y = bisect_monotone(lambda v: v ** 3, np.array([0.001, 0.2, 0.9]), 0.0, 1.0)
+        assert np.max(np.abs(y ** 3 - [0.001, 0.2, 0.9])) < 1e-15
+
+    def test_iteration_cap(self):
+        y = bisect_monotone(lambda v: v, np.array([1.0 / 3.0]), 0.0, 1.0, iters=3)
+        assert y[0] == 0.3125
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-1.0, 1.0), st.integers(1, 12), st.floats(0.0, 6.0))
+def test_grid_log_deriv_inverse(amp, freq, phase):
+    g = amp * np.sin(2.0 * math.pi * freq * _X + phase)
+    _check_inverse(GridLogDeriv(GridFunction(g)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.02, 0.3), st.floats(0.0, 1.0), st.floats(-0.2, 0.2),
+       st.floats(0.3, 3.0))
+def test_bump_perturbation_inverse(width, where, amplitude, a):
+    center = width / 2 + 0.01 + where * (0.98 - width)
+    _check_inverse(BumpPerturbation(Moebius(a), [Bump(center, width, amplitude)]))
+
+
+class TestDomainCheck:
+    @pytest.mark.parametrize("make", [
+        lambda: Moebius(2.0),
+        INVERSE_CASES["grid_log_deriv"],
+        lambda: InverseMap(Moebius(2.0)),
+        INVERSE_CASES["composition_with_flow"],
+    ])
+    def test_public_value_rejects_outside_points(self, make):
+        with pytest.raises(DomainError):
+            make().value(1.5)
+        with pytest.raises(DomainError):
+            make().value(np.array([0.2, -0.5]))
+
+    def test_grid_function_rejects_outside_points(self):
+        with pytest.raises(DomainError):
+            GridFunction(_X)(1.5)
+
+    def test_input_returned_uncopied(self):
+        x = np.linspace(0.0, 1.0, 17)
+        assert Moebius(2.0)._check_domain(x) is x
+
+    def test_rounding_excursion_clipped(self):
+        x = np.array([-1e-13, 0.5, 1.0 + 1e-13])
+        y = Moebius(2.0)._check_domain(x)
+        assert list(y) == [0.0, 0.5, 1.0]
+        assert x[0] == -1e-13
+
+    def test_nan_passes(self):
+        y = Moebius(2.0)._check_domain(np.array([np.nan, 0.5]))
+        assert np.isnan(y[0]) and y[1] == 0.5
+
+    def test_nan_does_not_hide_outside_points(self):
+        with pytest.raises(DomainError):
+            Moebius(2.0).value(np.array([np.nan, -0.5]))
+
+    def test_nodes_built_once(self):
+        g = GridFunction(_X)
+        assert g.nodes is g.nodes
+        assert not g.nodes.flags.writeable

@@ -9,7 +9,9 @@ from difflab import (
     AnalyticField,
     Bump,
     BumpPerturbation,
+    DomainError,
     FlowTime,
+    IntervalDiffeo,
     Moebius,
     NotAContraction,
     SzekeresField,
@@ -24,6 +26,24 @@ from difflab import (
 )
 
 LN2 = math.log(2.0)
+
+
+class _Counting(IntervalDiffeo):
+    """A map that counts the calls of its value method."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def value(self, x):
+        self.calls += 1
+        return self.f.value(x)
+
+    def log_deriv(self, x):
+        return self.f.log_deriv(x)
+
+    def inverse_map(self):
+        return self.f.inverse_map()
 
 
 class TestSzekeresField:
@@ -67,6 +87,63 @@ class TestSzekeresField:
         xs = np.linspace(0.2, 0.8, 13)
         gaps = X.tau(f.value(xs)) - X.tau(xs)
         assert np.max(np.abs(gaps - 1.0)) < 1e-6
+
+    @pytest.mark.parametrize("f", [
+        Moebius(2.0),
+        Moebius(1.05),
+        BumpPerturbation(Moebius(2.0), [Bump(0.45, 0.2, 0.05)]),
+    ])
+    def test_table_matches_series(self, f):
+        X = szekeres_field(f)
+        xs = np.linspace(0.01, 0.99, 99)
+        ref = X._X_series(xs)
+        assert np.max(np.abs(X.X(xs) / ref - 1.0)) < 1e-8
+
+    def test_series_summed_once(self):
+        X = szekeres_field(Moebius(2.0))
+        calls = []
+        X.sigma = lambda *a, **k: calls.append(1)
+        X.X(np.linspace(0.0, 1.0, 65))
+        assert calls == []
+
+    def test_fixed_points_are_not_transported(self):
+        # 0 never reaches the reference interval: transporting it would spin
+        # through the whole iteration budget
+        f = _Counting(Moebius(1.05))
+        X = SzekeresField(f)
+        before = f.calls
+        out = X.X(np.array([0.0, 0.5, 1.0]))
+        assert out[0] == 0.0 and out[2] == 0.0 and out[1] < 0.0
+        assert f.calls - before < 100
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0])
+    def test_tau_rejects_fixed_points(self, bad):
+        f = _Counting(Moebius(2.0))
+        X = SzekeresField(f)
+        before = f.calls
+        with pytest.raises(DomainError):
+            X.tau(np.array([bad, 0.5]))
+        assert f.calls == before
+
+
+class TestAnalyticField:
+    @pytest.mark.parametrize("family", ["parabolic_right", "parabolic_both"])
+    def test_tau_round_trip(self, family):
+        # no closed-form tau^-1: solved by bracketed Newton on -tau
+        Y = AnalyticField(family, 0.8)
+        xs = np.linspace(0.01, 0.99, 99)
+        assert np.max(np.abs(Y.tau_inv(Y.tau(xs)) - xs)) < 1e-12
+
+    def test_tau_inverse_stops_at_rounding_noise(self):
+        # tau is computed with rounding noise; Newton reaches it in a few
+        # steps and stops there, where plain bisection takes 100
+        Y = AnalyticField("parabolic_both", 0.8)
+        s = Y.tau(np.linspace(0.001, 0.999, 4097)) + 0.7
+        calls = []
+        tau = Y.tau
+        Y.tau = lambda v: (calls.append(1), tau(v))[1]
+        Y.tau_inv(s)
+        assert len(calls) <= 30
 
 
 class TestFlowTime:
