@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,57 +69,34 @@ __all__ = [
 # solving helpers
 
 
-def bisect_monotone(fn, target, lo, hi, iters: int = 80, deriv=None):
-    """Vectorized bracketed solve for increasing, pointwise fn: y in
-    [lo, hi] with fn(y) = target (lo and hi broadcast to target's shape).
+def bisect_monotone(fn, target, lo, hi, iters: int = 80):
+    """Vectorized bisection for increasing fn: returns y with fn(y)=target.
 
-    Each step shrinks a point's bracket at its current value.  Given the
-    derivative `deriv`, it then takes the Newton step wherever that step
-    stays inside the bracket (bounds included) and is at most half the
-    previous move, and bisects otherwise; a point whose Newton correction is
-    within a few float spacings, the rounding noise of fn, is a root and
-    stays put.  A point is done once it moves by no more than its float
-    spacing, and only points not yet done are evaluated; `iters` caps the
-    steps."""
+    lo/hi/target may be arrays (broadcast together).  The loop stops early
+    once every midpoint rounds to an end of its bracket: later steps could
+    not move it, so the result is that of all `iters` steps."""
     target = np.asarray(target, dtype=float)
-    shape = target.shape
-    target = target.ravel()
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), shape).ravel().copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), shape).ravel().copy()
-    y = 0.5 * (lo + hi)
-    move = hi - lo
-    act = np.arange(y.size)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape).copy()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), target.shape).copy()
     for _ in range(iters):
-        if act.size == 0:
-            break
-        ya, la, ha = y[act], lo[act], hi[act]
-        resid = fn(ya) - target[act]
-        below = resid < 0
-        la = np.where(below, ya, la)
-        ha = np.where(below, ha, ya)
-        step = 0.5 * (la + ha)
-        if deriv is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = ya - resid / deriv(ya)
-            dn = np.abs(newton - ya)
-            take = (la <= newton) & (newton <= ha) & (dn <= 0.5 * move[act])
-            step = np.where(take, newton, step)
-            step = np.where(dn <= 4.0 * np.spacing(np.abs(ya)), ya, step)
-        moved = np.abs(step - ya)
-        y[act], lo[act], hi[act], move[act] = step, la, ha, moved
-        act = act[moved > np.spacing(np.abs(step))]
-    return y.reshape(shape)
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return mid
+        below = fn(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
-def _table_inverse(y, xs, ys, fn, dfn, steps: int = 3):
+def _table_inverse(y, xs, ys, fn, dfn):
     """Inverse at y of an increasing map tabulated as ys = fn(xs).
 
     The table read backwards gives the cell holding the root and a linear
-    seed; Newton steps on fn, each clipped to that cell, polish the seed."""
+    seed; three Newton steps on fn, each clipped to that cell, polish it."""
     i = np.clip(np.searchsorted(ys, y) - 1, 0, len(xs) - 2)
     lo, hi = xs[i], xs[i + 1]
     x = np.interp(y, ys, xs)
-    for _ in range(steps):
+    for _ in range(3):
         x = np.clip(x - (fn(x) - y) / dfn(x), lo, hi)
     return x
 
@@ -168,9 +146,9 @@ class IntervalDiffeo:
         return InverseMap(self)
 
     def inverse_value(self, y):
-        """f^{-1}(y) for y in [0, 1]; maps with a table or a closed form
-        override this bracketed Newton solve."""
-        return bisect_monotone(self.value, y, 0.0, 1.0, deriv=self.deriv)
+        """f^{-1}(y) for y in [0, 1] by bisection on f; maps with a table
+        override this."""
+        return bisect_monotone(self.value, y, 0.0, 1.0)
 
     def reflect(self) -> "IntervalDiffeo":
         """r o f o r with r(x) = 1 - x: the same map seen from the other
@@ -213,9 +191,6 @@ class Moebius(IntervalDiffeo):
 
     def inverse_map(self):
         return Moebius(1.0 / self.a)
-
-    def inverse_value(self, y):
-        return Moebius(1.0 / self.a).value(y)
 
     def reflect(self):
         # 1 - h_a(1 - x) = a x / (1 + (a-1) x) = h_{1/a}(x), exactly
@@ -306,8 +281,7 @@ class Composition(IntervalDiffeo):
 
 class InverseMap(IntervalDiffeo):
     """f^{-1}, evaluated by f.inverse_value: a table read backwards for
-    grid-backed maps, a closed form where one exists, else the bracketed
-    Newton solve of bisect_monotone."""
+    grid-backed maps, else bisection on f."""
 
     def __init__(self, f: IntervalDiffeo):
         self.f = f
@@ -315,9 +289,6 @@ class InverseMap(IntervalDiffeo):
 
     def value(self, x):
         return self.f.inverse_value(self._check_domain(x))
-
-    def inverse_value(self, y):
-        return self.f.value(y)
 
     def log_deriv(self, x):
         y = self.value(x)
@@ -576,7 +547,7 @@ class BumpPerturbation(IntervalDiffeo):
         return self.base.value(self._b(x))
 
     def inverse_value(self, y):
-        return self._b_inv(self.base.inverse_value(y))
+        return self._b_inv(self.base.inverse_map().value(y))
 
     def log_deriv(self, x):
         x = self._check_domain(x)
@@ -739,14 +710,17 @@ class CircleDiffeo:
     def displacement(self, x):
         return self.lift(x) - np.asarray(x, dtype=float)
 
+    @cached_property
+    def _lift0(self) -> float:
+        return float(np.asarray(self.lift(np.zeros(1)))[0])
+
     def inverse_lift(self, x):
-        """F^{-1}(x) by a bracketed Newton solve.  The displacement of a
-        degree-one lift varies by less than 1 over the circle, so the root
-        lies within 1 of x - F(0)."""
+        """F^{-1}(x) by bisection; CircleGrid overrides this.  The
+        displacement of a degree-one lift varies by less than 1 over the
+        circle, so the root lies within 1 of x - F(0)."""
         x = np.asarray(x, dtype=float)
-        c = float(np.asarray(self.lift(np.zeros(1)))[0])
-        return bisect_monotone(self.lift, x, x - c - 2.0, x - c + 2.0,
-                               deriv=lambda y: np.exp(self.log_deriv(y)))
+        c = self._lift0
+        return bisect_monotone(self.lift, x, x - c - 2.0, x - c + 2.0)
 
     def log_deriv(self, x):
         raise NotImplementedError
@@ -765,9 +739,6 @@ class Rotation(CircleDiffeo):
 
     def lift_frac(self, x):
         return np.asarray(x, dtype=float) + self.alpha
-
-    def inverse_lift(self, x):
-        return np.asarray(x, dtype=float) - self.alpha
 
     def log_deriv(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -871,9 +842,6 @@ class CircleInverse(CircleDiffeo):
 
     def lift(self, x):
         return self.f.inverse_lift(x)
-
-    def inverse_lift(self, x):
-        return self.f.lift(x)
 
     def lift_frac(self, x):
         return self.lift(np.asarray(x, dtype=float))

@@ -100,14 +100,12 @@ class VectorField1D:
 
 
 def _tau_inv_by_bisection(field: VectorField1D, s):
-    """Invert the (decreasing) tau by the bracketed solve on [tiny, 1-tiny]."""
+    """Invert the (decreasing) tau by bisection on [tiny, 1-tiny]."""
     s = np.asarray(s, dtype=float)
     lo = np.full(s.shape, _TINY)
     hi = np.full(s.shape, 1.0 - _TINY)
-    # tau is decreasing in x; solve on -tau, which is increasing with
-    # derivative -1/X
-    return bisect_monotone(lambda v: -field.tau(v), -s, lo, hi, iters=100,
-                           deriv=lambda v: -1.0 / field.X(v))
+    # tau is decreasing in x; bisect on -tau which is increasing
+    return bisect_monotone(lambda v: -field.tau(v), -s, lo, hi, iters=100)
 
 
 class AnalyticField(VectorField1D):
