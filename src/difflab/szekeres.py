@@ -105,7 +105,8 @@ def _tau_inv_by_bisection(field: VectorField1D, s):
     lo = np.full(s.shape, _TINY)
     hi = np.full(s.shape, 1.0 - _TINY)
     # tau is decreasing in x; bisect on -tau which is increasing
-    return bisect_monotone(lambda v: -field.tau(v), -s, lo, hi, iters=100)
+    y = bisect_monotone(lambda v: -field.tau(v), -s, lo, hi, iters=100)
+    return y
 
 
 class AnalyticField(VectorField1D):
