@@ -52,6 +52,7 @@ from .szekeres import (
     NotAContraction,
     SzekeresField,
     TailNotReached,
+    TransportBudgetExceeded,
     VectorField1D,
     flow_group_residual,
     flow_time,

@@ -432,6 +432,25 @@ def _step_eval(xs: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
     return vals[idx]
 
 
+def _piece_preimages(p: QuarticPiece, targets) -> List[float]:
+    """phi^-1(t) inside the piece for each target t, by 80 bisection steps.
+
+    The constants are rounded to floats once: ``p.value`` on a float does
+    the same float operations, so the roots are the same bits."""
+    a, b, k = float(p.a), float(p.b), float(p.k)
+    out = []
+    for t in targets:
+        lo_x, hi_x = a, b
+        for _ in range(80):
+            mid = 0.5 * (lo_x + hi_x)
+            if mid + k * (mid - a) ** 2 * (mid - b) ** 2 < t:
+                lo_x = mid
+            else:
+                hi_x = mid
+        out.append(0.5 * (lo_x + hi_x))
+    return out
+
+
 def bv_group_demo(tree: CantorTree, n: int) -> BvDemoReport:
     """Left multiplication by f is discontinuous at id in the C^{1+bv}
     metric: with Df = e^u / int e^u (u the staircase potential), the
@@ -465,16 +484,7 @@ def bv_group_demo(tree: CantorTree, n: int) -> BvDemoReport:
         samples.update(p.critical_points())
         lo = np.searchsorted(xs, a, side="left")
         hi = np.searchsorted(xs, b, side="right")
-        for t in xs[lo:hi]:
-            # solve phi(x) = t inside the piece by bisection
-            lo_x, hi_x = a, b
-            for _ in range(80):
-                mid = 0.5 * (lo_x + hi_x)
-                if float(p.value(mid)) < t:
-                    lo_x = mid
-                else:
-                    hi_x = mid
-            samples.add(0.5 * (lo_x + hi_x))
+        samples.update(_piece_preimages(p, xs[lo:hi].tolist()))
     grid = np.linspace(0.0, 1.0, 2 ** 14 + 1)
     pts = np.unique(np.concatenate([np.asarray(sorted(samples)), grid]))
     # straddle each candidate jump point

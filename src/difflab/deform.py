@@ -43,6 +43,7 @@ from .szekeres import (
     FlowTime,
     SzekeresField,
     VectorField1D,
+    _flow_log_deriv,
     moebius_field,
     szekeres_field,
 )
@@ -500,6 +501,13 @@ class PushforwardField(VectorField1D):
     def tau_inv(self, s):
         return self.phi.value(self.base.tau_inv(s))
 
+    def flow_log_deriv(self, y, t):
+        # the flow is phi o f^t o phi^-1, so by the chain rule
+        # log Df~^t(y) = log Dphi(f^t u) + log Df^t(u) - log Dphi(u)
+        u = self.phinv.value(np.asarray(y, dtype=float))
+        v, ld = self.base.flow_log_deriv(u, t)
+        return self.phi.value(v), self.phi.log_deriv(v) + ld - self.phi.log_deriv(u)
+
     def __repr__(self):
         return f"PushforwardField({self.base!r})"
 
@@ -568,6 +576,29 @@ class RegularizedFlow:
     extra_checks: dict | None
 
 
+# Simpson nodes per batched flow evaluation.  The batch's temporaries set the
+# peak memory of regularize_flow: at grid_N = 4096 on a bumped Moebius map,
+# 8 nodes peaked at 90 MB, 16 at 93 MB and all 64 at 125 MB
+_S_CHUNK = 8
+
+
+def _mean_log_deriv(X: VectorField1D, xg: np.ndarray, s_steps: int) -> np.ndarray:
+    """int_0^1 log Df^s ds on the points xg by composite Simpson in s with
+    s_steps intervals (log Df^0 = 0, so s = 0 drops out).  The nodes are
+    evaluated _S_CHUNK at a time, in one flow evaluation per chunk, and
+    summed row by row in node order."""
+    svals = np.linspace(0.0, 1.0, s_steps + 1)[1:]
+    weights = np.where(np.arange(1, s_steps + 1) % 2 == 1, 4.0, 2.0)
+    weights[-1] = 1.0
+    acc = np.zeros_like(xg)
+    for c in range(0, s_steps, _S_CHUNK):
+        s = svals[c:c + _S_CHUNK]
+        rows = _flow_log_deriv(X, np.tile(xg, s.size), np.repeat(s, xg.size))
+        for w, row in zip(weights[c:c + _S_CHUNK], rows.reshape(s.size, xg.size)):
+            acc += w * row
+    return acc / (3.0 * s_steps)
+
+
 def regularize_flow(X, extra=None, r: str = "1+ac",
                     cfg: ToleranceConfig = DEFAULT_CONFIG,
                     s_steps: int = 64) -> RegularizedFlow:
@@ -576,7 +607,12 @@ def regularize_flow(X, extra=None, r: str = "1+ac",
         log D(phi)(x) = int_0^1 log Df^s(x) ds - c,   phi(0) = 0,
 
     after which the field derivative equals log Df o phi^-1 and
-    var(DX~) = var(log Df)."""
+    var(DX~) = var(log Df).
+
+    The s-integral is composite Simpson on s_steps intervals, evaluated a
+    chunk of _S_CHUNK nodes at a time: one ``flow_log_deriv`` call per
+    chunk takes every grid point's orbit once into the field's reference
+    interval and once out, for all the chunk's times together."""
     if r not in ("1+ac", "2"):
         raise ValueError("r must be '1+ac' or '2'")
     if s_steps < 64:
@@ -586,19 +622,7 @@ def regularize_flow(X, extra=None, r: str = "1+ac",
     f1 = FlowTime(X, 1.0)
 
     xg = np.linspace(0.0, 1.0, cfg.grid_N + 1)
-    svals = np.linspace(0.0, 1.0, s_steps + 1)
-    acc = np.zeros_like(xg)
-    # composite Simpson in s (log Df^0 = 0, so s = 0 drops out)
-    for i, s in enumerate(svals):
-        if i == 0 or i == s_steps:
-            w = 1.0
-        elif i % 2 == 1:
-            w = 4.0
-        else:
-            w = 2.0
-        if s > 0.0:
-            acc += w * FlowTime(X, float(s)).log_deriv(xg)
-    acc /= 3.0 * s_steps
+    acc = _mean_log_deriv(X, xg, s_steps)
     # endpoints: log Df^s(p) = s * log Df(p) at a fixed endpoint, so the
     # s-average is half the edge rate; fill any remaining non-finite nodes
     # (flow evaluation degenerates at the very ends) by interpolation

@@ -908,6 +908,31 @@ class RotationNumber:
     birkhoff_tail: float    # |rho_K - rho_{K/2}|, raw Birkhoff uncertainty
 
 
+def _lift_step(lift_grid: np.ndarray):
+    """y -> F(y) for the lift sampled as F(i/M), i = 0..M (M a power of
+    two), using F(y + m) = F(y) + m.
+
+    This is ``m + np.interp(y - m, grid, lift_grid)`` bit for bit, done in
+    Python floats because a scalar np.interp call costs more than the
+    step: grid[i] = i / M exactly, so i = int(u * M) is the cell that
+    np.interp's binary search finds, and the slope and the value are its
+    own formula."""
+    M = len(lift_grid) - 1
+    gx = np.linspace(0.0, 1.0, M + 1).tolist()
+    gy = lift_grid.tolist()
+
+    def step(y):
+        m = math.floor(y)
+        u = y - m
+        i = int(u * M)
+        if u == gx[i]:  # also u == 1.0, rounded up from below
+            return m + gy[i]
+        slope = (gy[i + 1] - gy[i]) / (gx[i + 1] - gx[i])
+        return m + (slope * (u - gx[i]) + gy[i])
+
+    return step
+
+
 def rotation_number(f: CircleDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG) -> RotationNumber:
     """Translation number of the lift, lim F^n(0)/n, reduced mod 1.
 
@@ -918,13 +943,8 @@ def rotation_number(f: CircleDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG) -> R
     # pre-sample the lift once so the long orbit iterates a table lookup
     # instead of re-running per-point bisections inside composed inverses;
     # lift(x + m) = lift(x) + m reduces every step to the fundamental domain
-    M = 1 << 15
-    grid = np.linspace(0.0, 1.0, M + 1)
-    lift_grid = np.asarray(f.lift(grid), dtype=float)
-
-    def _step(y):
-        m = math.floor(y)
-        return m + float(np.interp(y - m, grid, lift_grid))
+    grid = np.linspace(0.0, 1.0, (1 << 15) + 1)
+    _step = _lift_step(np.asarray(f.lift(grid), dtype=float))
 
     y = 0.0
     best_err = math.inf

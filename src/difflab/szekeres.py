@@ -8,13 +8,16 @@ limit field
     theta(x) = log[ (f^2(x) - f(x)) / (Df(x) * (f(x) - x)) ],
     c0(f) = log Df(0) / (Df(0) - 1)   (:= 1 when Df(0) = 1).
 
-The series is summed once, on one reference fundamental interval [f(c), c];
-X elsewhere is transported there by exact f-iteration, using the invariance
-X(f(x)) = X(x) Df(x).  Flows are evaluated through the time-change coordinate
-tau = int du/X, in which the flow is the unit-speed translation:
-f^t = tau^{-1} o T_t o tau.  The improper integral near the endpoints is
-avoided the same way: tau is resolved on the reference interval and
-transported by tau(f(x)) = tau(x) + 1.
+The series is summed once, on one reference fundamental interval [f(c), c].
+Everything else reaches that interval by exact f-iteration, through two orbit
+walks.  The inbound walk carries x to y = f^k(x) in the interval and adds up
+log Df^k(x), so X(x) = X(y) / Df^k(x) (from X(f(x)) = X(x) Df(x)).  Flows are
+evaluated in the time-change coordinate tau = int du/X, in which the flow is
+the unit-speed translation, f^t = tau^{-1} o T_t o tau; tau(x) = tau(y) - k,
+so the improper integral near the endpoints is never formed.  The outbound
+walk applies f^j to a point of the interval read off the tau table, which
+gives tau^{-1}, and adds up log Df^j on the way.  One walk in and one out
+therefore give both f^t(x) and log Df^t(x) = log X(f^t x) - log X(x).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .diffeo import IntervalDiffeo, Moebius, bisect_monotone, metric
 __all__ = [
     "NotAContraction",
     "TailNotReached",
+    "TransportBudgetExceeded",
     "VectorField1D",
     "AnalyticField",
     "GridField",
@@ -49,6 +53,11 @@ class NotAContraction(ValueError):
 
 class TailNotReached(RuntimeError):
     """The series tail bound did not fall below tail_tol within budget."""
+
+
+class TransportBudgetExceeded(RuntimeError):
+    """An orbit walk to or from the reference interval needed more than
+    cfg.max_iter steps of f (points too close to a fixed point)."""
 
 
 _TINY = 1e-15
@@ -84,11 +93,18 @@ class VectorField1D:
     def tau_inv(self, s):
         raise NotImplementedError
 
-    def flow(self, x, t: float):
-        """f^t(x) for interior x (vectorized)."""
-        if t == 0.0:
-            return np.asarray(x, dtype=float).copy()
+    def flow(self, x, t):
+        """f^t(x) for interior x; t is a scalar or one time per point."""
         return self.tau_inv(self.tau(x) + t)
+
+    def flow_log_deriv(self, x, t):
+        """(f^t(x), log Df^t(x)) for interior x; t as in ``flow``.
+
+        log Df^t = log(X o f^t / X); fields that reach both values in one
+        pass override this.  Non-finite entries are left to the caller."""
+        y = self.flow(x, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return y, np.log(self.X(y) / self.X(x))
 
     def time_map(self, t: float) -> "FlowTime":
         return FlowTime(self, t)
@@ -163,15 +179,13 @@ class AnalyticField(VectorField1D):
             return 1.0 / (1.0 + np.exp(np.clip(self.lam * s, -700, 700)))
         return _tau_inv_by_bisection(self, s)
 
-    def flow(self, x, t: float):
-        if t == 0.0:
-            return np.asarray(x, dtype=float).copy()
+    def flow(self, x, t):
         if self.family == "bridge":
             # logit is linear in t: x_t = x e^{-lam t} / (1 - x + x e^{-lam t});
             # keeps full relative precision in the tails (the tau round-trip
             # saturates at the clipping floor)
             xa = np.asarray(x, dtype=float)
-            e = math.exp(-self.lam * t)
+            e = np.exp(-self.lam * t)
             return xa * e / (1.0 - xa + xa * e)
         return self.tau_inv(self.tau(x) + t)
 
@@ -246,9 +260,11 @@ class SzekeresField(VectorField1D):
 
     The series is summed once, at construction, on the nodes of the
     reference fundamental interval [f(anchor), anchor], and interpolated
-    there by a C^1 cubic spline.  X at any other interior point is
-    transported into that interval using the invariance
-    X(f(x)) = X(x) Df(x); X vanishes at 0 and 1.
+    there by a C^1 cubic spline, next to a trapezoid table of tau.  Every
+    other interior point is served by one inbound orbit walk into that
+    interval (``X``, ``tau``) and, for flows, one outbound walk from it
+    (``tau_inv``, ``flow_log_deriv``); a walk longer than cfg.max_iter steps
+    raises ``TransportBudgetExceeded``.  X vanishes at 0 and 1.
     """
 
     def __init__(self, f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
@@ -366,30 +382,88 @@ class SzekeresField(VectorField1D):
         # only interior points: the fixed points 0 and 1 never reach the
         # reference interval
         interior = (x > 0.0) & (x < 1.0)
-        out[interior] = self._X_transport(x[interior])
+        y, _, logchain = self._walk_in(x[interior], with_log=True)
+        out[interior] = self._X_ref(y) * np.exp(-logchain)
         return out[0] if scalar else out
 
-    def _X_transport(self, x):
-        """X via invariance X(x) = X(f^k x) / Df^k(x), with f^k(x) landing in
-        the resolved reference interval."""
-        y = x.copy()
-        logchain = np.zeros_like(y)
-        lo, hi = self._ref_x[0], self._ref_x[-1]
-        for _ in range(self.cfg.max_iter):
-            above = y > hi
-            if not np.any(above):
-                break
-            logchain[above] += self.f.log_deriv(y[above])
-            y[above] = self.f.value(y[above])
-        for _ in range(self.cfg.max_iter):
-            below = y < lo
-            if not np.any(below):
-                break
-            y[below] = self.finv.value(y[below])
-            logchain[below] -= self.f.log_deriv(y[below])
-        # a point that used up the iteration budget is read at the nearer
-        # end of the table, never extrapolated
-        return self._ref_spline(np.clip(y, lo, hi)) * np.exp(-logchain)
+    def _X_ref(self, y):
+        # a walk stops within 1e-15 of the interval: read the nearer table
+        # end, never extrapolate
+        return self._ref_spline(np.clip(y, self._ref_x[0], self._ref_x[-1]))
+
+    # -- orbit walks ------------------------------------------------------------
+    def _walk(self, y, idx, d, arrived, k=None, logchain=None):
+        """Step each point y[idx] by f (its d = 1) or f^-1 (d = -1) until
+        ``arrived(v, n, i)`` holds, v being the points still moving, n the
+        steps each has taken and i their indices.  Each point is written
+        back to y on arrival, with its signed count d n into k and its
+        log Df^(d n) into logchain (when given).  Both directions advance
+        together, so one log-derivative call serves every step."""
+        f = self.f
+        v = y[idx]
+        acc = None if logchain is None else np.zeros(v.shape)
+        n = 0
+        while idx.size:
+            if n == self.cfg.max_iter:
+                raise TransportBudgetExceeded(
+                    f"{idx.size} point(s) need more than max_iter="
+                    f"{self.cfg.max_iter} orbit steps (nearest the ends: "
+                    f"{float(v[np.argmin(np.minimum(v, 1.0 - v))])!r})")
+            fwd = d > 0
+            new = np.empty_like(v)
+            if np.any(fwd):
+                new[fwd] = f.value(v[fwd])
+            if not np.all(fwd):
+                new[~fwd] = self.finv.value(v[~fwd])
+            if acc is not None:
+                # log Df^(+-1) = +log Df before a step of f, -log Df after
+                # a step of f^-1
+                acc += d * f.log_deriv(np.where(fwd, v, new))
+            v = new
+            n += 1
+            done = arrived(v, n, idx)
+            if np.any(done):
+                at = idx[done]
+                y[at] = v[done]
+                if k is not None:
+                    k[at] = d[done] * n
+                if acc is not None:
+                    logchain[at] = acc[done]
+                    acc = acc[~done]
+                idx, v, d = idx[~done], v[~done], d[~done]
+
+    def _walk_in(self, x, with_log: bool = False):
+        """Carry interior points x into the reference interval [f(c), c].
+
+        Returns (y, k, log Df^k(x)) with y = f^k(x), k signed (k < 0 counts
+        steps of f^-1); the last entry is None unless with_log."""
+        y = np.array(x, dtype=float)
+        k = np.zeros(y.shape, dtype=int)
+        logchain = np.zeros(y.shape) if with_log else None
+        lo, hi = self._ref_x[0] - 1e-15, self._ref_x[-1] + 1e-15
+        up = y > hi
+        idx = np.flatnonzero(up | (y < lo))
+        self._walk(y, idx, np.where(up[idx], 1, -1),
+                   lambda v, n, i: np.where(up[i], v <= hi, v >= lo),
+                   k, logchain)
+        return y, k, logchain
+
+    def _walk_out(self, y, j, with_log: bool = False):
+        """(f^j(y), log Df^j(y)) per point, j signed as in ``_walk_in``; the
+        second entry is None unless with_log."""
+        out = np.array(y, dtype=float)
+        logchain = np.zeros(out.shape) if with_log else None
+        idx = np.flatnonzero(j)
+        self._walk(out, idx, np.sign(j[idx]),
+                   lambda v, n, i: np.abs(j[i]) == n, None, logchain)
+        return out, logchain
+
+    def _split_time(self, s):
+        """tau^-1 = f^j o (tau on the reference interval)^-1: the count j
+        and the reference point for each time s."""
+        j = np.floor(s / self._period).astype(int)
+        r = s - j * self._period
+        return j, np.interp(r, self._ref_tau[::-1], self._ref_x[::-1])
 
     def DX(self, x):
         x = np.asarray(x, dtype=float)
@@ -406,60 +480,33 @@ class SzekeresField(VectorField1D):
                 float(self.f.log_deriv(np.array(1.0 - 1e-12))))
 
     # -- time change via the reference interval -----------------------------
-    def _to_ref(self, x):
-        """Iterate points into [f(c), c]; returns (ref points, signed counts)."""
-        y = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-        k = np.zeros(y.shape, dtype=int)
-        lo, hi = self._ref_x[0], self._ref_x[-1]
-        for _ in range(self.cfg.max_iter):
-            above = y > hi + 1e-15
-            if not np.any(above):
-                break
-            y[above] = self.f.value(y[above])
-            k[above] += 1
-        else:
-            raise RuntimeError("tau transport exceeded the iteration budget")
-        for _ in range(self.cfg.max_iter):
-            below = y < lo - 1e-15
-            if not np.any(below):
-                break
-            y[below] = self.finv.value(y[below])
-            k[below] -= 1
-        else:
-            raise RuntimeError("tau transport exceeded the iteration budget")
-        return y, k
-
     def tau(self, x):
         x = np.asarray(x, dtype=float)
         if not np.all((x > 0.0) & (x < 1.0)):
             raise DomainError("tau is infinite outside the open interval (0, 1)")
         scalar = x.ndim == 0
-        y, k = self._to_ref(x)
+        y, k, _ = self._walk_in(np.atleast_1d(x))
         t = np.interp(y, self._ref_x, self._ref_tau) - k
         return float(t[0]) if scalar else t
 
     def tau_inv(self, s):
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
-        s = np.atleast_1d(s).astype(float)
-        j = np.floor(s / self._period).astype(int)
-        r = s - j * self._period
-        y = np.interp(r, self._ref_tau[::-1], self._ref_x[::-1])
-        # apply f^j (j > 0 moves toward 0, matching increasing tau)
-        jj = j.copy()
-        for _ in range(self.cfg.max_iter):
-            pos = jj > 0
-            if not np.any(pos):
-                break
-            y[pos] = self.f.value(y[pos])
-            jj[pos] -= 1
-        for _ in range(self.cfg.max_iter):
-            neg = jj < 0
-            if not np.any(neg):
-                break
-            y[neg] = self.finv.value(y[neg])
-            jj[neg] += 1
+        # f^j for j > 0 moves toward 0, matching increasing tau
+        j, z = self._split_time(np.atleast_1d(s))
+        y, _ = self._walk_out(z, j)
         return float(y[0]) if scalar else y
+
+    def flow_log_deriv(self, x, t):
+        # one walk in gives tau(x) and log Df^k(x), one walk out from the
+        # reference point of tau(x) + t gives f^t(x) and log Df^j there:
+        # log Df^t(x) = log X(f^t x) - log X(x), both read off the table
+        y0, k, log_in = self._walk_in(x, with_log=True)
+        j, z = self._split_time(np.interp(y0, self._ref_x, self._ref_tau) - k + t)
+        y, log_out = self._walk_out(z, j, with_log=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.log(self._X_ref(z) / self._X_ref(y0))
+        return y, ratio + log_out + log_in
 
     def diagnostics(self):
         return {"terms": self.n_terms, "tail_bound": self.tail_bound,
@@ -471,6 +518,28 @@ class SzekeresField(VectorField1D):
 
 # ---------------------------------------------------------------------------
 # flow-time maps
+
+
+def _flow_log_deriv(field: VectorField1D, x: np.ndarray, t) -> np.ndarray:
+    """log Df^t(x) for 1-D x in [0, 1], t a scalar or one time per point.
+
+    At the endpoints the limit is t * DX(endpoint); interior points whose
+    ratio is not finite (the field underflows) sit inside the endpoint
+    linearization zone and take the edge rate too."""
+    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
+    out = np.zeros_like(x)
+    edge0, edge1 = field.edge_rates()
+    eps = 1e-13
+    interior = (x > eps) & (x < 1.0 - eps)
+    xi, ti = x[interior], t[interior]
+    if np.any(ti != 0.0):
+        _, ratio = field.flow_log_deriv(xi, ti)
+        fallback = np.where(xi < 0.5, ti * edge0, ti * edge1)
+        out[interior] = np.where(np.isfinite(ratio), ratio, fallback)
+    left, right = x <= eps, x >= 1.0 - eps
+    out[left] = t[left] * edge0
+    out[right] = t[right] * edge1
+    return out
 
 
 class FlowTime(IntervalDiffeo):
@@ -491,26 +560,9 @@ class FlowTime(IntervalDiffeo):
         return out[0] if scalar else out
 
     def log_deriv(self, x):
-        # log Df^t(x) = log( X(f^t x) / X(x) ); at the endpoints the limit is
-        # t * DX(endpoint)
         x = self._check_domain(x)
         scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.zeros_like(x)
-        edge0, edge1 = self.field.edge_rates()
-        eps = 1e-13
-        interior = (x > eps) & (x < 1.0 - eps)
-        if np.any(interior):
-            xi = x[interior]
-            yi = self.field.flow(xi, self.t) if self.t != 0.0 else xi
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.log(self.field.X(yi) / self.field.X(xi))
-            # points whose field value underflows sit inside the endpoint
-            # linearization zone: use the edge rate there
-            fallback = np.where(xi < 0.5, self.t * edge0, self.t * edge1)
-            out[interior] = np.where(np.isfinite(ratio), ratio, fallback)
-        out[x <= eps] = self.t * edge0
-        out[x >= 1.0 - eps] = self.t * edge1
+        out = _flow_log_deriv(self.field, np.atleast_1d(x), self.t)
         return out[0] if scalar else out
 
     def affine_deriv(self, x):

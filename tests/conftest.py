@@ -1,0 +1,39 @@
+"""Helpers shared by the test modules."""
+
+import pytest
+
+from difflab import IntervalDiffeo
+
+
+class LeafCounter(IntervalDiffeo):
+    """Wraps a map and counts the calls of value, log_deriv and deriv on it
+    and on every inverse taken from it, in one shared tally."""
+
+    def __init__(self, f, tally=None):
+        self.f = f
+        self.tally = [0] if tally is None else tally
+
+    @property
+    def calls(self) -> int:
+        return self.tally[0]
+
+    def value(self, x):
+        self.tally[0] += 1
+        return self.f.value(x)
+
+    def log_deriv(self, x):
+        self.tally[0] += 1
+        return self.f.log_deriv(x)
+
+    def deriv(self, x):
+        self.tally[0] += 1
+        return self.f.deriv(x)
+
+    def inverse_map(self):
+        return LeafCounter(self.f.inverse_map(), self.tally)
+
+
+@pytest.fixture
+def leaf_counter():
+    """The LeafCounter class: wrap a map to count its leaf evaluations."""
+    return LeafCounter

@@ -5,6 +5,7 @@ regular square root, and the brick-flow half-time pathology."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from difflab import (
@@ -12,9 +13,14 @@ from difflab import (
     bv_group_demo,
     hyperbolic_example,
     sergeraert_check,
+    staircase_phi,
     staircase_report,
 )
-from difflab.counterexamples import ConstructionError, _audit_tree
+from difflab.counterexamples import (
+    ConstructionError,
+    _audit_tree,
+    _piece_preimages,
+)
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +165,24 @@ class TestSergeraert:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             sergeraert_check(2)
+
+
+class TestFloatKernels:
+    def test_piece_preimages_equal_bisection_on_piece_values(self, tree):
+        # the bisection with the piece's own (Fraction-constant) value
+        for p in staircase_phi(tree, 3):
+            a, b = float(p.a), float(p.b)
+            # targets that are piece values at floats: near the root the
+            # comparisons turn on the last bits of the value
+            targets = [float(p.value(x)) for x in np.linspace(a, b, 41)[1:-1].tolist()]
+            old = []
+            for t in targets:
+                lo_x, hi_x = a, b
+                for _ in range(80):
+                    mid = 0.5 * (lo_x + hi_x)
+                    if float(p.value(mid)) < t:
+                        lo_x = mid
+                    else:
+                        hi_x = mid
+                old.append(0.5 * (lo_x + hi_x))
+            assert _piece_preimages(p, targets) == old

@@ -9,6 +9,8 @@ import pytest
 
 from difflab import (
     ActionTuple,
+    Bump,
+    BumpPerturbation,
     CircleGrid,
     DeformationPath,
     FlowTime,
@@ -33,7 +35,9 @@ from difflab import (
     moebius_field,
     normalize_finite_order,
     regularize_flow,
+    szekeres_field,
 )
+from difflab.deform import _mean_log_deriv
 
 LN2 = math.log(2.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -145,6 +149,36 @@ class TestRegularizeFlow:
     def test_bad_regularity_selector(self):
         with pytest.raises(ValueError):
             regularize_flow(moebius_field(2.0), r="5")
+
+    def test_regularized_field_flow_log_deriv(self):
+        # the chain rule through phi agrees with the field ratio
+        Xt = regularize_flow(Moebius(2.0)).field
+        xs = np.linspace(0.002, 0.998, 199)
+        ts = np.linspace(-1.5, 2.5, xs.size)
+        y, ld = Xt.flow_log_deriv(xs, ts)
+        assert np.max(np.abs(y - Xt.flow(xs, ts))) < 1e-12
+        assert np.max(np.abs(ld - np.log(Xt.X(y) / Xt.X(xs)))) < 1e-10
+
+    def test_chunked_simpson_matches_per_time_loop(self):
+        X = szekeres_field(BumpPerturbation(Moebius(2.0),
+                                            [Bump(0.45, 0.2, 0.08)]))
+        xg = np.linspace(0.0, 1.0, 1025)
+        s_steps = 64
+        acc = np.zeros_like(xg)
+        for i, s in enumerate(np.linspace(0.0, 1.0, s_steps + 1)[1:], 1):
+            w = 1.0 if i == s_steps else (4.0 if i % 2 else 2.0)
+            acc += w * FlowTime(X, float(s)).log_deriv(xg)
+        acc /= 3.0 * s_steps
+        assert np.max(np.abs(_mean_log_deriv(X, xg, s_steps) - acc)) < 1e-12
+
+    def test_leaf_calls(self, leaf_counter):
+        # 64 separate flow evaluations walked every orbit four times each:
+        # 9519 leaf calls
+        f = leaf_counter(Moebius(2.0))
+        X = szekeres_field(f)
+        before = f.calls
+        regularize_flow(X)
+        assert f.calls - before <= 1000
 
     def test_flowable_chart_of_example_action(self):
         # the Szekeres field of the chart is read from a C^1 table; a

@@ -38,7 +38,7 @@ from difflab import (
     rotation_number,
 )
 from difflab.deform import _SmoothConjugacy
-from difflab.diffeo import CircleDiffeo
+from difflab.diffeo import CircleDiffeo, _lift_step
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -185,6 +185,21 @@ class TestRotationNumber:
         x = np.linspace(0.0, 1.0, 4097)
         f = CircleGrid(GridFunction(0.1 * np.sin(2 * np.pi * x) ** 2))
         assert rotation_number(f).value == pytest.approx(0.0, abs=1e-9)
+
+    def test_lift_step_is_np_interp(self):
+        # the Python-float step equals the scalar np.interp it replaces, on
+        # nodes, next to nodes, on negative lifts and where y - floor(y)
+        # rounds up to 1
+        grid = np.linspace(0.0, 1.0, (1 << 10) + 1)
+        table = np.asarray(conjugated_rotation(GOLDEN).lift(grid), dtype=float)
+        step = _lift_step(table)
+        rng = np.random.default_rng(7)
+        ys = np.concatenate([rng.uniform(-3.0, 3.0, 2000), grid,
+                             np.nextafter(grid, 2.0), grid - 2.0,
+                             [-1e-20, 2.0 - 1e-17]])
+        for y in ys.tolist():
+            m = math.floor(y)
+            assert step(y) == m + float(np.interp(y - m, grid, table))
 
     def test_iterate_scaling(self):
         f = conjugated_rotation(GOLDEN)

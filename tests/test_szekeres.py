@@ -11,11 +11,12 @@ from difflab import (
     BumpPerturbation,
     DomainError,
     FlowTime,
-    IntervalDiffeo,
     Moebius,
     NotAContraction,
     SzekeresField,
     TailNotReached,
+    ToleranceConfig,
+    TransportBudgetExceeded,
     flow_group_residual,
     flow_time,
     identity,
@@ -26,24 +27,6 @@ from difflab import (
 )
 
 LN2 = math.log(2.0)
-
-
-class _Counting(IntervalDiffeo):
-    """A map that counts the calls of its value method."""
-
-    def __init__(self, f):
-        self.f = f
-        self.calls = 0
-
-    def value(self, x):
-        self.calls += 1
-        return self.f.value(x)
-
-    def log_deriv(self, x):
-        return self.f.log_deriv(x)
-
-    def inverse_map(self):
-        return self.f.inverse_map()
 
 
 class TestSzekeresField:
@@ -106,10 +89,10 @@ class TestSzekeresField:
         X.X(np.linspace(0.0, 1.0, 65))
         assert calls == []
 
-    def test_fixed_points_are_not_transported(self):
+    def test_fixed_points_are_not_transported(self, leaf_counter):
         # 0 never reaches the reference interval: transporting it would spin
         # through the whole iteration budget
-        f = _Counting(Moebius(1.05))
+        f = leaf_counter(Moebius(1.05))
         X = SzekeresField(f)
         before = f.calls
         out = X.X(np.array([0.0, 0.5, 1.0]))
@@ -117,13 +100,67 @@ class TestSzekeresField:
         assert f.calls - before < 100
 
     @pytest.mark.parametrize("bad", [0.0, 1.0])
-    def test_tau_rejects_fixed_points(self, bad):
-        f = _Counting(Moebius(2.0))
+    def test_tau_rejects_fixed_points(self, bad, leaf_counter):
+        f = leaf_counter(Moebius(2.0))
         X = SzekeresField(f)
         before = f.calls
         with pytest.raises(DomainError):
             X.tau(np.array([bad, 0.5]))
         assert f.calls == before
+
+
+class TestTransportBudget:
+    # Moebius(2) roughly doubles points near 0 under f^-1: 1e-30 is about
+    # 100 steps from the reference interval, 1e-10 about 33
+    cfg = ToleranceConfig(max_iter=64)
+
+    def test_X_raises_instead_of_reading_the_table_end(self):
+        X = SzekeresField(Moebius(2.0), self.cfg)
+        with pytest.raises(TransportBudgetExceeded):
+            X.X(np.array([1e-30, 0.5]))
+
+    def test_every_walk_raises_the_same_type(self):
+        X = SzekeresField(Moebius(2.0), self.cfg)
+        with pytest.raises(TransportBudgetExceeded):
+            X.tau(np.array([1e-30]))
+        with pytest.raises(TransportBudgetExceeded):
+            X.tau_inv(np.array([200.0]))
+        with pytest.raises(TransportBudgetExceeded):
+            X.flow_log_deriv(np.array([1e-30]), 0.5)
+        assert issubclass(TransportBudgetExceeded, RuntimeError)
+
+    def test_within_budget(self):
+        X = SzekeresField(Moebius(2.0), self.cfg)
+        assert float(X.X(np.array(1e-10))) == pytest.approx(-LN2 * 1e-10,
+                                                            rel=1e-6)
+
+
+def _bumped():
+    return BumpPerturbation(Moebius(2.0), [Bump(0.45, 0.2, 0.08)])
+
+
+class TestFlowLogDeriv:
+    @pytest.mark.parametrize("make", [
+        lambda: SzekeresField(Moebius(2.0)),
+        lambda: SzekeresField(_bumped()),
+        lambda: AnalyticField("parabolic_right", 0.8),
+    ])
+    def test_matches_field_ratio_with_per_point_times(self, make):
+        # (f^t x, log Df^t x) with log Df^t = log(X(f^t x) / X(x))
+        X = make()
+        xs = np.linspace(0.002, 0.998, 199)
+        ts = np.linspace(-1.5, 2.5, xs.size)
+        y, ld = X.flow_log_deriv(xs, ts)
+        assert np.max(np.abs(y - X.flow(xs, ts))) < 1e-12
+        assert np.max(np.abs(ld - np.log(X.X(y) / X.X(xs)))) < 1e-10
+
+    def test_one_walk_in_and_one_out(self, leaf_counter):
+        # four walks (tau, tau^-1, X at both ends) took 95 leaf calls here
+        f = leaf_counter(Moebius(2.0))
+        X = SzekeresField(f)
+        before = f.calls
+        FlowTime(X, 0.5).log_deriv(np.linspace(0.0, 1.0, 257))
+        assert f.calls - before <= 70
 
 
 class TestAnalyticField:
