@@ -26,6 +26,7 @@ from .diffeo import (
     FixedPoint,
     FixedPointReport,
     GridLogDeriv,
+    GridSample,
     IntervalDiffeo,
     InverseMap,
     Iterate,
@@ -39,11 +40,13 @@ from .diffeo import (
     compose,
     evaluate,
     fixed_point_analysis,
+    grid_sample,
     identity,
     inverse,
     iterate,
     metric,
     rotation_number,
+    sampled_distance,
 )
 from .szekeres import (
     AnalyticField,

@@ -32,18 +32,20 @@ from .diffeo import (
     commutator_residual,
     compose,
     fixed_point_analysis,
+    grid_sample,
     identity,
     inverse,
     iterate,
     metric,
     rotation_number,
+    sampled_distance,
     _table_inverse,
 )
 from .szekeres import (
     FlowTime,
     SzekeresField,
     VectorField1D,
-    _flow_log_deriv,
+    _flow_jet,
     moebius_field,
     szekeres_field,
 )
@@ -101,8 +103,12 @@ class _Restricted(IntervalDiffeo):
         return np.clip(y, 0.0, 1.0)
 
     def log_deriv(self, u):
+        return self.jet(u)[1]
+
+    def jet(self, u):
         u = self._check_domain(u)
-        return self.f.log_deriv(self._up(u))
+        y, ld = self.f.jet(self._up(u))
+        return np.clip((y - self.a) / (self.b - self.a), 0.0, 1.0), ld
 
     def affine_deriv(self, u):
         u = self._check_domain(u)
@@ -151,11 +157,20 @@ class ComponentwiseDiffeo(IntervalDiffeo):
         return self._apply(x, fn)
 
     def log_deriv(self, x):
-        def fn(iv, u, c):
-            if iv is None:
-                return np.zeros_like(u)
-            return c.log_deriv(u)
-        return self._apply(x, fn)
+        return self.jet(x)[1]
+
+    def jet(self, x):
+        x = self._check_domain(x)
+        scalar = x.ndim == 0
+        x = np.atleast_1d(x)
+        val = x.copy()
+        ld = np.zeros_like(x)
+        for (a, b), c in zip(self.intervals, self.charts):
+            m = (x >= a) & (x <= b)
+            if np.any(m):
+                y, ld[m] = c.jet(np.clip((x[m] - a) / (b - a), 0.0, 1.0))
+                val[m] = a + (b - a) * y
+        return (val[0], ld[0]) if scalar else (val, ld)
 
     def affine_deriv(self, x):
         def fn(iv, u, c):
@@ -187,9 +202,10 @@ class ComponentwiseDiffeo(IntervalDiffeo):
 # box enumeration helper
 
 
-def _box_reduce(gens, n, x, leaf, circle=False):
+def _box_reduce(gens, n, x, leaf):
     """Depth-first walk of the box of words g_1^{k_1}...g_m^{k_m}, 0 <= k < n,
-    calling leaf(y, ld) with the word values and word log-derivatives at x."""
+    calling leaf(y, ld) with the word values (lifts, for circle maps) and
+    word log-derivatives at x."""
 
     def rec(i, y, ld):
         if i == len(gens):
@@ -200,8 +216,8 @@ def _box_reduce(gens, n, x, leaf, circle=False):
         for k in range(n):
             rec(i + 1, yy, ldd)
             if k < n - 1:
-                ldd = ldd + g.log_deriv(yy)
-                yy = g.lift(yy) if circle else g.value(yy)
+                yy, ld_g = g.jet(yy)
+                ldd = ldd + ld_g
 
     rec(0, x.copy(), np.zeros_like(x))
 
@@ -249,7 +265,7 @@ def herman_average(t: ActionTuple, n: int,
             total_d += np.exp(ld)
             count += 1
 
-        _box_reduce(t.generators, n, x, leaf, circle=True)
+        _box_reduce(t.generators, n, x, leaf)
         lift = total / count
         logd = np.log(total_d / count)
         phi = CircleGrid(GridFunction(lift - x), GridFunction(logd), cfg)
@@ -326,7 +342,7 @@ def geometric_mean_conjugacy(t: ActionTuple, extra_generator=None, n: int = 8,
             total += ld
             count += 1
 
-        _box_reduce(gens, n, pts, leaf, circle=circle)
+        _box_reduce(gens, n, pts, leaf)
         if not np.all(np.isfinite(total)):
             raise OverflowError("word derivative accumulation left the "
                                 "representable range")
@@ -348,17 +364,19 @@ def geometric_mean_conjugacy(t: ActionTuple, extra_generator=None, n: int = 8,
     # with Psi the exact box mean (no interpolation error enters the check)
     vars_c, bounds, slacks = [], [], []
     for g in t.generators:
-        fx = g.lift(x) if circle else g.value(x)
-        u = mean_log_deriv(np.mod(fx, 1.0) if circle else fx) \
-            + g.log_deriv(x) - psi
+        fx, ld = g.jet(x)
+        y = np.mod(fx, 1.0) if circle else fx
+        u = mean_log_deriv(y) + ld - psi
         var_u = float(np.abs(np.diff(u)).sum())
         if circle:
             var_u += float(abs(u[-1] - u[0]))
-        acc = np.zeros_like(x)
-        y = x.copy()
-        for _ in range(n):
-            acc = acc + g.log_deriv(y)
-            y = np.mod(g.lift(y), 1.0) if circle else g.value(y)
+        # log Df^n(x), its first step being the jet just taken
+        acc = ld
+        for _ in range(n - 1):
+            y, ld = g.jet(y)
+            acc = acc + ld
+            if circle:
+                y = np.mod(y, 1.0)
         bound = float(np.abs(np.diff(acc)).sum())
         if circle:
             bound += float(abs(acc[-1] - acc[0]))
@@ -501,6 +519,11 @@ class PushforwardField(VectorField1D):
     def tau_inv(self, s):
         return self.phi.value(self.base.tau_inv(s))
 
+    def flow(self, y, t):
+        # the same path as flow_log_deriv, so their flows agree bit for bit
+        u = self.phinv.value(np.asarray(y, dtype=float))
+        return self.phi.value(self.base.flow(u, t))
+
     def flow_log_deriv(self, y, t):
         # the flow is phi o f^t o phi^-1, so by the chain rule
         # log Df~^t(y) = log Dphi(f^t u) + log Df^t(u) - log Dphi(u)
@@ -593,7 +616,7 @@ def _mean_log_deriv(X: VectorField1D, xg: np.ndarray, s_steps: int) -> np.ndarra
     acc = np.zeros_like(xg)
     for c in range(0, s_steps, _S_CHUNK):
         s = svals[c:c + _S_CHUNK]
-        rows = _flow_log_deriv(X, np.tile(xg, s.size), np.repeat(s, xg.size))
+        _, rows = _flow_jet(X, np.tile(xg, s.size), np.repeat(s, xg.size))
         for w, row in zip(weights[c:c + _S_CHUNK], rows.reshape(s.size, xg.size)):
             acc += w * row
     return acc / (3.0 * s_steps)
@@ -662,9 +685,10 @@ def regularize_flow(X, extra=None, r: str = "1+ac",
     extra_checks = None
     if extra is not None:
         conj_extra = _conjugate(phi, extra, "interval")
-        u = phi.log_deriv(extra.value(xg)) + extra.log_deriv(xg) - phi.log_deriv(xg)
+        ev, el = extra.jet(xg)
+        u = phi.log_deriv(ev) + el - phi.log_deriv(xg)
         var_conj = float(np.abs(np.diff(u)).sum())
-        var_orig = float(np.abs(np.diff(extra.log_deriv(xg))).sum())
+        var_orig = float(np.abs(np.diff(el)).sum())
         extra_checks = {
             "var_conjugate": var_conj,
             "var_original": var_orig,
@@ -942,34 +966,51 @@ class DeformationPath:
 
     # -- certificates -------------------------------------------------------
     def certificate(self, ts=None, tol: float = 1e-3) -> dict:
+        """Check the path at the sorted distinct parameters ts (default
+        0, 0.1, ..., 1).
+
+        Each row holds d*_r(rho_t, id), the largest over generators, which
+        must stay within ``bound`` = 2 d*_r(rho_0, id) + tol; the commutator
+        residual of rho_t, which must stay within 10 times the source's plus
+        cfg.abs_tol; and the increment max_i d_r(rho_t(i), rho_prev(i)) from
+        the previous row (0 on the first).  Each generator is sampled on the
+        metric grid once per row, and that sample serves both its d* and
+        the next row's increment."""
         if ts is None:
             ts = [k / 10.0 for k in range(11)]
         ts = sorted(set(float(v) for v in ts))
-        ident = identity()
+        r, cfg = self.r, self.cfg
+        ident = grid_sample(identity(), cfg)
+
+        def sample(act):
+            return [grid_sample(g, cfg) for g in act.generators]
+
+        def d_star(samples):
+            return max(sampled_distance(s, ident, r, starred=True) for s in samples)
+
         src = self.source
-        d_src = max(metric(g, ident, self.r, starred=True, cfg=self.cfg)
-                    for g in src.generators)
-        res_src = commutator_residual(src, self.cfg)
+        src_samples = sample(src)
+        d_src = d_star(src_samples)
+        res_src = commutator_residual(src, cfg)
         bound = 2.0 * d_src
         rows = []
         prev = None
         all_ok = True
         for t in ts:
             act = self.at(t)
-            d_t = max(metric(g, ident, self.r, starred=True, cfg=self.cfg)
-                      for g in act.generators)
-            res_t = commutator_residual(act, self.cfg)
-            step = (max(metric(g, h, self.r, cfg=self.cfg)
-                        for g, h in zip(act.generators, prev[1].generators))
+            cur = src_samples if act is src else sample(act)
+            d_t = d_star(cur)
+            res_t = commutator_residual(act, cfg)
+            step = (max(sampled_distance(a, b, r) for a, b in zip(cur, prev))
                     if prev is not None else 0.0)
-            ok = (d_t <= bound + tol) and (res_t <= 10.0 * res_src + self.cfg.abs_tol)
+            ok = (d_t <= bound + tol) and (res_t <= 10.0 * res_src + cfg.abs_tol)
             all_ok = all_ok and ok
             rows.append({"t": t, "d_star": d_t, "commutation": res_t,
                          "increment": step, "ok": bool(ok)})
-            prev = (t, act)
+            prev = cur
         crashed_mass = sum(
-            metric(ComponentwiseDiffeo([c.interval], [ch]), ident,
-                   self.r, starred=True, cfg=self.cfg)
+            metric(ComponentwiseDiffeo([c.interval], [ch]), identity(),
+                   r, starred=True, cfg=cfg)
             for c in self.crashed for ch in c.charts)
         return {
             "r": self.r,

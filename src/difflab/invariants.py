@@ -83,12 +83,10 @@ def asymptotic_variation(f, schedule=DEFAULT_SCHEDULE,
         y = pts.copy()
         want = set(schedule)
         for step in range(1, n_max + 1):
+            y, ld = f.jet(y)
+            acc = acc + ld
             if circle:
-                acc = acc + f.log_deriv(y)
-                y = np.mod(f.lift(y), 1.0)
-            else:
-                acc = acc + f.log_deriv(y)
-                y = f.value(y)
+                y = np.mod(y, 1.0)
             if not np.all(np.isfinite(acc)):
                 raise OverflowError(f"derivative accumulation blew up at n={step}")
             if step in want:
@@ -170,8 +168,8 @@ def mather_invariant(f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
     acc = np.zeros_like(ps)
     y = ps.copy()
     for _ in range(k):
-        acc = acc + f.log_deriv(y)
-        y = f.value(y)
+        y, ld = f.jet(y)
+        acc = acc + ld
     q = y  # = f^k(p), deep near 0
     V = np.log(-X.X(ps)) + acc - np.log(-Xg.X(1.0 - q))
     var_logDM = float(np.abs(np.diff(V)).sum())
@@ -271,12 +269,14 @@ def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
         new_words = []
         for (y, ld, c) in words:
             yy, ldd, cc = y, ld, c
-            for _ in range(n):
+            for k in range(n):
                 new_words.append((yy, ldd, cc))
+                if k == n - 1:
+                    break
                 # left-multiply by f_i: c(f_i w) = c(w) + (c(f_i) o w) Dw
                 cc = cc + gen_c(i, yy) * np.exp(ldd)
-                ldd = ldd + gens[i].log_deriv(yy)
-                yy = gens[i].value(yy)
+                yy, ld_i = gens[i].jet(yy)
+                ldd = ldd + ld_i
         words = new_words
 
     psi = np.mean([c for (_, _, c) in words], axis=0)
@@ -321,8 +321,8 @@ def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
     for k in range(marks[-1]):
         if cocycle is not None:
             c = c + gen_c(f_index, y) * np.exp(ld)
-        ld = ld + f.log_deriv(y)
-        y = f.value(y)
+        y, ld_f = f.jet(y)
+        ld = ld + ld_f
         if k + 1 in marks:
             a[k + 1] = _a_norm()
     drift = a[n] / n

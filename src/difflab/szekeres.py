@@ -61,6 +61,8 @@ class TransportBudgetExceeded(RuntimeError):
 
 
 _TINY = 1e-15
+# within this distance of an end, log Df^t is read off the endpoint rate
+_EDGE_EPS = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +400,8 @@ class SzekeresField(VectorField1D):
         steps each has taken and i their indices.  Each point is written
         back to y on arrival, with its signed count d n into k and its
         log Df^(d n) into logchain (when given).  Both directions advance
-        together, so one log-derivative call serves every step."""
+        together; a step of f takes its value and log-derivative from one
+        ``jet`` call, a step of f^-1 reads log Df at the point it reached."""
         f = self.f
         v = y[idx]
         acc = None if logchain is None else np.zeros(v.shape)
@@ -411,14 +414,20 @@ class SzekeresField(VectorField1D):
                     f"{float(v[np.argmin(np.minimum(v, 1.0 - v))])!r})")
             fwd = d > 0
             new = np.empty_like(v)
+            # log Df^(+-1) = +log Df before a step of f, -log Df after a
+            # step of f^-1
+            ld = None if acc is None else np.empty_like(v)
             if np.any(fwd):
-                new[fwd] = f.value(v[fwd])
+                if ld is None:
+                    new[fwd] = f.value(v[fwd])
+                else:
+                    new[fwd], ld[fwd] = f.jet(v[fwd])
             if not np.all(fwd):
                 new[~fwd] = self.finv.value(v[~fwd])
+                if ld is not None:
+                    ld[~fwd] = f.log_deriv(new[~fwd])
             if acc is not None:
-                # log Df^(+-1) = +log Df before a step of f, -log Df after
-                # a step of f^-1
-                acc += d * f.log_deriv(np.where(fwd, v, new))
+                acc += d * ld
             v = new
             n += 1
             done = arrived(v, n, idx)
@@ -520,26 +529,29 @@ class SzekeresField(VectorField1D):
 # flow-time maps
 
 
-def _flow_log_deriv(field: VectorField1D, x: np.ndarray, t) -> np.ndarray:
-    """log Df^t(x) for 1-D x in [0, 1], t a scalar or one time per point.
+def _flow_jet(field: VectorField1D, x: np.ndarray, t):
+    """(f^t(x), log Df^t(x)) for 1-D x in [0, 1], t a scalar or one time
+    per point, with f^t(x) = x where x is within _EDGE_EPS of an end.
 
-    At the endpoints the limit is t * DX(endpoint); interior points whose
-    ratio is not finite (the field underflows) sit inside the endpoint
-    linearization zone and take the edge rate too."""
+    Points further inside take both from one ``flow_log_deriv`` call.  At
+    the ends the log-derivative is t * DX(endpoint), and so it is for the
+    points within _EDGE_EPS of an end and for interior points whose ratio
+    is not finite (the field underflows inside the endpoint linearization
+    zone)."""
     t = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
-    out = np.zeros_like(x)
+    val = x.astype(float)
+    ld = np.zeros_like(val)
     edge0, edge1 = field.edge_rates()
-    eps = 1e-13
-    interior = (x > eps) & (x < 1.0 - eps)
+    interior = (x > _EDGE_EPS) & (x < 1.0 - _EDGE_EPS)
     xi, ti = x[interior], t[interior]
     if np.any(ti != 0.0):
-        _, ratio = field.flow_log_deriv(xi, ti)
+        val[interior], ratio = field.flow_log_deriv(xi, ti)
         fallback = np.where(xi < 0.5, ti * edge0, ti * edge1)
-        out[interior] = np.where(np.isfinite(ratio), ratio, fallback)
-    left, right = x <= eps, x >= 1.0 - eps
-    out[left] = t[left] * edge0
-    out[right] = t[right] * edge1
-    return out
+        ld[interior] = np.where(np.isfinite(ratio), ratio, fallback)
+    left, right = x <= _EDGE_EPS, x >= 1.0 - _EDGE_EPS
+    ld[left] = t[left] * edge0
+    ld[right] = t[right] * edge1
+    return val, ld
 
 
 class FlowTime(IntervalDiffeo):
@@ -560,10 +572,23 @@ class FlowTime(IntervalDiffeo):
         return out[0] if scalar else out
 
     def log_deriv(self, x):
+        # never flows the points within _EDGE_EPS of an end: a walk from
+        # there may not reach the reference interval in budget
         x = self._check_domain(x)
         scalar = x.ndim == 0
-        out = _flow_log_deriv(self.field, np.atleast_1d(x), self.t)
-        return out[0] if scalar else out
+        _, ld = _flow_jet(self.field, np.atleast_1d(x), self.t)
+        return ld[0] if scalar else ld
+
+    def jet(self, x):
+        x = self._check_domain(x)
+        scalar = x.ndim == 0
+        x = np.atleast_1d(x)
+        val, ld = _flow_jet(self.field, x, self.t)
+        # the rest of the interior, flowed as ``value`` does
+        near = (x > 0.0) & (x < 1.0) & ((x <= _EDGE_EPS) | (x >= 1.0 - _EDGE_EPS))
+        if self.t != 0.0 and np.any(near):
+            val[near] = self.field.flow(x[near], self.t)
+        return (val[0], ld[0]) if scalar else (val, ld)
 
     def affine_deriv(self, x):
         # D log Df^t = (DX o f^t - DX) / X  away from the endpoints
@@ -631,10 +656,10 @@ def flow_group_residual(X: VectorField1D, s: float, t: float,
     two_outer = FlowTime(X, s)
     two_inner = FlowTime(X, t)
     probes = np.linspace(0.0, 1.0, 257)
-    a = one.value(probes)
-    b = two_outer.value(two_inner.value(probes))
-    la = one.log_deriv(probes)
-    lb = two_outer.log_deriv(two_inner.value(probes)) + two_inner.log_deriv(probes)
+    a, la = one.jet(probes)
+    y, l_inner = two_inner.jet(probes)
+    b, l_outer = two_outer.jet(y)
+    lb = l_outer + l_inner
     return float(np.max(np.abs(a - b)) + np.max(np.abs(la - lb)))
 
 

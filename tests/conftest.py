@@ -6,8 +6,8 @@ from difflab import IntervalDiffeo
 
 
 class LeafCounter(IntervalDiffeo):
-    """Wraps a map and counts the calls of value, log_deriv and deriv on it
-    and on every inverse taken from it, in one shared tally."""
+    """Wraps a map and counts the calls of value, log_deriv, jet and deriv
+    on it and on every inverse taken from it, in one shared tally."""
 
     def __init__(self, f, tally=None):
         self.f = f
@@ -24,6 +24,11 @@ class LeafCounter(IntervalDiffeo):
     def log_deriv(self, x):
         self.tally[0] += 1
         return self.f.log_deriv(x)
+
+    def jet(self, x):
+        # one evaluation of the wrapped map, as for value and log_deriv
+        self.tally[0] += 1
+        return self.f.jet(x)
 
     def deriv(self, x):
         self.tally[0] += 1

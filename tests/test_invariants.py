@@ -127,6 +127,19 @@ class TestCoboundaryDrift:
         assert rep["drift_refined"] == pytest.approx(0.0, abs=1e-9)
         assert rep["lower_bound_holds"]
 
+    def test_box_walk_stops_at_the_last_word(self, leaf_counter):
+        # one jet per step and n - 1 steps per word row; a step past the
+        # n-th word of each row cost 33 of 1056 steps at n = 32, d = 2
+        f = leaf_counter(Moebius(2.0))
+        g = leaf_counter(Moebius(3.0))
+        zero = lambda y: np.zeros_like(y)
+        coboundary_drift(ActionTuple(generators=(f, g)), n=4,
+                         cocycle=[zero, zero])
+        assert g.calls == 4 * 3
+        # f: one row of 3 steps, then value and deriv at x and 2n = 8
+        # steps of the drift orbit
+        assert f.calls == 3 + 2 + 8
+
     def test_box_budget_guard(self):
         t = ActionTuple(generators=(Moebius(2.0), Moebius(3.0)))
         with pytest.raises(ValueError):
