@@ -23,6 +23,7 @@ from .diffeo import (
     CircleDiffeo,
     CircleGrid,
     Composition,
+    Diffeo,
     FixedPoint,
     FixedPointReport,
     GridLogDeriv,
@@ -34,8 +35,6 @@ from .diffeo import (
     Rotation,
     RotationNumber,
     bisect_monotone,
-    circle_compose,
-    circle_inverse,
     commutator_residual,
     compose,
     evaluate,

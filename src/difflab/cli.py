@@ -36,9 +36,6 @@ from .diffeo import (
     CircleGrid,
     Moebius,
     Rotation,
-    circle_compose,
-    circle_inverse,
-    commutator_residual,
     compose,
     identity,
     inverse,
@@ -57,7 +54,6 @@ from .invariants import (
     asymptotic_variation,
     coboundary_drift,
     mather_inequality_check,
-    mather_invariant,
 )
 from .deform import (
     classify_action,
@@ -259,7 +255,7 @@ def _conjugated_rotation(alpha: float, amp: float, freq: int,
     disp = amp * np.sin(w * x) / w
     logd = np.log1p(amp * np.cos(w * x))
     h = CircleGrid(GridFunction(disp), GridFunction(logd), cfg=cfg)
-    return circle_compose(h, circle_compose(Rotation(alpha), circle_inverse(h)))
+    return compose(h, compose(Rotation(alpha), inverse(h)))
 
 
 def _build_circle_map(obj, path: str, cfg: ToleranceConfig):
@@ -493,6 +489,8 @@ def _cmd_gmconj(spec: ExperimentSpec, cfg: ToleranceConfig):
 def _cmd_interp(spec: ExperimentSpec, cfg: ToleranceConfig):
     act = _build_action(spec.params["action"] or {"preset": "moebius_pair"},
                         "params.action", cfg)
+    if act.kind != "interval":
+        raise SpecError("field 'params.action' must be an interval action")
     phi_spec = spec.params["phi"] or {
         "kind": "bump", "base": {"kind": "identity"},
         "center": 0.5, "width": 0.5, "amp": 0.1}

@@ -22,13 +22,10 @@ from .diffeo import (
     ActionTuple,
     CircleDiffeo,
     CircleGrid,
-    Composition,
+    Diffeo,
     GridLogDeriv,
     IntervalDiffeo,
-    Moebius,
     Rotation,
-    circle_compose,
-    circle_inverse,
     commutator_residual,
     compose,
     fixed_point_analysis,
@@ -92,7 +89,6 @@ class _Restricted(IntervalDiffeo):
         self.f = f
         self.a = float(a)
         self.b = float(b)
-        self.is_grid_backed = f.is_grid_backed
 
     def _up(self, u):
         return self.a + (self.b - self.a) * u
@@ -134,7 +130,6 @@ class ComponentwiseDiffeo(IntervalDiffeo):
             if not (0.0 <= a < b <= 1.0) or a < prev - 1e-12:
                 raise ValueError("intervals must be disjoint inside [0, 1]")
             prev = b
-        self.is_grid_backed = any(c.is_grid_backed for c in self.charts)
 
     def _apply(self, x, fn):
         x = self._check_domain(x)
@@ -204,8 +199,8 @@ class ComponentwiseDiffeo(IntervalDiffeo):
 
 def _box_reduce(gens, n, x, leaf):
     """Depth-first walk of the box of words g_1^{k_1}...g_m^{k_m}, 0 <= k < n,
-    calling leaf(y, ld) with the word values (lifts, for circle maps) and
-    word log-derivatives at x."""
+    calling leaf(y, ld) with the word values and word log-derivatives at
+    x."""
 
     def rec(i, y, ld):
         if i == len(gens):
@@ -269,14 +264,12 @@ def herman_average(t: ActionTuple, n: int,
         lift = total / count
         logd = np.log(total_d / count)
         phi = CircleGrid(GridFunction(lift - x), GridFunction(logd), cfg)
-        phinv = circle_inverse(phi)
-        conjs = tuple(circle_compose(phi, circle_compose(g, phinv))
-                      for g in t.generators)
+        conjs = tuple(_conjugate(phi, g) for g in t.generators)
 
     probes = np.linspace(0.0, 1.0, 1025)
     dists = []
     for g, rho in zip(conjs, rhos):
-        dd = g.lift(probes) - probes - rho
+        dd = g.value(probes) - probes - rho
         dd = dd - np.round(np.mean(dd))
         dists.append(float(np.max(np.abs(dd))))
     return HermanReport(phi, ActionTuple(tuple(conjs)), n, rhos, tuple(dists))
@@ -286,22 +279,17 @@ def herman_average(t: ActionTuple, n: int,
 # geometric-mean conjugacy
 
 
-def _circle_from_log_deriv(psi: np.ndarray, cfg: ToleranceConfig) -> CircleGrid:
-    """Circle diffeomorphism fixing 0 whose log-derivative interpolates the
-    periodic samples psi (normalized so the total mass is 1)."""
-    N = len(psi) - 1
-    h = 1.0 / N
-    e = np.exp(psi)
-    z = float(np.trapezoid(e, dx=h))
-    psi = psi - math.log(z)
-    e = np.exp(psi)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (e[1:] + e[:-1]) * h)])
-    cum /= cum[-1]
-    disp = cum - np.linspace(0.0, 1.0, N + 1)
-    disp[-1] = disp[0]
-    s = psi.copy()
-    s[-1] = s[0]
-    return CircleGrid(GridFunction(disp), GridFunction(s), cfg)
+def _from_log_deriv(psi: np.ndarray, kind: str, cfg: ToleranceConfig):
+    """The map of the given kind fixing 0 whose log-derivative interpolates
+    the samples psi, normalized to total mass 1: a GridLogDeriv, or for a
+    circle map (psi periodic) the CircleGrid lift of that same map."""
+    f = GridLogDeriv(GridFunction(psi))
+    if kind == "interval":
+        return f
+    disp = f._values.samples - f._values.nodes
+    logd = f.g.samples.copy()
+    disp[-1], logd[-1] = disp[0], logd[0]
+    return CircleGrid(GridFunction(disp), GridFunction(logd), cfg)
 
 
 @dataclass
@@ -349,15 +337,8 @@ def geometric_mean_conjugacy(t: ActionTuple, extra_generator=None, n: int = 8,
         return total / count
 
     psi = mean_log_deriv(x)
-    if circle:
-        phi = _circle_from_log_deriv(psi, cfg)
-        phinv = circle_inverse(phi)
-        conjs = tuple(circle_compose(phi, circle_compose(g, phinv))
-                      for g in t.generators)
-    else:
-        phi = GridLogDeriv(GridFunction(psi))
-        phinv = phi.inverse_map()
-        conjs = tuple(compose(phi, compose(g, phinv)) for g in t.generators)
+    phi = _from_log_deriv(psi, t.kind, cfg)
+    conjs = tuple(_conjugate(phi, g) for g in t.generators)
 
     # certified variation drop, measured parametrization-invariantly:
     # log D(phi f phi^-1) at phi(x) is u(x) = Psi(f x) + log Df(x) - Psi(x)
@@ -402,22 +383,18 @@ def _id_like(kind: str):
     return Rotation(0.0) if kind == "circle" else identity()
 
 
-def _scaled_conjugacy(phi, s: float, kind: str, cfg: ToleranceConfig):
+def _scaled_conjugacy(phi, s: float, cfg: ToleranceConfig):
     """The conjugacy with log-derivative s * log D(phi) (normalized)."""
     if s <= 0.0:
-        return _id_like(kind)
+        return _id_like(phi.kind)
     if s >= 1.0:
         return phi
     x = np.linspace(0.0, 1.0, cfg.grid_N + 1)
     ld = s * np.asarray(phi.log_deriv(x), dtype=float)
-    if kind == "circle":
-        return _circle_from_log_deriv(ld, cfg)
-    return GridLogDeriv(GridFunction(ld))
+    return _from_log_deriv(ld, phi.kind, cfg)
 
 
-def _conjugate(phi, g, kind: str):
-    if kind == "circle":
-        return circle_compose(phi, circle_compose(g, circle_inverse(phi)))
+def _conjugate(phi, g):
     return compose(phi, compose(g, inverse(phi)))
 
 
@@ -446,7 +423,7 @@ def interpolation_path(rho0: ActionTuple, rho1: ActionTuple, phi, t: float,
     kind = rho0.kind
 
     res = max(
-        metric(b, _conjugate(phi, a, kind), "1", cfg=cfg)
+        metric(b, _conjugate(phi, a), "1", cfg=cfg)
         for a, b in zip(rho0.generators, rho1.generators)
     )
     if res > conjugacy_tol:
@@ -460,9 +437,8 @@ def interpolation_path(rho0: ActionTuple, rho1: ActionTuple, phi, t: float,
         phi_t = phi
         action = rho1
     else:
-        phi_t = _scaled_conjugacy(phi, t, kind, cfg)
-        action = ActionTuple(tuple(_conjugate(phi_t, g, kind)
-                                   for g in rho0.generators))
+        phi_t = _scaled_conjugacy(phi, t, cfg)
+        action = ActionTuple(tuple(_conjugate(phi_t, g) for g in rho0.generators))
 
     ident = _id_like(kind)
     d0 = max(metric(g, ident, r, starred=True, cfg=cfg) for g in rho0.generators)
@@ -473,7 +449,7 @@ def interpolation_path(rho0: ActionTuple, rho1: ActionTuple, phi, t: float,
     # Lipschitz modulus of the conjugacy family in d_1
     delta = 1.0 / 64
     t2 = t + delta if t + delta <= 1.0 else t - delta
-    phi_t2 = _scaled_conjugacy(phi, t2, kind, cfg)
+    phi_t2 = _scaled_conjugacy(phi, t2, cfg)
     L = metric(phi_t, phi_t2, "1", cfg=cfg) / delta
 
     cert = {
@@ -640,7 +616,7 @@ def regularize_flow(X, extra=None, r: str = "1+ac",
         raise ValueError("r must be '1+ac' or '2'")
     if s_steps < 64:
         raise ValueError("need at least 64 flow evaluations in s")
-    if isinstance(X, IntervalDiffeo):
+    if isinstance(X, Diffeo):
         X = szekeres_field(X, cfg)
     f1 = FlowTime(X, 1.0)
 
@@ -684,7 +660,7 @@ def regularize_flow(X, extra=None, r: str = "1+ac",
     conj_extra = None
     extra_checks = None
     if extra is not None:
-        conj_extra = _conjugate(phi, extra, "interval")
+        conj_extra = _conjugate(phi, extra)
         ev, el = extra.jet(xg)
         u = phi.log_deriv(ev) + el - phi.log_deriv(xg)
         var_conj = float(np.abs(np.diff(u)).sum())
@@ -710,16 +686,13 @@ def log_linear_deform(g, t: float, cfg: ToleranceConfig = DEFAULT_CONFIG):
     by 1/q is preserved along the whole path."""
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    kind = getattr(g, "kind", "interval")
     if t == 0.0:
         return g
     if t == 1.0:
-        return _id_like(kind)
+        return _id_like(g.kind)
     x = np.linspace(0.0, 1.0, cfg.grid_N + 1)
     ld = (1.0 - t) * np.asarray(g.log_deriv(x), dtype=float)
-    if kind == "circle":
-        return _circle_from_log_deriv(ld, cfg)
-    return GridLogDeriv(GridFunction(ld))
+    return _from_log_deriv(ld, g.kind, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -939,9 +912,9 @@ class DeformationPath:
             for tag, c, phi, obj in self.plans:
                 if t <= 0.5:
                     s = 2.0 * t
-                    phi_s = _scaled_conjugacy(phi, s, "interval", self.cfg)
+                    phi_s = _scaled_conjugacy(phi, s, self.cfg)
                     for i, ch in enumerate(c.charts):
-                        per_gen[i].append(_conjugate(phi_s, ch, "interval"))
+                        per_gen[i].append(_conjugate(phi_s, ch))
                 else:
                     s = 2.0 * t - 1.0
                     if tag == "flowable":
@@ -1085,7 +1058,7 @@ def normalize_finite_order(g: CircleDiffeo, n: int, psi=None,
     orbit_err = 0.0
     y = 0.0
     for k in range(1, n + 1):
-        y = float(g.lift(y))
+        y = float(g.value(y))
         orbit_err = max(orbit_err, abs(y - k / n))
     if orbit_err > boundary_tol:
         raise ValueError(f"orbit of 0 is not {{k/n}} (error {orbit_err:.3e})")
@@ -1093,7 +1066,7 @@ def normalize_finite_order(g: CircleDiffeo, n: int, psi=None,
     y = 0.0
     for _ in range(n):
         ld_gn += float(g.log_deriv(y))
-        y = float(g.lift(y)) % 1.0
+        y = float(g.value(y)) % 1.0
     if abs(ld_gn) > boundary_tol:
         raise ValueError(f"g^n is not parabolic at 0 (log Dg^n(0) = {ld_gn:.3e})")
     if abs(float(psi.log_deriv(np.array(0.0)))) > boundary_tol:
@@ -1115,7 +1088,7 @@ def normalize_finite_order(g: CircleDiffeo, n: int, psi=None,
         if not np.any(m):
             break
         ld[m] += g.log_deriv(np.mod(val[m], 1.0))
-        val[m] = g.lift(val[m])
+        val[m] = g.value(val[m])
     disp = val - x
     disp[-1] = disp[0]
     lds = ld.copy()
@@ -1129,18 +1102,18 @@ def normalize_finite_order(g: CircleDiffeo, n: int, psi=None,
         yy = 1.0 / n
         for _ in range(kk - 1):
             left += float(g.log_deriv(yy % 1.0))
-            yy = float(g.lift(yy))
+            yy = float(g.value(yy))
         right = float(psi.log_deriv(np.array(0.0)))
         yy = 0.0
         for _ in range(kk):
             right += float(g.log_deriv(yy % 1.0))
-            yy = float(g.lift(yy))
+            yy = float(g.value(yy))
         mism.append(abs(left - right))
 
     # phi^-1 g phi = R_{1/n} away from the last cell, checked without
     # inverting: g(phi(x)) = phi(x + 1/n) on [0, (n-1)/n]
     probe = np.linspace(0.0, (n - 1) / n, 1025)
-    resid = float(np.max(np.abs(g.lift(phi.lift(probe)) - phi.lift(probe + 1.0 / n))))
+    resid = float(np.max(np.abs(g.value(phi.value(probe)) - phi.value(probe + 1.0 / n))))
     return NormalFormReport(phi, n, tuple(mism), resid)
 
 

@@ -1,9 +1,12 @@
 """Orientation-preserving diffeomorphisms of [0,1] and of the circle.
 
-Interval maps are kept as symbolic specs (Moebius fractions, compositions,
-inverses, flow times, grid log-derivatives, bump perturbations) for as long
-as possible; grids appear only at evaluation boundaries.  All evaluators are
-vectorized over numpy arrays.
+Every map is a Diffeo with one protocol: value (f(x), or the lift F(x) for
+circle maps), log_deriv, jet and inverse_value; one compose / inverse /
+iterate serves both kinds.  Maps are kept as symbolic specs (Moebius
+fractions, rotations, compositions, inverses, flow times, grid
+log-derivatives, bump perturbations) for as long as possible; grids appear
+only at evaluation boundaries.  All evaluators are vectorized over numpy
+arrays.
 
 The metrics are the C^1 / C^{1+bv} / C^{1+ac} / C^2 distances
 
@@ -18,7 +21,7 @@ and the starred variants drop the |f-g|_inf term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,11 +32,11 @@ from .gridfn import (
     GridFunction,
     MonotonicityError,
     ToleranceConfig,
-    total_variation,
     unit_points,
 )
 
 __all__ = [
+    "Diffeo",
     "IntervalDiffeo",
     "Moebius",
     "Composition",
@@ -54,10 +57,7 @@ __all__ = [
     "CircleDiffeo",
     "Rotation",
     "CircleGrid",
-    "CircleComposition",
     "CircleInverse",
-    "circle_compose",
-    "circle_inverse",
     "RotationNumber",
     "rotation_number",
     "ActionTuple",
@@ -123,14 +123,19 @@ def _refined_max(fn, xs, vals, rounds: int = 2, fan: int = 33):
 
 
 # ---------------------------------------------------------------------------
-# interval diffeomorphisms
+# the map protocol
 
 
-class IntervalDiffeo:
-    """Base class: increasing diffeomorphism of [0,1] fixing the endpoints."""
+class Diffeo:
+    """Root of every map: an increasing diffeomorphism of [0,1] fixing the
+    endpoints (kind "interval"), or a circle map given by its degree-one
+    lift F, F(x+1) = F(x) + 1 (kind "circle").
+
+    value(x) is f(x), resp. F(x), and log_deriv(x) is log Df(x), resp.
+    log DF(x).  The kind decides only the domain check and the bracket of
+    the generic bisection inverse; composites take it from their factors."""
 
     kind = "interval"
-    is_grid_backed = False
 
     # -- required interface -------------------------------------------------
     def value(self, x):
@@ -151,21 +156,22 @@ class IntervalDiffeo:
             f"{type(self).__name__} has no differentiable log-derivative"
         )
 
-    def inverse_map(self) -> "IntervalDiffeo":
+    def inverse_map(self) -> "Diffeo":
         return InverseMap(self)
 
-    def inverse_value(self, y):
-        """f^{-1}(y) for y in [0, 1] by bisection on f; maps with a table
-        override this."""
-        return bisect_monotone(self.value, y, 0.0, 1.0)
+    @cached_property
+    def _lift0(self) -> float:
+        return float(np.asarray(self.value(np.zeros(1)))[0])
 
-    def reflect(self) -> "IntervalDiffeo":
-        """r o f o r with r(x) = 1 - x: the same map seen from the other
-        endpoint.  Subclasses with closed-form reflections override this;
-        the generic fallback loses relative precision near the endpoints
-        (1 - (1 - x) quantizes tiny x), so structured maps should prefer
-        exact reflection."""
-        return ReflectedMap(self)
+    def inverse_value(self, y):
+        """f^{-1}(y) by bisection on value; maps with a table override
+        this.  An interval map's root lies in [0, 1].  The displacement of
+        a degree-one lift varies by less than 1 over the circle, so a circle
+        map's root lies within 1 of y - F(0)."""
+        if self.kind == "interval":
+            return bisect_monotone(self.value, y, 0.0, 1.0)
+        c = self._lift0
+        return bisect_monotone(self.value, y, y - c - 2.0, y - c + 2.0)
 
     # -- conveniences -------------------------------------------------------
     def __call__(self, x):
@@ -175,7 +181,26 @@ class IntervalDiffeo:
         return np.exp(self.log_deriv(x))
 
     def _check_domain(self, x):
-        return unit_points(x, 1e-12)
+        if self.kind == "interval":
+            return unit_points(x, 1e-12)
+        return np.asarray(x, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# interval diffeomorphisms
+
+
+class IntervalDiffeo(Diffeo):
+    """Leaf base of interval maps: an increasing diffeomorphism of [0,1]
+    fixing the endpoints."""
+
+    def reflect(self) -> Diffeo:
+        """r o f o r with r(x) = 1 - x: the same map seen from the other
+        endpoint.  Subclasses with closed-form reflections override this;
+        the generic fallback loses relative precision near the endpoints
+        (1 - (1 - x) quantizes tiny x), so structured maps should prefer
+        exact reflection."""
+        return ReflectedMap(self)
 
 
 class Moebius(IntervalDiffeo):
@@ -239,10 +264,16 @@ def _inverse_pair(a, b) -> bool:
     return False
 
 
-class Composition(IntervalDiffeo):
-    """Composition(maps) represents maps[0] o maps[1] o ... (outer first)."""
+class Composition(Diffeo):
+    """Composition(maps) represents maps[0] o maps[1] o ... (outer first),
+    all of one kind."""
 
     def __init__(self, maps):
+        maps = tuple(maps)
+        kinds = {m.kind for m in maps}
+        if len(kinds) > 1:
+            raise ValueError("cannot compose interval and circle maps")
+        self.kind = kinds.pop() if kinds else "interval"
         flat = []
         for m in maps:
             if isinstance(m, Composition):
@@ -256,7 +287,6 @@ class Composition(IntervalDiffeo):
             else:
                 stack.append(m)
         self.maps = tuple(stack)
-        self.is_grid_backed = any(m.is_grid_backed for m in self.maps)
 
     def value(self, x):
         y = self._check_domain(x)
@@ -287,6 +317,8 @@ class Composition(IntervalDiffeo):
         return acc
 
     def inverse_map(self):
+        if not self.maps:  # the identity, of its own kind
+            return self
         return Composition([m.inverse_map() for m in reversed(self.maps)])
 
     def reflect(self):
@@ -296,16 +328,18 @@ class Composition(IntervalDiffeo):
         return f"Composition({list(self.maps)!r})"
 
 
-class InverseMap(IntervalDiffeo):
+class InverseMap(Diffeo):
     """f^{-1}, evaluated by f.inverse_value: a table read backwards for
     grid-backed maps, else bisection on f."""
 
-    def __init__(self, f: IntervalDiffeo):
+    def __init__(self, f: Diffeo):
         self.f = f
-        self.is_grid_backed = f.is_grid_backed
+        self.kind = f.kind
 
     def value(self, x):
         return self.f.inverse_value(self._check_domain(x))
+
+    lift = value  # wrapped by perfbench/tracing.py as CircleInverse.lift
 
     def log_deriv(self, x):
         return self.jet(x)[1]
@@ -328,13 +362,15 @@ class InverseMap(IntervalDiffeo):
         return f"InverseMap({self.f!r})"
 
 
+CircleInverse = InverseMap  # read by perfbench/tracing.py
+
+
 class ReflectedMap(IntervalDiffeo):
     """Generic r o f o r with r(x) = 1 - x (fallback for maps without a
     closed-form reflection)."""
 
-    def __init__(self, f: IntervalDiffeo):
+    def __init__(self, f: Diffeo):
         self.f = f
-        self.is_grid_backed = f.is_grid_backed
 
     def value(self, x):
         x = self._check_domain(x)
@@ -365,16 +401,16 @@ class ReflectedMap(IntervalDiffeo):
         return f"ReflectedMap({self.f!r})"
 
 
-class Iterate(IntervalDiffeo):
+class Iterate(Diffeo):
     """f^n for n >= 1, evaluated by orbit accumulation (numerically stable
     near hyperbolic fixed points, unlike naive nested grids)."""
 
-    def __init__(self, f: IntervalDiffeo, n: int):
+    def __init__(self, f: Diffeo, n: int):
         if n < 1:
             raise ValueError("Iterate needs n >= 1")
         self.f = f
         self.n = int(n)
-        self.is_grid_backed = f.is_grid_backed
+        self.kind = f.kind
 
     def value(self, x):
         y = self._check_domain(x)
@@ -421,8 +457,6 @@ class GridLogDeriv(IntervalDiffeo):
     The normalization constant is folded into the stored samples so that
     int_0^1 exp(g) = 1; node values of f come from trapezoid prefix sums and
     evaluation between nodes is linear (same contract as GridFunction)."""
-
-    is_grid_backed = True
 
     def __init__(self, g: GridFunction):
         h = 1.0 / g.N
@@ -532,7 +566,6 @@ class BumpPerturbation(IntervalDiffeo):
     def __init__(self, base: IntervalDiffeo, bumps):
         self.base = base
         self.bumps = tuple(bumps)
-        self.is_grid_backed = base.is_grid_backed
         sup = sorted(b.support for b in self.bumps)
         for (a1, b1), (a2, _) in zip(sup, sup[1:]):
             if b1 > a2:
@@ -601,13 +634,13 @@ class BumpPerturbation(IntervalDiffeo):
 
 
 # ---------------------------------------------------------------------------
-# group operations (interval and circle dispatch)
+# group operations (one algebra for interval and circle maps)
 
 
 def compose(f, g):
-    """f o g, with symbolic fast paths."""
-    if getattr(f, "kind", None) == "circle" or getattr(g, "kind", None) == "circle":
-        return circle_compose(f, g)
+    """f o g, with symbolic fast paths; f and g must be of one kind."""
+    if f.kind != g.kind:
+        raise ValueError("cannot compose interval and circle maps")
     if isinstance(f, Moebius) and isinstance(g, Moebius):
         return Moebius(f.a * g.a)
     if _is_identity(f):
@@ -631,28 +664,20 @@ def compose(f, g):
 
 
 def inverse(f):
-    if getattr(f, "kind", None) == "circle":
-        return circle_inverse(f)
     return f.inverse_map()
 
 
 def iterate(f, n: int):
     """f^n via symbolic fast paths, else orbit accumulation."""
     n = int(n)
-    if getattr(f, "kind", None) == "circle":
-        if n == 0:
-            return Rotation(0.0)
-        if n < 0:
-            return CircleIterate(circle_inverse(f), -n)
-        if isinstance(f, Rotation):
-            return Rotation(f.alpha * n)
-        return CircleIterate(f, n)
     if n == 0:
-        return identity()
+        return Rotation(0.0) if f.kind == "circle" else identity()
     if n < 0:
         return iterate(f.inverse_map(), -n)
     if isinstance(f, Moebius):
         return Moebius(f.a**n)
+    if isinstance(f, Rotation):
+        return Rotation(f.alpha * n)
     # flow-time maps are handled by their own fast path
     fast = getattr(f, "_iterate_fast", None)
     if fast is not None:
@@ -667,7 +692,7 @@ def iterate(f, n: int):
 def evaluate(f, x, want: str = "value"):
     """Uniform evaluation entry point: want in {value, log_deriv, affine_deriv}."""
     if want == "value":
-        return f.value(x) if f.kind == "interval" else f.lift(x)
+        return f.value(x)
     if want == "log_deriv":
         return f.log_deriv(x)
     if want == "affine_deriv":
@@ -684,8 +709,8 @@ _METRIC_RS = ("1", "1+bv", "1+ac", "2")
 
 @dataclass(frozen=True, eq=False)
 class GridSample:
-    """A map with its values (lifts, for circle maps) and log-derivatives on
-    the uniform metric grid x, from one ``jet`` call."""
+    """A map with its values and log-derivatives on the uniform metric grid
+    x, from one ``jet`` call."""
 
     f: object
     x: np.ndarray
@@ -732,7 +757,7 @@ def sampled_distance(a: GridSample, b: GridSample, r="1",
             dv = np.gradient(u, 1.0 / (len(x) - 1))
             dist = float(np.max(np.abs(dv)))
     if not starred:
-        value_fn = lambda t: evaluate(f, t) - evaluate(g, t)
+        value_fn = lambda t: f.value(t) - g.value(t)
         dist += _refined_max(value_fn, x, a.value - b.value)
     return float(dist)
 
@@ -752,50 +777,20 @@ def metric(f, g, r="1", starred: bool = False, cfg: ToleranceConfig = DEFAULT_CO
 # circle diffeomorphisms
 
 
-class CircleDiffeo:
-    """Circle map via a lift F with F(x+1) = F(x) + 1."""
+class CircleDiffeo(Diffeo):
+    """Leaf base of circle maps: value is the lift F, read from lift_frac
+    on [0, 1] by F(x + k) = F(x) + k."""
 
     kind = "circle"
-    is_grid_backed = False
 
     def lift_frac(self, x):
         """Lift evaluated for x in [0, 1]."""
         raise NotImplementedError
 
-    def lift(self, x):
+    def value(self, x):
         x = np.asarray(x, dtype=float)
         k = np.floor(x)
         return k + self.lift_frac(x - k)
-
-    def displacement(self, x):
-        return self.lift(x) - np.asarray(x, dtype=float)
-
-    @cached_property
-    def _lift0(self) -> float:
-        return float(np.asarray(self.lift(np.zeros(1)))[0])
-
-    def inverse_lift(self, x):
-        """F^{-1}(x) by bisection; CircleGrid overrides this.  The
-        displacement of a degree-one lift varies by less than 1 over the
-        circle, so the root lies within 1 of x - F(0)."""
-        x = np.asarray(x, dtype=float)
-        c = self._lift0
-        return bisect_monotone(self.lift, x, x - c - 2.0, x - c + 2.0)
-
-    def log_deriv(self, x):
-        raise NotImplementedError
-
-    def jet(self, x):
-        """(F(x), log DF(x)) together, F the lift; overridden where the two
-        share work, with the results of lift and log_deriv bit for bit."""
-        return self.lift(x), self.log_deriv(x)
-
-    def value(self, x):
-        """Circle point image in [0, 1)."""
-        return np.mod(self.lift(x), 1.0)
-
-    def __call__(self, x):
-        return self.lift(x)
 
 
 class Rotation(CircleDiffeo):
@@ -811,6 +806,14 @@ class Rotation(CircleDiffeo):
     def affine_deriv(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
+    def inverse_map(self):
+        return Rotation(-self.alpha)
+
+    def _compose_fast(self, other):
+        if isinstance(other, Rotation):
+            return Rotation(self.alpha + other.alpha)
+        return None
+
     def __repr__(self):
         return f"Rotation({self.alpha!r})"
 
@@ -818,8 +821,6 @@ class Rotation(CircleDiffeo):
 class CircleGrid(CircleDiffeo):
     """Lift from displacement samples on [0,1]; optional log-derivative
     samples (else finite differences of the displacement)."""
-
-    is_grid_backed = True
 
     def __init__(self, disp: GridFunction, logd: GridFunction | None = None,
                  cfg: ToleranceConfig = DEFAULT_CONFIG):
@@ -840,7 +841,7 @@ class CircleGrid(CircleDiffeo):
         x = np.asarray(x, dtype=float)
         return x + self.disp(x)
 
-    def inverse_lift(self, x):
+    def inverse_value(self, x):
         # exact: reduce by L(y + 1) = L(y) + 1 into [L(0), L(0) + 1], then
         # read the piecewise-linear lift table backwards
         x = np.asarray(x, dtype=float)
@@ -861,112 +862,6 @@ class CircleGrid(CircleDiffeo):
 
     def __repr__(self):
         return f"CircleGrid(N={self.disp.N})"
-
-
-class CircleComposition(CircleDiffeo):
-    """maps[0] o maps[1] o ... at the lift level (symbolic)."""
-
-    def __init__(self, maps):
-        flat = []
-        for m in maps:
-            if isinstance(m, CircleComposition):
-                flat.extend(m.maps)
-            else:
-                flat.append(m)
-        self.maps = tuple(flat)
-        self.is_grid_backed = any(m.is_grid_backed for m in self.maps)
-
-    def lift_frac(self, x):
-        y = np.asarray(x, dtype=float)
-        for m in reversed(self.maps):
-            y = m.lift(y)
-        return y
-
-    def lift(self, x):
-        y = np.asarray(x, dtype=float)
-        for m in reversed(self.maps):
-            y = m.lift(y)
-        return y
-
-    def log_deriv(self, x):
-        return self.jet(x)[1]
-
-    def jet(self, x):
-        y = np.asarray(x, dtype=float)
-        acc = np.zeros_like(y)
-        for m in reversed(self.maps):
-            y, ld = m.jet(y)
-            acc = acc + ld
-        return y, acc
-
-    def __repr__(self):
-        return f"CircleComposition({list(self.maps)!r})"
-
-
-class CircleInverse(CircleDiffeo):
-    def __init__(self, f: CircleDiffeo):
-        self.f = f
-        self.is_grid_backed = f.is_grid_backed
-
-    def lift(self, x):
-        return self.f.inverse_lift(x)
-
-    def lift_frac(self, x):
-        return self.lift(np.asarray(x, dtype=float))
-
-    def log_deriv(self, x):
-        return self.jet(x)[1]
-
-    def jet(self, x):
-        y = self.lift(np.asarray(x, dtype=float))
-        return y, -self.f.log_deriv(y)
-
-    def __repr__(self):
-        return f"CircleInverse({self.f!r})"
-
-
-class CircleIterate(CircleDiffeo):
-    def __init__(self, f: CircleDiffeo, n: int):
-        self.f = f
-        self.n = int(n)
-        self.is_grid_backed = f.is_grid_backed
-
-    def lift(self, x):
-        y = np.asarray(x, dtype=float)
-        for _ in range(self.n):
-            y = self.f.lift(y)
-        return y
-
-    def lift_frac(self, x):
-        return self.lift(np.asarray(x, dtype=float))
-
-    def log_deriv(self, x):
-        return self.jet(x)[1]
-
-    def jet(self, x):
-        y = np.asarray(x, dtype=float)
-        acc = np.zeros_like(y)
-        for _ in range(self.n):
-            y, ld = self.f.jet(y)
-            acc = acc + ld
-        return y, acc
-
-    def __repr__(self):
-        return f"CircleIterate({self.f!r}, {self.n})"
-
-
-def circle_compose(f, g):
-    if isinstance(f, Rotation) and isinstance(g, Rotation):
-        return Rotation(f.alpha + g.alpha)
-    return CircleComposition([f, g])
-
-
-def circle_inverse(f):
-    if isinstance(f, Rotation):
-        return Rotation(-f.alpha)
-    if isinstance(f, CircleInverse):
-        return f.f
-    return CircleInverse(f)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,7 +913,7 @@ def rotation_number(f: CircleDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG) -> R
     # instead of re-running per-point bisections inside composed inverses;
     # lift(x + m) = lift(x) + m reduces every step to the fundamental domain
     grid = np.linspace(0.0, 1.0, (1 << 15) + 1)
-    _step = _lift_step(np.asarray(f.lift(grid), dtype=float))
+    _step = _lift_step(np.asarray(f.value(grid), dtype=float))
 
     y = 0.0
     best_err = math.inf
@@ -1074,7 +969,7 @@ class ActionTuple:
 
 
 def _same_part(p, q) -> bool:
-    if isinstance(p, (IntervalDiffeo, CircleDiffeo)):
+    if isinstance(p, Diffeo):
         return _same_map(p, q)
     if isinstance(p, tuple):
         return (isinstance(q, tuple) and len(p) == len(q)
@@ -1096,6 +991,19 @@ def _same_map(a, b) -> bool:
         return False
     pa, pb = vars(a), vars(b)
     return pa.keys() == pb.keys() and all(_same_part(pa[k], pb[k]) for k in pa)
+
+
+def _grid_backed(p) -> bool:
+    """True when a grid table map (GridLogDeriv, CircleGrid) sits in the
+    expression p: a map, or a tuple of parts, walked as _same_map walks
+    them.  Other attributes, fields included, are not walked, so flow times
+    and _SmoothConjugacy are not grid-backed."""
+    if isinstance(p, tuple):
+        return any(map(_grid_backed, p))
+    if not isinstance(p, Diffeo):
+        return False
+    return (isinstance(p, (GridLogDeriv, CircleGrid))
+            or any(map(_grid_backed, vars(p).values())))
 
 
 def commutator_residual(t: ActionTuple, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
@@ -1166,7 +1074,7 @@ def fixed_point_analysis(t: ActionTuple, cfg: ToleranceConfig = DEFAULT_CONFIG) 
         raise ValueError("fixed point analysis applies to interval actions")
     from scipy.optimize import brentq
 
-    grid_backed = any(g.is_grid_backed for g in t.generators)
+    grid_backed = any(map(_grid_backed, t.generators))
     thr = 1e-4 if grid_backed else 1e-8
     loc_tol = 1e-4 if grid_backed else 1e-10
 

@@ -123,10 +123,6 @@ class GridFunction:
     def is_strictly_increasing(self) -> bool:
         return bool(np.all(np.diff(self.samples) > 0))
 
-    # pointwise algebra (samples only; stays on the same grid)
-    def map_samples(self, fn) -> "GridFunction":
-        return GridFunction(fn(self.samples))
-
 
 def integrate(f: GridFunction, a: float = 0.0, b: float = 1.0) -> float:
     """Integral of the piecewise-linear interpolant over [a, b].

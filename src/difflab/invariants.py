@@ -52,7 +52,7 @@ def _orbit_sample_points(f, n_max: int, base: int, circle: bool) -> np.ndarray:
     pts = [x0]
     y = x0.copy()
     for _ in range(min(n_max, 64)):
-        y = np.mod(f.lift(y), 1.0) if circle else f.value(y)
+        y = np.mod(f.value(y), 1.0) if circle else f.value(y)
         pts.append(y)
     allpts = np.unique(np.concatenate(pts))
     return allpts
@@ -70,7 +70,7 @@ def asymptotic_variation(f, schedule=DEFAULT_SCHEDULE,
     pts = _orbit_sample_points(f, n_max, 256, circle)
     pairs = []
     fast = getattr(f, "_iterate_fast", None)
-    if fast is not None and not circle:
+    if fast is not None:
         # maps with closed-form powers (flow time maps): evaluate log Df^n
         # in one shot per schedule entry
         for n in schedule:

@@ -23,12 +23,11 @@ therefore give both f^t(x) and log Df^t(x) = log X(f^t x) - log X(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gridfn import DEFAULT_CONFIG, DomainError, GridFunction, ToleranceConfig
-from .diffeo import IntervalDiffeo, Moebius, bisect_monotone, metric
+from .diffeo import IntervalDiffeo, bisect_monotone
 
 __all__ = [
     "NotAContraction",
@@ -110,11 +109,6 @@ class VectorField1D:
 
     def time_map(self, t: float) -> "FlowTime":
         return FlowTime(self, t)
-
-    def check_contraction(self, n_probe: int = 257):
-        xs = np.linspace(0.0, 1.0, n_probe)[1:-1]
-        if not np.all(self.X(xs) < 0):
-            raise NotAContraction("field is not strictly negative on (0,1)")
 
 
 def _tau_inv_by_bisection(field: VectorField1D, s):
@@ -445,16 +439,30 @@ class SzekeresField(VectorField1D):
         """Carry interior points x into the reference interval [f(c), c].
 
         Returns (y, k, log Df^k(x)) with y = f^k(x), k signed (k < 0 counts
-        steps of f^-1); the last entry is None unless with_log."""
+        steps of f^-1); the last entry is None unless with_log.  A step that
+        leaves a point short of the interval where it was (f(x) rounds to x
+        within an ulp of an end) would repeat forever, so it raises
+        ``TransportBudgetExceeded`` at once."""
         y = np.array(x, dtype=float)
         k = np.zeros(y.shape, dtype=int)
         logchain = np.zeros(y.shape) if with_log else None
         lo, hi = self._ref_x[0] - 1e-15, self._ref_x[-1] + 1e-15
         up = y > hi
         idx = np.flatnonzero(up | (y < lo))
-        self._walk(y, idx, np.where(up[idx], 1, -1),
-                   lambda v, n, i: np.where(up[i], v <= hi, v >= lo),
-                   k, logchain)
+        last = y.copy()
+
+        def arrived(v, n, i):
+            # a point that did not move is still outside the interval
+            stalled = v == last[i]
+            if np.any(stalled):
+                raise TransportBudgetExceeded(
+                    f"{int(stalled.sum())} point(s) do not move under an orbit "
+                    f"step and can never reach the reference interval "
+                    f"(first: {float(v[stalled][0])!r})")
+            last[i] = v
+            return np.where(up[i], v <= hi, v >= lo)
+
+        self._walk(y, idx, np.where(up[idx], 1, -1), arrived, k, logchain)
         return y, k, logchain
 
     def _walk_out(self, y, j, with_log: bool = False):

@@ -24,8 +24,6 @@ from difflab import (
     Rotation,
     build_staircase,
     bv_group_demo,
-    circle_compose,
-    circle_inverse,
     compose,
     coboundary_drift,
     example_two_component_action,
@@ -75,8 +73,7 @@ def conjugated_rotation(alpha, amp=0.2, N=4096):
     w = 2.0 * math.pi
     h = CircleGrid(GridFunction(amp * np.sin(w * x) / w),
                    GridFunction(np.log1p(amp * np.cos(w * x))))
-    return circle_compose(h, circle_compose(Rotation(alpha),
-                                            circle_inverse(h)))
+    return compose(h, compose(Rotation(alpha), inverse(h)))
 
 
 def test_01_generating_field_oracle():

@@ -163,6 +163,15 @@ class TestMain:
         rc = main(["metrics", "--spec", "cfg.json"])
         assert rc == 0
 
+    def test_interp_rejects_a_circle_action(self, tmp_path, capsys):
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(
+            {"cmd": "interp", "params": {"action": {"preset": "circle_pair"}}}))
+        rc = main(["interp", "--spec", str(spec_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "spec error" in err and "interval action" in err
+
     def test_violation_exit_code(self, capsys):
         rc = main(["flow", "--tol", "1e-18"])
         assert rc == 2

@@ -17,8 +17,6 @@ from difflab import (
     GridFunction,
     Moebius,
     Rotation,
-    circle_compose,
-    circle_inverse,
     classify_action,
     compose,
     deform_action,
@@ -48,8 +46,7 @@ def conjugated_rotation(alpha, amp=0.2, freq=1, N=4096):
     w = 2.0 * math.pi * freq
     h = CircleGrid(GridFunction(amp * np.sin(w * x) / w),
                    GridFunction(np.log1p(amp * np.cos(w * x))))
-    return circle_compose(h, circle_compose(Rotation(alpha),
-                                            circle_inverse(h)))
+    return compose(h, compose(Rotation(alpha), inverse(h)))
 
 
 class TestHermanAverage:
@@ -128,6 +125,20 @@ class TestInterpolationPath:
     def test_bad_t(self):
         with pytest.raises(ValueError):
             interpolation_path(self.rho0, self.rho1, self.phi, 1.5)
+
+    def test_circle_pair_in_c2(self):
+        # circle maps take d_2 from finite differences of their sampled
+        # log-derivatives; the conjugacy itself is a circle map
+        g = conjugated_rotation(GOLDEN)
+        phi = conjugated_rotation(0.0, amp=0.05).maps[0]
+        rho0 = ActionTuple(generators=(g,))
+        rho1 = ActionTuple(generators=(compose(phi, compose(g, inverse(phi))),))
+        s = interpolation_path(rho0, rho1, phi, 0.5, r="2")
+        cert = s.certificate
+        assert s.action.kind == "circle"
+        assert cert["holds"]
+        assert all(math.isfinite(cert[k]) for k in
+                   ("d_star_t", "bound", "d1_star_phi_t", "inflation_ratio"))
 
 
 class TestRegularizeFlow:
@@ -272,14 +283,13 @@ class TestFiniteOrderNormalForm:
         w = 4.0 * math.pi
         h = CircleGrid(GridFunction(0.2 * np.sin(w * x) / w),
                        GridFunction(np.log1p(0.2 * np.cos(w * x))))
-        g = circle_compose(h, circle_compose(Rotation(0.5),
-                                             circle_inverse(h)))
+        g = compose(h, compose(Rotation(0.5), inverse(h)))
         rep = normalize_finite_order(g, 2)
         assert rep.conjugation_residual < 1e-6
         # the conjugacy really sends g to the half rotation off the last cell
         probe = np.linspace(0.0, 0.5, 257)
         phi = rep.conjugacy
-        err = np.abs(g.lift(phi.lift(probe)) - phi.lift(probe + 0.5))
+        err = np.abs(g.value(phi.value(probe)) - phi.value(probe + 0.5))
         assert np.max(err) < 1e-6
 
     def test_wrong_orbit_rejected(self):

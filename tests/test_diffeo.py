@@ -24,8 +24,6 @@ from difflab import (
     Moebius,
     Rotation,
     bisect_monotone,
-    circle_compose,
-    circle_inverse,
     commutator_residual,
     compose,
     evaluate,
@@ -37,8 +35,9 @@ from difflab import (
     moebius_field,
     rotation_number,
 )
-from difflab.deform import _SmoothConjugacy
-from difflab.diffeo import CircleDiffeo, _lift_step
+from difflab.deform import ComponentwiseDiffeo, _Restricted, _SmoothConjugacy
+from difflab.diffeo import Diffeo, Iterate, _grid_backed, _lift_step
+from difflab.szekeres import szekeres_field
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -48,8 +47,7 @@ def conjugated_rotation(alpha, amp=0.2, freq=1, N=4096):
     w = 2.0 * math.pi * freq
     h = CircleGrid(GridFunction(amp * np.sin(w * x) / w),
                    GridFunction(np.log1p(amp * np.cos(w * x))))
-    return circle_compose(h, circle_compose(Rotation(alpha),
-                                            circle_inverse(h)))
+    return compose(h, compose(Rotation(alpha), inverse(h)))
 
 
 class TestEvaluate:
@@ -104,6 +102,19 @@ class TestGroupOps:
         lhs = iterate(compose(f, g), 3).value(x)
         rhs = compose(iterate(f, 3), iterate(g, 3)).value(x)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+class TestMixedKinds:
+    @pytest.mark.parametrize("f, g", [
+        (Moebius(2.0), Rotation(0.1)),
+        (Rotation(0.1), Moebius(2.0)),
+        (Moebius(1.0), Rotation(0.1)),
+    ])
+    def test_interval_and_circle_do_not_compose(self, f, g):
+        with pytest.raises(ValueError):
+            compose(f, g)
+        with pytest.raises(ValueError):
+            Composition([f, g])
 
 
 class TestReflect:
@@ -169,6 +180,15 @@ class TestMetric:
         with pytest.raises(ValueError):
             metric(Moebius(2.0), identity(), "3")
 
+    def test_circle_d2_by_finite_differences(self):
+        # CircleGrid has no affine derivative: d_2 differences the sampled
+        # log-derivatives, whose derivative peaks near 2 pi amp / sqrt(1 - amp^2)
+        h = conjugated_rotation(0.0).maps[0]
+        d = metric(h, Rotation(0.0), "2", starred=True)
+        assert math.isfinite(d)
+        assert d == pytest.approx(2.0 * math.pi * 0.2 / math.sqrt(0.96), rel=1e-3)
+        assert metric(h, h, "2") == 0.0
+
 
 class TestRotationNumber:
     def test_rigid_rotation(self):
@@ -191,7 +211,7 @@ class TestRotationNumber:
         # nodes, next to nodes, on negative lifts and where y - floor(y)
         # rounds up to 1
         grid = np.linspace(0.0, 1.0, (1 << 10) + 1)
-        table = np.asarray(conjugated_rotation(GOLDEN).lift(grid), dtype=float)
+        table = np.asarray(conjugated_rotation(GOLDEN).value(grid), dtype=float)
         step = _lift_step(table)
         rng = np.random.default_rng(7)
         ys = np.concatenate([rng.uniform(-3.0, 3.0, 2000), grid,
@@ -204,7 +224,7 @@ class TestRotationNumber:
     def test_iterate_scaling(self):
         f = conjugated_rotation(GOLDEN)
         r1 = rotation_number(f)
-        r2 = rotation_number(circle_compose(f, f))
+        r2 = rotation_number(compose(f, f))
         expect = (2.0 * r1.value) % 1.0
         tol = 1e-6 + 2 * r1.uncertainty + r2.uncertainty
         assert min(abs(r2.value - expect), 1 - abs(r2.value - expect)) < tol
@@ -323,28 +343,29 @@ class TestInverses:
         h = c.maps[0]
         assert isinstance(h, CircleGrid)
         x = np.linspace(-3.3, 2.7, 1001)
-        hinv = circle_inverse(h)
-        assert np.max(np.abs(h.lift(hinv.lift(x)) - x)) <= 1e-12
-        assert np.max(np.abs(hinv.lift(h.lift(x)) - x)) <= 1e-12
-        c0 = float(h.lift(np.zeros(1))[0])
-        ref = _bisect80(h.lift, x, x - c0 - 2.0, x - c0 + 2.0)
-        assert np.max(np.abs(hinv.lift(x) - ref)) <= 1e-13
+        hinv = inverse(h)
+        assert np.max(np.abs(h.value(hinv.value(x)) - x)) <= 1e-12
+        assert np.max(np.abs(hinv.value(h.value(x)) - x)) <= 1e-12
+        c0 = float(h.value(np.zeros(1))[0])
+        ref = _bisect80(h.value, x, x - c0 - 2.0, x - c0 + 2.0)
+        assert np.max(np.abs(hinv.value(x) - ref)) <= 1e-13
 
     def test_circle_solve_matches_table(self):
         h = conjugated_rotation(0.0).maps[0]
         x = np.linspace(-1.5, 1.5, 301)
-        assert np.max(np.abs(CircleDiffeo.inverse_lift(h, x)
-                             - h.inverse_lift(x))) <= 1e-13
+        assert np.max(np.abs(Diffeo.inverse_value(h, x)
+                             - h.inverse_value(x))) <= 1e-13
 
     def test_circle_solve_reads_lift_at_zero_once(self):
-        f = circle_compose(Rotation(0.1), conjugated_rotation(0.0).maps[0])
+        # inverse(f) would invert factor by factor: bisect on f itself
+        f = compose(Rotation(0.1), conjugated_rotation(0.0).maps[0])
         calls = []
-        lift = f.lift
-        f.lift = lambda x: (calls.append(np.size(x)), lift(x))[1]
-        finv = circle_inverse(f)
+        value = f.value
+        f.value = lambda x: (calls.append(np.size(x)), value(x))[1]
+        finv = InverseMap(f)
         x = np.linspace(-1.5, 1.5, 31)
-        finv.lift(x)
-        finv.lift(x)
+        finv.value(x)
+        finv.value(x)
         assert calls.count(1) == 1
 
     @pytest.mark.parametrize("target", [0.5, 0.25])
@@ -428,3 +449,80 @@ class TestDomainCheck:
         g = GridFunction(_X)
         assert g.nodes is g.nodes
         assert not g.nodes.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# one algebra for circle maps
+
+
+_CX = np.linspace(0.0, 1.0, 257)
+_CIRCLE_GRIDS = (
+    CircleGrid(GridFunction(0.05 * np.sin(2 * np.pi * _CX))),
+    CircleGrid(GridFunction(0.03 * np.sin(4 * np.pi * _CX) / (4 * np.pi)),
+               GridFunction(np.log1p(0.03 * np.cos(4 * np.pi * _CX)))),
+)
+_circle_leaf = st.one_of(st.floats(-1.0, 1.0).map(Rotation),
+                         st.sampled_from(_CIRCLE_GRIDS))
+_circle_expr = st.recursive(_circle_leaf, lambda sub: st.one_of(
+    st.tuples(sub, sub).map(lambda p: compose(*p)),
+    sub.map(inverse),
+    sub.map(InverseMap),
+    st.tuples(sub, st.integers(-2, 3)).map(lambda p: iterate(*p)),
+), max_leaves=4)
+
+
+def test_cancelled_circle_composition_keeps_its_kind():
+    c = _CIRCLE_GRIDS[0]
+    f = compose(c, InverseMap(c))
+    x = np.linspace(-3.0, 3.0, 61)
+    assert f.maps == () and f.kind == "circle"
+    assert inverse(f).kind == "circle"
+    assert np.array_equal(inverse(f).value(x), x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_circle_expr)
+def test_circle_expressions_are_lifts(f):
+    x = np.linspace(-3.0, 3.0, 601)
+    finv = inverse(f)
+    assert f.kind == "circle" and finv.kind == "circle"
+    assert np.max(np.abs(f.value(x + 1.0) - f.value(x) - 1.0)) <= 1e-12
+    assert np.max(np.abs(finv.value(f.value(x)) - x)) <= 1e-12
+    assert np.max(np.abs(f.value(finv.value(x)) - x)) <= 1e-12
+
+
+def _grid_backed_cases():
+    x = _CX
+    g = GridLogDeriv(GridFunction(0.05 * np.sin(2 * np.pi * x)))
+    c = _CIRCLE_GRIDS[0]
+    bumps = [Bump(0.45, 0.2, 0.08)]
+    flow = FlowTime(moebius_field(2.0), 0.3)
+    X = szekeres_field(Composition([Moebius(2.0), g]))
+    return {
+        "grid_log_deriv": (g, True),
+        "circle_grid": (c, True),
+        "composition": (Composition([Moebius(2.0), g]), True),
+        "inverse": (InverseMap(g), True),
+        "iterate": (Iterate(g, 2), True),
+        "reflected": (g.reflect(), True),
+        "circle_composition": (compose(Rotation(0.3), c), True),
+        "circle_inverse": (inverse(c), True),
+        "circle_iterate": (Iterate(c, 3), True),
+        "bump_on_grid": (BumpPerturbation(g, bumps), True),
+        "bump_on_moebius": (BumpPerturbation(Moebius(2.0), bumps), False),
+        "restricted": (_Restricted(g, 0.0, 0.5), True),
+        "componentwise": (ComponentwiseDiffeo([(0.0, 0.5)], [g]), True),
+        "componentwise_flow": (ComponentwiseDiffeo([(0.0, 0.5)], [flow]), False),
+        "flow_of_grid_field": (FlowTime(X, 0.5), False),
+        "smooth_conjugacy": (_SmoothConjugacy(x, 0.1 * np.cos(np.pi * x)), False),
+        "moebius": (Moebius(2.0), False),
+        "rotation": (Rotation(0.3), False),
+        "composition_of_flows": (Composition([Moebius(2.0), flow]), False),
+    }
+
+
+def test_grid_backed_walk():
+    # the values of the is_grid_backed flag this walk replaced, which picked
+    # the fixed-point threshold: 1e-4 for grid tables, 1e-8 otherwise
+    for name, (f, expected) in _grid_backed_cases().items():
+        assert _grid_backed(f) is expected, name

@@ -22,18 +22,17 @@ from difflab import (
     InverseMap,
     Moebius,
     Rotation,
-    circle_compose,
-    circle_inverse,
     commutator_residual,
     compose,
     example_two_component_action,
+    inverse,
     iterate,
     moebius_field,
     regularize_flow,
     szekeres_field,
 )
 from difflab.deform import ComponentwiseDiffeo, _Restricted, _SmoothConjugacy
-from difflab.diffeo import CircleIterate, Iterate, ReflectedMap, _same_map
+from difflab.diffeo import Iterate, ReflectedMap, _same_map
 from difflab.gridfn import DEFAULT_CONFIG
 
 
@@ -65,9 +64,9 @@ def _circle_maps():
     grid = CircleGrid(disp)
     with_logd = CircleGrid(disp, GridFunction(
         np.log1p(0.1 * np.pi * np.cos(2 * np.pi * xs))))
-    comp = circle_compose(grid, circle_compose(Rotation(0.3), with_logd))
-    return [Rotation(0.3), grid, with_logd, comp, circle_inverse(grid),
-            circle_inverse(comp), CircleIterate(with_logd, 3)]
+    comp = compose(grid, compose(Rotation(0.3), with_logd))
+    return [Rotation(0.3), grid, with_logd, comp, inverse(grid),
+            inverse(comp), InverseMap(comp), Iterate(with_logd, 3)]
 
 
 def _bits(a):
@@ -89,7 +88,7 @@ def test_jet_is_value_and_log_deriv_bit_for_bit(drawn):
         assert _bits(ld) == _bits(f.log_deriv(pts[-1])), f
     for F in _circle_maps():
         v, ld = F.jet(pts)
-        assert _bits(v) == _bits(F.lift(pts)), F
+        assert _bits(v) == _bits(F.value(pts)), F
         assert _bits(ld) == _bits(F.log_deriv(pts)), F
 
 

@@ -129,6 +129,21 @@ class TestTransportBudget:
             X.flow_log_deriv(np.array([1e-30]), 0.5)
         assert issubclass(TransportBudgetExceeded, RuntimeError)
 
+    def test_stalled_point_fails_at_its_first_step(self, leaf_counter):
+        # within an ulp of 1 Moebius(2) rounds f(x) to x, so the inbound walk
+        # can never arrive: it raises on its first step, not after the
+        # default max_iter = 65536 steps
+        f = leaf_counter(Moebius(2.0))
+        ft = FlowTime(szekeres_field(f), 0.5)
+        x = np.nextafter(1.0, 0.0)
+        for call in (ft.value, ft.jet):
+            before = f.calls
+            with pytest.raises(TransportBudgetExceeded):
+                call(x)
+            assert f.calls - before <= 3
+        # log_deriv reads the edge rate there and does not walk
+        assert float(ft.log_deriv(x)) == pytest.approx(0.5 * LN2, rel=1e-9)
+
     def test_within_budget(self):
         X = SzekeresField(Moebius(2.0), self.cfg)
         assert float(X.X(np.array(1e-10))) == pytest.approx(-LN2 * 1e-10,
