@@ -30,14 +30,12 @@ from .diffeo import (
     GridSample,
     IntervalDiffeo,
     InverseMap,
-    Iterate,
     Moebius,
     Rotation,
     RotationNumber,
     bisect_monotone,
     commutator_residual,
     compose,
-    evaluate,
     fixed_point_analysis,
     grid_sample,
     identity,
@@ -50,7 +48,6 @@ from .diffeo import (
 from .szekeres import (
     AnalyticField,
     FlowTime,
-    GridField,
     NotAContraction,
     SzekeresField,
     TailNotReached,

@@ -153,32 +153,42 @@ def _validate_spec_dict(doc: dict) -> ExperimentSpec:
     fmts = doc.get("format", ["json"])
     if isinstance(fmts, str):
         fmts = [s.strip() for s in fmts.split(",") if s.strip()]
+    if not isinstance(fmts, list):
+        raise SpecError("field 'format' must be a string or a list")
     for fmt in fmts:
         if fmt not in ("json", "csv", "svg"):
             raise SpecError(f"unknown field 'format.{fmt}'")
     grid_N = doc.get("grid_N", DEFAULT_CONFIG.grid_N)
     if not isinstance(grid_N, int):
         raise SpecError("field 'grid_N' must be an integer")
+    try:
+        ToleranceConfig(grid_N=grid_N)
+    except ValueError as exc:
+        raise SpecError(f"field 'grid_N': {exc}") from None
     tol = doc.get("tol", 1e-6)
     if not isinstance(tol, (int, float)) or tol <= 0:
         raise SpecError("field 'tol' must be a positive number")
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):
+        raise SpecError("field 'out' must be a string")
     return ExperimentSpec(cmd=cmd, params=params, grid_N=grid_N,
-                          tol=float(tol), formats=tuple(fmts),
-                          out=doc.get("out"))
+                          tol=float(tol), formats=tuple(fmts), out=out)
 
 
-def load_spec(path) -> ExperimentSpec:
-    """Read and validate a spec file (or an already-parsed dict)."""
-    if isinstance(path, dict):
-        return _validate_spec_dict(path)
+def _read_spec(path):
+    """The parsed JSON document of a spec file."""
     if not os.path.exists(path):
         raise SpecError(f"spec file {path!r} does not exist")
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SpecError(f"spec is not valid JSON: {exc}") from exc
-    return _validate_spec_dict(doc)
+
+
+def load_spec(path) -> ExperimentSpec:
+    """Read and validate a spec file (or an already-parsed dict)."""
+    return _validate_spec_dict(path if isinstance(path, dict) else _read_spec(path))
 
 
 # ---------------------------------------------------------------------------
@@ -787,25 +797,19 @@ def main(argv=None) -> int:
                     if os.path.exists(cand):
                         path = cand
                         break
-            spec = load_spec(path)
-            if spec.cmd != args.cmd:
-                raise SpecError(
-                    f"spec cmd {spec.cmd!r} does not match subcommand "
-                    f"{args.cmd!r}")
+            doc = _read_spec(path)
         else:
-            spec = load_spec({"cmd": args.cmd})
-        overrides = {}
-        if args.grid_N is not None:
-            overrides["grid_N"] = args.grid_N
-        if args.tol is not None:
-            overrides["tol"] = args.tol
-        if args.format is not None:
-            overrides["formats"] = tuple(
-                s.strip() for s in args.format.split(",") if s.strip())
-        if args.out is not None:
-            overrides["out"] = args.out
-        if overrides:
-            spec = dataclasses.replace(spec, **overrides)
+            doc = {"cmd": args.cmd}
+        # the flags override the document's fields and are validated with it
+        flags = {"grid_N": args.grid_N, "tol": args.tol,
+                 "format": args.format, "out": args.out}
+        if isinstance(doc, dict):
+            doc = {**doc, **{k: v for k, v in flags.items() if v is not None}}
+        spec = _validate_spec_dict(doc)
+        if spec.cmd != args.cmd:
+            raise SpecError(
+                f"spec cmd {spec.cmd!r} does not match subcommand "
+                f"{args.cmd!r}")
         report = run_command(spec)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

@@ -28,6 +28,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import brentq
 
+from .diffeo import bisect_monotone
+from .gridfn import variation
+
 __all__ = [
     "ConstructionError",
     "CantorTree",
@@ -494,7 +497,7 @@ def bv_group_demo(tree: CantorTree, n: int) -> BvDemoReport:
     phix = _phi_eval(pieces, pts)
     ld = _phi_log_deriv(pieces, pts)
     w = _step_eval(xs, vals, np.clip(phix, 0.0, 1.0)) - _step_eval(xs, vals, pts) + ld
-    var_w = float(np.abs(np.diff(w)).sum())
+    var_w = variation(w)
     sup_f = float(np.max(np.abs(f_eval(np.clip(phix, 0.0, 1.0)) - f_eval(pts))))
     d1pbv = sup_f + var_w
     sup_phi = float(np.max(np.abs(phix - pts)))
@@ -650,7 +653,7 @@ def hyperbolic_example(N: int = 1000) -> HyperbolicReport:
         xs = np.linspace(nodes[0], nodes[-1], 4097)
         g = np.interp(xs, nodes, vals)
         sampled_gap = max(
-            sampled_gap, abs(float(np.abs(np.diff(g)).sum()) - 1.0 / (k * k)))
+            sampled_gap, abs(variation(g) - 1.0 / (k * k)))
         # g maps the annulus A_k onto A_{k+1}: check the endpoints through
         # the conjugated bump
         scale = 2.0 ** (-k)
@@ -750,10 +753,6 @@ class BrickField:
         self.center_speed = -(2.0 ** (-self.k ** 3))
         self.t_k = -(2.0 ** (-self.k ** 2 - 1))
 
-    def zone_bounds(self) -> List[float]:
-        w = self.zone_width
-        return [0.0, w, 2 * w, 3 * w, 4 * w, 5 * w]
-
     def X0(self, x):
         """The underlying field on the brick (relative coordinates)."""
         x = np.asarray(x, dtype=float)
@@ -801,14 +800,8 @@ def _phi_local(t: float, u: np.ndarray) -> np.ndarray:
 def _phi_local_inv(t: float, y: np.ndarray) -> np.ndarray:
     """Inverse of u + t*delta(u) by bisection (t << 1)."""
     y = np.asarray(y, dtype=float)
-    lo = y - 2.0 * abs(t)
-    hi = y + 2.0 * abs(t)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = _phi_local(t, mid) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    return bisect_monotone(lambda u: _phi_local(t, u), y,
+                           y - 2.0 * abs(t), y + 2.0 * abs(t))
 
 
 def sergeraert_check(k: int) -> SergeraertReport:
@@ -876,7 +869,7 @@ def sergeraert_check(k: int) -> SergeraertReport:
     # ---- (iii) variation identity on the perturbed half-interval
     ug = np.linspace(0.5, 1.0, 2 ** 20 + 1)
     g = np.log1p(t * _delta_d1(ug))
-    var_measured = float(np.abs(np.diff(g)).sum())
+    var_measured = variation(g)
     # independent quadrature of |t D^2 delta / (1 + t D delta)| du, split
     # at the sign changes of D^2 delta
     def integrand(uu):

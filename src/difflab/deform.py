@@ -17,9 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gridfn import DEFAULT_CONFIG, GridFunction, ToleranceConfig
+from .gridfn import DEFAULT_CONFIG, GridFunction, ToleranceConfig, variation
 from .diffeo import (
     ActionTuple,
+    ChartMap,
     CircleDiffeo,
     CircleGrid,
     Diffeo,
@@ -76,45 +77,7 @@ _WORD_BUDGET = 10**6
 
 
 # ---------------------------------------------------------------------------
-# chart wrappers
-
-
-class _Restricted(IntervalDiffeo):
-    """The restriction of f to an invariant interval [a, b], rescaled to the
-    chart [0, 1]."""
-
-    def __init__(self, f: IntervalDiffeo, a: float, b: float):
-        if not (0.0 <= a < b <= 1.0):
-            raise ValueError("need 0 <= a < b <= 1")
-        self.f = f
-        self.a = float(a)
-        self.b = float(b)
-
-    def _up(self, u):
-        return self.a + (self.b - self.a) * u
-
-    def value(self, u):
-        u = self._check_domain(u)
-        y = (self.f.value(self._up(u)) - self.a) / (self.b - self.a)
-        return np.clip(y, 0.0, 1.0)
-
-    def log_deriv(self, u):
-        return self.jet(u)[1]
-
-    def jet(self, u):
-        u = self._check_domain(u)
-        y, ld = self.f.jet(self._up(u))
-        return np.clip((y - self.a) / (self.b - self.a), 0.0, 1.0), ld
-
-    def affine_deriv(self, u):
-        u = self._check_domain(u)
-        return (self.b - self.a) * self.f.affine_deriv(self._up(u))
-
-    def inverse_map(self):
-        return _Restricted(inverse(self.f), self.a, self.b)
-
-    def __repr__(self):
-        return f"_Restricted({self.f!r}, {self.a}, {self.b})"
+# chart-wise maps
 
 
 class ComponentwiseDiffeo(IntervalDiffeo):
@@ -131,25 +94,22 @@ class ComponentwiseDiffeo(IntervalDiffeo):
                 raise ValueError("intervals must be disjoint inside [0, 1]")
             prev = b
 
-    def _apply(self, x, fn):
-        x = self._check_domain(x)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = fn(None, x, None)
+    def _pieces(self, x):
+        """(mask, a, b, chart, chart coordinates) of every interval that
+        holds points of the 1-d array x."""
         for (a, b), c in zip(self.intervals, self.charts):
             m = (x >= a) & (x <= b)
             if np.any(m):
-                u = np.clip((x[m] - a) / (b - a), 0.0, 1.0)
-                out[m] = fn((a, b), u, c)
-        return out[0] if scalar else out
+                yield m, a, b, c, np.clip((x[m] - a) / (b - a), 0.0, 1.0)
 
     def value(self, x):
-        def fn(iv, u, c):
-            if iv is None:
-                return u.copy()
-            a, b = iv
-            return a + (b - a) * c.value(u)
-        return self._apply(x, fn)
+        x = self._check_domain(x)
+        scalar = x.ndim == 0
+        x = np.atleast_1d(x)
+        val = x.copy()
+        for m, a, b, c, u in self._pieces(x):
+            val[m] = a + (b - a) * c.value(u)
+        return val[0] if scalar else val
 
     def log_deriv(self, x):
         return self.jet(x)[1]
@@ -160,20 +120,19 @@ class ComponentwiseDiffeo(IntervalDiffeo):
         x = np.atleast_1d(x)
         val = x.copy()
         ld = np.zeros_like(x)
-        for (a, b), c in zip(self.intervals, self.charts):
-            m = (x >= a) & (x <= b)
-            if np.any(m):
-                y, ld[m] = c.jet(np.clip((x[m] - a) / (b - a), 0.0, 1.0))
-                val[m] = a + (b - a) * y
+        for m, a, b, c, u in self._pieces(x):
+            y, ld[m] = c.jet(u)
+            val[m] = a + (b - a) * y
         return (val[0], ld[0]) if scalar else (val, ld)
 
     def affine_deriv(self, x):
-        def fn(iv, u, c):
-            if iv is None:
-                return np.zeros_like(u)
-            a, b = iv
-            return c.affine_deriv(u) / (b - a)
-        return self._apply(x, fn)
+        x = self._check_domain(x)
+        scalar = x.ndim == 0
+        x = np.atleast_1d(x)
+        aff = np.zeros_like(x)
+        for m, a, b, c, u in self._pieces(x):
+            aff[m] = c.affine_deriv(u) / (b - a)
+        return aff[0] if scalar else aff
 
     def inverse_map(self):
         return ComponentwiseDiffeo(self.intervals, [inverse(c) for c in self.charts])
@@ -348,9 +307,7 @@ def geometric_mean_conjugacy(t: ActionTuple, extra_generator=None, n: int = 8,
         fx, ld = g.jet(x)
         y = np.mod(fx, 1.0) if circle else fx
         u = mean_log_deriv(y) + ld - psi
-        var_u = float(np.abs(np.diff(u)).sum())
-        if circle:
-            var_u += float(abs(u[-1] - u[0]))
+        var_u = variation(u, periodic=circle)
         # log Df^n(x), its first step being the jet just taken
         acc = ld
         for _ in range(n - 1):
@@ -358,9 +315,7 @@ def geometric_mean_conjugacy(t: ActionTuple, extra_generator=None, n: int = 8,
             acc = acc + ld
             if circle:
                 y = np.mod(y, 1.0)
-        bound = float(np.abs(np.diff(acc)).sum())
-        if circle:
-            bound += float(abs(acc[-1] - acc[0]))
+        bound = variation(acc, periodic=circle)
         bound /= n
         slack = bound + tol - var_u
         if slack < 0:
@@ -640,9 +595,9 @@ def regularize_flow(X, extra=None, r: str = "1+ac",
     fd = (Xt.X(probes + h) - Xt.X(probes - h)) / (2 * h)
     deriv_err = float(np.max(np.abs(fd - Xt.DX(probes))))
     ld = f1.log_deriv(xg)
-    var_logdf = float(np.abs(np.diff(ld)).sum())
+    var_logdf = variation(ld)
     dxt = Xt.DX(xg)
-    var_dxt = float(np.abs(np.diff(dxt)).sum())
+    var_dxt = variation(dxt)
     checks = {
         "deriv_identity_max_err": deriv_err,
         "deriv_identity_ok": bool(deriv_err <= 1e-5),
@@ -663,8 +618,8 @@ def regularize_flow(X, extra=None, r: str = "1+ac",
         conj_extra = _conjugate(phi, extra)
         ev, el = extra.jet(xg)
         u = phi.log_deriv(ev) + el - phi.log_deriv(xg)
-        var_conj = float(np.abs(np.diff(u)).sum())
-        var_orig = float(np.abs(np.diff(el)).sum())
+        var_conj = variation(u)
+        var_orig = variation(el)
         extra_checks = {
             "var_conjugate": var_conj,
             "var_original": var_orig,
@@ -753,7 +708,7 @@ def classify_action(t: ActionTuple, cfg: ToleranceConfig = DEFAULT_CONFIG,
     comps = []
     probes = np.linspace(0.0, 1.0, 259)[1:-1]
     for a, b in rep.components:
-        charts = tuple(_Restricted(g, a, b) for g in t.generators)
+        charts = tuple(ChartMap(g, a, b) for g in t.generators)
         disps = [c.value(probes) - probes for c in charts]
         signs = []
         for d in disps:

@@ -21,8 +21,8 @@ and the starred variants drop the |f-g|_inf term.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .gridfn import (
     MonotonicityError,
     ToleranceConfig,
     unit_points,
+    variation,
 )
 
 __all__ = [
@@ -41,7 +42,7 @@ __all__ = [
     "Moebius",
     "Composition",
     "InverseMap",
-    "Iterate",
+    "ChartMap",
     "GridLogDeriv",
     "Bump",
     "BumpPerturbation",
@@ -49,7 +50,6 @@ __all__ = [
     "compose",
     "inverse",
     "iterate",
-    "evaluate",
     "metric",
     "GridSample",
     "grid_sample",
@@ -126,6 +126,11 @@ def _refined_max(fn, xs, vals, rounds: int = 2, fan: int = 33):
 # the map protocol
 
 
+# F(0) of each circle map inverted by bisection, read once per map and kept
+# off the instance: _same_map compares instance attributes
+_LIFT0 = weakref.WeakKeyDictionary()
+
+
 class Diffeo:
     """Root of every map: an increasing diffeomorphism of [0,1] fixing the
     endpoints (kind "interval"), or a circle map given by its degree-one
@@ -159,10 +164,6 @@ class Diffeo:
     def inverse_map(self) -> "Diffeo":
         return InverseMap(self)
 
-    @cached_property
-    def _lift0(self) -> float:
-        return float(np.asarray(self.value(np.zeros(1)))[0])
-
     def inverse_value(self, y):
         """f^{-1}(y) by bisection on value; maps with a table override
         this.  An interval map's root lies in [0, 1].  The displacement of
@@ -170,7 +171,9 @@ class Diffeo:
         map's root lies within 1 of y - F(0)."""
         if self.kind == "interval":
             return bisect_monotone(self.value, y, 0.0, 1.0)
-        c = self._lift0
+        c = _LIFT0.get(self)
+        if c is None:
+            c = _LIFT0[self] = float(np.asarray(self.value(np.zeros(1)))[0])
         return bisect_monotone(self.value, y, y - c - 2.0, y - c + 2.0)
 
     # -- conveniences -------------------------------------------------------
@@ -197,10 +200,10 @@ class IntervalDiffeo(Diffeo):
     def reflect(self) -> Diffeo:
         """r o f o r with r(x) = 1 - x: the same map seen from the other
         endpoint.  Subclasses with closed-form reflections override this;
-        the generic fallback loses relative precision near the endpoints
-        (1 - (1 - x) quantizes tiny x), so structured maps should prefer
-        exact reflection."""
-        return ReflectedMap(self)
+        the generic fallback, f in the chart u -> 1 - u, loses relative
+        precision near the endpoints (1 - (1 - x) quantizes tiny x), so
+        structured maps should prefer exact reflection."""
+        return ChartMap(self, 1.0, 0.0)
 
 
 class Moebius(IntervalDiffeo):
@@ -365,88 +368,57 @@ class InverseMap(Diffeo):
 CircleInverse = InverseMap  # read by perfbench/tracing.py
 
 
-class ReflectedMap(IntervalDiffeo):
-    """Generic r o f o r with r(x) = 1 - x (fallback for maps without a
-    closed-form reflection)."""
+class ChartMap(IntervalDiffeo):
+    """f read in the affine chart u -> a + (b - a) u, a != b in [0, 1]:
+    the restriction of f to an invariant interval [a, b] rescaled to
+    [0, 1] when a < b, and the reflection r o f o r, r(x) = 1 - x, when
+    (a, b) = (1, 0).  In that chart the operations are exact: 1 + (-1) u
+    is 1 - u and (1 - y) / 1 is 1 - y."""
 
-    def __init__(self, f: Diffeo):
+    def __init__(self, f: Diffeo, a: float, b: float):
+        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and a != b):
+            raise ValueError("need a != b in [0, 1]")
         self.f = f
+        self.a = float(a)
+        self.b = float(b)
 
-    def value(self, x):
-        x = self._check_domain(x)
-        return 1.0 - self.f.value(1.0 - x)
+    def _up(self, u):
+        return self.a + (self.b - self.a) * u
 
-    def log_deriv(self, x):
-        return self.jet(x)[1]
+    def _down(self, y):
+        # over the positive chart length, so that y = a gives +0.0
+        d = y - self.a if self.a < self.b else self.a - y
+        return np.clip(d / abs(self.b - self.a), 0.0, 1.0)
 
-    def jet(self, x):
-        x = self._check_domain(x)
-        y, ld = self.f.jet(1.0 - x)
-        return 1.0 - y, ld
+    def value(self, u):
+        u = self._check_domain(u)
+        return self._down(self.f.value(self._up(u)))
 
-    def affine_deriv(self, x):
-        x = self._check_domain(x)
-        return -self.f.affine_deriv(1.0 - x)
+    def log_deriv(self, u):
+        return self.jet(u)[1]
+
+    def jet(self, u):
+        u = self._check_domain(u)
+        y, ld = self.f.jet(self._up(u))
+        return self._down(y), ld
+
+    def affine_deriv(self, u):
+        u = self._check_domain(u)
+        return (self.b - self.a) * self.f.affine_deriv(self._up(u))
 
     def inverse_map(self):
-        return ReflectedMap(self.f.inverse_map())
+        return ChartMap(self.f.inverse_map(), self.a, self.b)
 
     def inverse_value(self, y):
-        return 1.0 - self.f.inverse_value(1.0 - y)
+        return self._down(self.f.inverse_value(self._up(y)))
 
     def reflect(self):
-        return self.f
+        if (self.a, self.b) == (1.0, 0.0):
+            return self.f
+        return ChartMap(self.f, self.b, self.a)
 
     def __repr__(self):
-        return f"ReflectedMap({self.f!r})"
-
-
-class Iterate(Diffeo):
-    """f^n for n >= 1, evaluated by orbit accumulation (numerically stable
-    near hyperbolic fixed points, unlike naive nested grids)."""
-
-    def __init__(self, f: Diffeo, n: int):
-        if n < 1:
-            raise ValueError("Iterate needs n >= 1")
-        self.f = f
-        self.n = int(n)
-        self.kind = f.kind
-
-    def value(self, x):
-        y = self._check_domain(x)
-        for _ in range(self.n):
-            y = self.f.value(y)
-        return y
-
-    def log_deriv(self, x):
-        return self.jet(x)[1]
-
-    def jet(self, x):
-        y = self._check_domain(x)
-        acc = np.zeros_like(y)
-        for _ in range(self.n):
-            y, ld = self.f.jet(y)
-            acc = acc + ld
-        return y, acc
-
-    def affine_deriv(self, x):
-        y = self._check_domain(x)
-        acc = np.zeros_like(y)
-        chain = np.ones_like(y)
-        for _ in range(self.n):
-            acc = acc + self.f.affine_deriv(y) * chain
-            chain = chain * self.f.deriv(y)
-            y = self.f.value(y)
-        return acc
-
-    def inverse_map(self):
-        return Iterate(self.f.inverse_map(), self.n)
-
-    def reflect(self):
-        return Iterate(self.f.reflect(), self.n)
-
-    def __repr__(self):
-        return f"Iterate({self.f!r}, {self.n})"
+        return f"ChartMap({self.f!r}, {self.a}, {self.b})"
 
 
 class GridLogDeriv(IntervalDiffeo):
@@ -652,14 +624,6 @@ def compose(f, g):
         out = fast(g)
         if out is not None:
             return out
-    if f is g:
-        return Iterate(f, 2)
-    if isinstance(f, Iterate) and f.f is g:
-        return Iterate(g, f.n + 1)
-    if isinstance(g, Iterate) and g.f is f:
-        return Iterate(f, g.n + 1)
-    if isinstance(f, Iterate) and isinstance(g, Iterate) and f.f is g.f:
-        return Iterate(f.f, f.n + g.n)
     return Composition([f, g])
 
 
@@ -668,7 +632,8 @@ def inverse(f):
 
 
 def iterate(f, n: int):
-    """f^n via symbolic fast paths, else orbit accumulation."""
+    """f^n via symbolic fast paths, else the composition of n copies of f
+    (evaluated by orbit accumulation)."""
     n = int(n)
     if n == 0:
         return Rotation(0.0) if f.kind == "circle" else identity()
@@ -686,18 +651,7 @@ def iterate(f, n: int):
             return out
     if n == 1:
         return f
-    return Iterate(f, n)
-
-
-def evaluate(f, x, want: str = "value"):
-    """Uniform evaluation entry point: want in {value, log_deriv, affine_deriv}."""
-    if want == "value":
-        return f.value(x)
-    if want == "log_deriv":
-        return f.log_deriv(x)
-    if want == "affine_deriv":
-        return f.affine_deriv(x)
-    raise ValueError(f"unknown evaluation request {want!r}")
+    return Composition([f] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +701,7 @@ def sampled_distance(a: GridSample, b: GridSample, r="1",
     elif r in ("1+bv", "1+ac"):
         # var of the sampled difference = L1 norm of the interpolant's
         # derivative; identical formulas, different preconditions
-        dist = float(np.abs(np.diff(u)).sum())
+        dist = variation(u)
     else:  # r == "2"
         try:
             dv = f.affine_deriv(x) - g.affine_deriv(x)

@@ -20,6 +20,7 @@ __all__ = [
     "GridFunction",
     "integrate",
     "total_variation",
+    "variation",
     "compose_monotone",
 ]
 
@@ -167,8 +168,18 @@ def total_variation(f: GridFunction, a: float = 0.0, b: float = 1.0) -> float:
         vals.extend(f.samples[ia : ib + 1])
     if b > ib / N or ia > ib:
         vals.append(f(b))
-    v = np.asarray(vals)
-    return float(np.abs(np.diff(v)).sum())
+    return variation(np.asarray(vals))
+
+
+def variation(values, periodic: bool = False) -> float:
+    """Total variation of the piecewise-linear interpolant of a sample
+    sequence: the sum of |jumps|.  periodic adds the seam jump from the
+    last sample back to the first (a closed curve on the circle)."""
+    v = np.asarray(values)
+    var = float(np.abs(np.diff(v)).sum())
+    if periodic:
+        var += float(abs(v[-1] - v[0]))
+    return var
 
 
 def compose_monotone(f: GridFunction, g: GridFunction) -> GridFunction:

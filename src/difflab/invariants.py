@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfn import DEFAULT_CONFIG, GridFunction, ToleranceConfig
+from .gridfn import DEFAULT_CONFIG, GridFunction, ToleranceConfig, variation
 from .diffeo import (
     ActionTuple,
     CircleGrid,
@@ -77,7 +77,7 @@ def asymptotic_variation(f, schedule=DEFAULT_SCHEDULE,
             ld = fast(n).log_deriv(pts)
             if not np.all(np.isfinite(ld)):
                 raise OverflowError(f"derivative accumulation blew up at n={n}")
-            pairs.append((n, float(np.abs(np.diff(ld)).sum()) / n))
+            pairs.append((n, variation(ld) / n))
     else:
         acc = np.zeros_like(pts)
         y = pts.copy()
@@ -90,9 +90,7 @@ def asymptotic_variation(f, schedule=DEFAULT_SCHEDULE,
             if not np.all(np.isfinite(acc)):
                 raise OverflowError(f"derivative accumulation blew up at n={step}")
             if step in want:
-                var_n = float(np.abs(np.diff(acc)).sum())
-                if circle:
-                    var_n += float(abs(acc[0] - acc[-1]))
+                var_n = variation(acc, periodic=circle)
                 pairs.append((step, var_n / step))
     vals = [v for _, v in pairs]
     envelope = np.minimum.accumulate(vals)
@@ -107,14 +105,6 @@ def asymptotic_variation(f, schedule=DEFAULT_SCHEDULE,
 
 # ---------------------------------------------------------------------------
 # Mather invariant
-
-
-def _reflected_contraction(f: IntervalDiffeo) -> IntervalDiffeo:
-    """r o f^{-1} o r with r(x) = 1-x: the contraction seen from the other
-    endpoint (used to generate the right-end flow).  Built structurally so
-    that maps with closed-form reflections keep full relative precision in
-    the tails."""
-    return f.inverse_map().reflect()
 
 
 @dataclass(frozen=True)
@@ -157,7 +147,10 @@ def mather_invariant(f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
     _check_no_interior_fixed_point(f)
 
     X = SzekeresField(f, cfg, anchor=0.5)
-    g = _reflected_contraction(f)
+    # r o f^{-1} o r, r(x) = 1 - x: the contraction seen from the other
+    # end, built structurally so that closed-form reflections keep full
+    # relative precision in the tails
+    g = f.inverse_map().reflect()
     Xg = SzekeresField(g, cfg, anchor=0.5)
     k = m + n
 
@@ -172,7 +165,7 @@ def mather_invariant(f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
         acc = acc + ld
     q = y  # = f^k(p), deep near 0
     V = np.log(-X.X(ps)) + acc - np.log(-Xg.X(1.0 - q))
-    var_logDM = float(np.abs(np.diff(V)).sum())
+    var_logDM = variation(V)
 
     # the circle map itself, via the time coordinates of both flows
     tgrid = np.linspace(0.0, 1.0, 513)
@@ -303,7 +296,7 @@ def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
 
     def _a_norm():
         if cocycle is None:
-            return float(np.abs(np.diff(ld)).sum())
+            return variation(ld)
         return _l1_norm(c, x)
 
     # a_m/m converges to the drift from above (subadditivity); the orbit is

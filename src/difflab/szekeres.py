@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .gridfn import DEFAULT_CONFIG, DomainError, GridFunction, ToleranceConfig
+from .gridfn import DEFAULT_CONFIG, DomainError, ToleranceConfig, variation
 from .diffeo import IntervalDiffeo, bisect_monotone
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "TransportBudgetExceeded",
     "VectorField1D",
     "AnalyticField",
-    "GridField",
     "SzekeresField",
     "FlowTime",
     "moebius_field",
@@ -106,9 +105,6 @@ class VectorField1D:
         y = self.flow(x, t)
         with np.errstate(divide="ignore", invalid="ignore"):
             return y, np.log(self.X(y) / self.X(x))
-
-    def time_map(self, t: float) -> "FlowTime":
-        return FlowTime(self, t)
 
 
 def _tau_inv_by_bisection(field: VectorField1D, s):
@@ -195,45 +191,6 @@ def moebius_field(a: float = 2.0) -> AnalyticField:
     return AnalyticField("bridge", math.log(a))
 
 
-class GridField(VectorField1D):
-    """Field from grid samples; tau resolved by trapezoid prefix sums on
-    interior nodes (resolution-limited near the endpoints)."""
-
-    def __init__(self, g: GridFunction):
-        self.g = g
-        xs = g.nodes[1:-1]
-        vals = g.samples[1:-1]
-        if not np.all(vals < 0):
-            raise NotAContraction("grid field must be strictly negative inside")
-        inv = 1.0 / vals
-        h = 1.0 / g.N
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * h)])
-        anchor = np.argmin(np.abs(xs - 0.5))
-        self._xs = xs
-        self._tau = cum[anchor] - cum  # decreasing in x, 0 at the anchor node
-        self._tau_rev = self._tau[::-1]
-        self._xs_rev = xs[::-1]
-
-    def X(self, x):
-        return self.g(x)
-
-    def DX(self, x):
-        h = 1.0 / self.g.N
-        d = np.gradient(self.g.samples, h)
-        return np.interp(np.asarray(x, dtype=float), self.g.nodes, d)
-
-    def tau(self, x):
-        x = np.clip(np.asarray(x, dtype=float), self._xs[0], self._xs[-1])
-        return np.interp(-x, -self._xs, self._tau)
-
-    def tau_inv(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.interp(s, self._tau_rev, self._xs_rev)
-
-    def __repr__(self):
-        return f"GridField(N={self.g.N})"
-
-
 # ---------------------------------------------------------------------------
 # the limit construction
 
@@ -282,7 +239,7 @@ class SzekeresField(VectorField1D):
         def _tail_at(z: float) -> float:
             probes = np.linspace(0.0, z, 513)
             ld = f.log_deriv(probes)
-            return float(np.abs(np.diff(ld)).sum())
+            return variation(ld)
 
         fast = getattr(f, "_iterate_fast", None)
 
@@ -683,10 +640,10 @@ def szekeres_bv_check(f: IntervalDiffeo, c: float,
     fc = float(f.value(np.array(c)))
     xs = np.linspace(fc, c, 4097)
     logX = np.log(-X.X(xs))
-    var_logX = float(np.abs(np.diff(logX)).sum())
+    var_logX = variation(logX)
     log_df0 = abs(float(f.log_deriv(np.array(0.0))))
     probes = np.linspace(0.0, c, 4097)
-    var_logdf = float(np.abs(np.diff(f.log_deriv(probes))).sum())
+    var_logdf = variation(f.log_deriv(probes))
     ok = abs(var_logX - log_df0) <= var_logdf + cfg.abs_tol
     return {
         "var_logX_fundamental": var_logX,

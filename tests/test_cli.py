@@ -44,6 +44,12 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match="tol"):
             load_spec({"cmd": "flow", "tol": -1.0})
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid_N", 100), ("grid_N", 32), ("format", 5), ("out", 5)])
+    def test_bad_field_value(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            load_spec({"cmd": "flow", field: value})
+
     def test_missing_file(self):
         with pytest.raises(SpecError, match="does not exist"):
             load_spec("/nonexistent/spec.json")
@@ -171,6 +177,32 @@ class TestMain:
         assert rc == 1
         err = capsys.readouterr().err
         assert "spec error" in err and "interval action" in err
+
+    @pytest.mark.parametrize("flags, field", [
+        (["sergeraert", "--format", "xml"], "format.xml"),
+        (["flow", "--tol=-1"], "tol"),
+        (["metrics", "--grid-N", "100"], "grid_N"),
+    ])
+    def test_bad_flag_is_a_spec_error(self, flags, field, capsys):
+        rc = main(flags)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("spec error:") and field in captured.err
+
+    def test_bad_grid_N_in_spec_file(self, tmp_path, capsys):
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps({"cmd": "metrics", "grid_N": 100}))
+        rc = main(["metrics", "--spec", str(spec_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spec error:") and "grid_N" in err
+
+    def test_flags_override_the_spec_file(self, tmp_path, capsys):
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps({"cmd": "metrics", "grid_N": 100}))
+        rc = main(["metrics", "--spec", str(spec_path), "--grid-N", "128"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "metrics"
 
     def test_violation_exit_code(self, capsys):
         rc = main(["flow", "--tol", "1e-18"])

@@ -26,7 +26,6 @@ from difflab import (
     bisect_monotone,
     commutator_residual,
     compose,
-    evaluate,
     fixed_point_analysis,
     identity,
     inverse,
@@ -35,8 +34,8 @@ from difflab import (
     moebius_field,
     rotation_number,
 )
-from difflab.deform import ComponentwiseDiffeo, _Restricted, _SmoothConjugacy
-from difflab.diffeo import Diffeo, Iterate, _grid_backed, _lift_step
+from difflab.deform import ComponentwiseDiffeo, _SmoothConjugacy
+from difflab.diffeo import ChartMap, Diffeo, _grid_backed, _lift_step
 from difflab.szekeres import szekeres_field
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -52,20 +51,20 @@ def conjugated_rotation(alpha, amp=0.2, freq=1, N=4096):
 
 class TestEvaluate:
     def test_moebius_log_deriv_at_zero(self):
-        assert evaluate(Moebius(2.0), 0.0, "log_deriv") == pytest.approx(
+        assert Moebius(2.0).log_deriv(0.0) == pytest.approx(
             -math.log(2.0), abs=1e-14)
 
     def test_identity_affine_deriv(self):
-        assert evaluate(identity(), 0.3, "affine_deriv") == 0.0
+        assert identity().affine_deriv(0.3) == 0.0
 
     def test_moebius_value(self):
         # x/(2-x) at 1/2
-        assert evaluate(Moebius(2.0), 0.5, "value") == pytest.approx(
+        assert Moebius(2.0).value(0.5) == pytest.approx(
             1.0 / 3.0, abs=1e-15)
 
     def test_domain_violation(self):
         with pytest.raises(ValueError):
-            evaluate(Moebius(2.0), 1.5, "value")
+            Moebius(2.0).value(1.5)
 
 
 class TestGroupOps:
@@ -338,6 +337,13 @@ class TestInverses:
     def test_reflected_grid_map(self):
         _check_inverse(INVERSE_CASES["grid_log_deriv"]().reflect())
 
+    @pytest.mark.parametrize("a, b", [(0.2, 0.7), (0.7, 0.2)])
+    def test_chart_map(self, a, b):
+        # f on its invariant interval [0.2, 0.7], read in a chart of either
+        # orientation; the chart's inverse is f's own read through it
+        f = ComponentwiseDiffeo([(0.2, 0.7)], [INVERSE_CASES["bump_perturbation"]()])
+        _check_inverse(ChartMap(f, a, b))
+
     def test_circle_grid_lift(self):
         c = conjugated_rotation(0.0)
         h = c.maps[0]
@@ -503,14 +509,14 @@ def _grid_backed_cases():
         "circle_grid": (c, True),
         "composition": (Composition([Moebius(2.0), g]), True),
         "inverse": (InverseMap(g), True),
-        "iterate": (Iterate(g, 2), True),
+        "iterate": (iterate(g, 2), True),
         "reflected": (g.reflect(), True),
         "circle_composition": (compose(Rotation(0.3), c), True),
         "circle_inverse": (inverse(c), True),
-        "circle_iterate": (Iterate(c, 3), True),
+        "circle_iterate": (iterate(c, 3), True),
         "bump_on_grid": (BumpPerturbation(g, bumps), True),
         "bump_on_moebius": (BumpPerturbation(Moebius(2.0), bumps), False),
-        "restricted": (_Restricted(g, 0.0, 0.5), True),
+        "restricted": (ChartMap(g, 0.0, 0.5), True),
         "componentwise": (ComponentwiseDiffeo([(0.0, 0.5)], [g]), True),
         "componentwise_flow": (ComponentwiseDiffeo([(0.0, 0.5)], [flow]), False),
         "flow_of_grid_field": (FlowTime(X, 0.5), False),

@@ -31,8 +31,8 @@ from difflab import (
     regularize_flow,
     szekeres_field,
 )
-from difflab.deform import ComponentwiseDiffeo, _Restricted, _SmoothConjugacy
-from difflab.diffeo import Iterate, ReflectedMap, _same_map
+from difflab.deform import ComponentwiseDiffeo, _SmoothConjugacy
+from difflab.diffeo import ChartMap, CircleDiffeo, Diffeo, IntervalDiffeo, _same_map
 from difflab.gridfn import DEFAULT_CONFIG
 
 
@@ -50,11 +50,11 @@ def _interval_maps():
              FlowTime(AnalyticField("parabolic_right", 0.8), -0.4),
              FlowTime(regularize_flow(X).field, 0.5)]
     chartwise = ComponentwiseDiffeo([(0.0, 0.5), (0.5, 1.0)],
-                                    [FlowTime(bridge, 0.8), Iterate(grid, 2)])
+                                    [FlowTime(bridge, 0.8), iterate(grid, 2)])
     return [Moebius(3.0), bumped, grid, smooth, *flows, chartwise,
             Composition([Moebius(2.0), grid, InverseMap(smooth)]),
-            InverseMap(bumped), InverseMap(flows[0]), ReflectedMap(flows[0]),
-            Iterate(bumped, 3), _Restricted(chartwise, 0.0, 0.5)]
+            InverseMap(bumped), InverseMap(flows[0]), ChartMap(flows[0], 1.0, 0.0),
+            iterate(bumped, 3), ChartMap(chartwise, 0.0, 0.5)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,7 +66,7 @@ def _circle_maps():
         np.log1p(0.1 * np.pi * np.cos(2 * np.pi * xs))))
     comp = compose(grid, compose(Rotation(0.3), with_logd))
     return [Rotation(0.3), grid, with_logd, comp, inverse(grid),
-            inverse(comp), InverseMap(comp), Iterate(with_logd, 3)]
+            inverse(comp), InverseMap(comp), iterate(with_logd, 3)]
 
 
 def _bits(a):
@@ -133,7 +133,32 @@ class TestSameMap:
         assert _same_map(*_orders(ActionTuple((iterate(g, 2), g))))
         assert _same_map(Moebius(2.0), Moebius(2.0))
         assert not _same_map(Moebius(2.0), Moebius(3.0))
-        assert not _same_map(Iterate(g, 2), Iterate(g, 3))
+        assert not _same_map(iterate(g, 2), iterate(g, 3))
+
+    def test_circle_inverse_leaves_the_map_unchanged(self):
+        xs = np.linspace(0.0, 1.0, 257)
+        c = CircleGrid(GridFunction(0.05 * np.sin(2 * np.pi * xs)))
+        f, g = compose(Rotation(0.1), c), compose(Rotation(0.1), c)
+        assert _same_map(f, g)
+        InverseMap(f).value(np.linspace(-1.0, 1.0, 5))
+        assert _same_map(f, g)
+
+
+def _library_subclasses(cls):
+    """Every subclass of cls, recursively, that difflab itself defines."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("difflab."):
+            yield sub
+        yield from _library_subclasses(sub)
+
+
+def test_every_map_class_is_in_the_lists():
+    # the leaf bases are abstract: value / lift_frac raise
+    concrete = set(_library_subclasses(Diffeo)) - {IntervalDiffeo, CircleDiffeo}
+    listed = {type(f) for f in _interval_maps() + _circle_maps()}
+    assert {c.__name__ for c in concrete - listed} == set()
+    charts = [(f.a, f.b) for f in _interval_maps() if isinstance(f, ChartMap)]
+    assert any(a < b for a, b in charts) and any(a > b for a, b in charts)
 
 
 def test_example_commutator_makes_no_metric_call(monkeypatch):
