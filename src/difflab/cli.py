@@ -529,20 +529,9 @@ def _cmd_regularize(spec: ExperimentSpec, cfg: ToleranceConfig):
 def _cmd_classify(spec: ExperimentSpec, cfg: ToleranceConfig):
     act = _build_action(spec.params["action"], "params.action", cfg)
     dec = classify_action(act, cfg)
-    comps = []
-    for c in dec.components:
-        comps.append({
-            "interval": [float(c.interval[0]), float(c.interval[1])],
-            "tag": c.tag,
-            "alphas": [float(a) for a in c.alphas],
-            "verdicts": list(c.verdicts),
-            "exponents": list(c.exponents) if c.exponents else None,
-            "base_time": c.base_time,
-            "times": [float(t) for t in c.times] if c.times else None,
-            "warnings": list(c.warnings),
-        })
-    report = {"parabolic_set": [float(p) for p in dec.parabolic_set],
-              "components": comps}
+    # _sanitize writes a fixed interval of the parabolic set as a pair and
+    # a Component as its repr fields
+    report = {"parabolic_set": dec.parabolic_set, "components": dec.components}
     return report, {}, []
 
 
@@ -568,20 +557,9 @@ def _cmd_staircase(spec: ExperimentSpec, cfg: ToleranceConfig):
     tree = build_staircase(int(spec.params["depth"]),
                            Fraction(spec.params["M"]))
     rep = staircase_report(tree, int(spec.params["n"]))
-    report = {
-        "n": rep.n,
-        "piece_count": rep.piece_count,
-        "var_lower_bound": rep.var_lower_bound,  # exact rational string
-        "sup_deriv_dist": rep.sup_deriv_dist,
-        "sup_bound": rep.sup_bound,
-        "var_deriv": rep.var_deriv,
-        "var_bound": rep.var_bound,
-        "M_prime": rep.M_prime,
-        "holds": rep.holds,
-    }
     violations = [] if rep.holds else [{"check": "staircase_bounds",
                                         "detail": "see report"}]
-    return report, {}, violations
+    return rep, {}, violations
 
 
 def _cmd_bvdemo(spec: ExperimentSpec, cfg: ToleranceConfig):

@@ -436,22 +436,13 @@ def _step_eval(xs: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _piece_preimages(p: QuarticPiece, targets) -> List[float]:
-    """phi^-1(t) inside the piece for each target t, by 80 bisection steps.
+    """phi^-1(t) inside the piece for each target t, by bisection.
 
     The constants are rounded to floats once: ``p.value`` on a float does
     the same float operations, so the roots are the same bits."""
     a, b, k = float(p.a), float(p.b), float(p.k)
-    out = []
-    for t in targets:
-        lo_x, hi_x = a, b
-        for _ in range(80):
-            mid = 0.5 * (lo_x + hi_x)
-            if mid + k * (mid - a) ** 2 * (mid - b) ** 2 < t:
-                lo_x = mid
-            else:
-                hi_x = mid
-        out.append(0.5 * (lo_x + hi_x))
-    return out
+    return bisect_monotone(lambda m: m + k * (m - a) ** 2 * (m - b) ** 2,
+                           targets, a, b).tolist()
 
 
 def bv_group_demo(tree: CantorTree, n: int) -> BvDemoReport:

@@ -7,6 +7,12 @@ the field derivative equals log Df in the new coordinate), classification of
 a commuting interval tuple into per-component cyclic/flowable pieces, and the
 glued deformation path from an action to the trivial one, with numeric
 certificates at every sampled parameter.
+
+Every box of words g_1^{k_1}...g_d^{k_d}, 0 <= k_i < n (the Herman and
+geometric-mean averages), and every power's log-derivative log Df^n (the
+variation bound, the finite-order orbit checks) walks through the one kernel
+diffeo._walk_words: depth first, k_1 outermost, n - 1 steps per row;
+circle orbits walk the lift.
 """
 
 from __future__ import annotations
@@ -37,7 +43,9 @@ from .diffeo import (
     metric,
     rotation_number,
     sampled_distance,
+    _jet_step,
     _table_inverse,
+    _walk_words,
 )
 from .szekeres import (
     FlowTime,
@@ -71,9 +79,6 @@ __all__ = [
     "normalize_finite_order",
     "finite_order_structure",
 ]
-
-
-_WORD_BUDGET = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -153,30 +158,6 @@ class ComponentwiseDiffeo(IntervalDiffeo):
 
 
 # ---------------------------------------------------------------------------
-# box enumeration helper
-
-
-def _box_reduce(gens, n, x, leaf):
-    """Depth-first walk of the box of words g_1^{k_1}...g_m^{k_m}, 0 <= k < n,
-    calling leaf(y, ld) with the word values and word log-derivatives at
-    x."""
-
-    def rec(i, y, ld):
-        if i == len(gens):
-            leaf(y, ld)
-            return
-        yy, ldd = y, ld
-        g = gens[i]
-        for k in range(n):
-            rec(i + 1, yy, ldd)
-            if k < n - 1:
-                yy, ld_g = g.jet(yy)
-                ldd = ldd + ld_g
-
-    rec(0, x.copy(), np.zeros_like(x))
-
-
-# ---------------------------------------------------------------------------
 # Herman box averaging (circle)
 
 
@@ -200,8 +181,6 @@ def herman_average(t: ActionTuple, n: int,
         raise ValueError("herman_average applies to circle actions")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n**t.d > _WORD_BUDGET:
-        raise ValueError(f"word budget n^d <= {_WORD_BUDGET:.0e} exceeded")
 
     rhos = tuple(rotation_number(g, cfg).value for g in t.generators)
     if n == 1:
@@ -211,17 +190,12 @@ def herman_average(t: ActionTuple, n: int,
         x = np.linspace(0.0, 1.0, cfg.grid_N + 1)
         total = np.zeros_like(x)
         total_d = np.zeros_like(x)
-        count = 0
-
-        def leaf(y, ld):
-            nonlocal total, total_d, count
+        steps = [_jet_step(g) for g in t.generators]
+        for y, ld in _walk_words(steps, n, (x, np.zeros_like(x))):
             total += y
             total_d += np.exp(ld)
-            count += 1
-
-        _box_reduce(t.generators, n, x, leaf)
-        lift = total / count
-        logd = np.log(total_d / count)
+        lift = total / n**t.d
+        logd = np.log(total_d / n**t.d)
         phi = CircleGrid(GridFunction(lift - x), GridFunction(logd), cfg)
         conjs = tuple(_conjugate(phi, g) for g in t.generators)
 
@@ -261,7 +235,7 @@ class GeometricMeanReport:
     slacks: tuple            # bound + tol - var, all >= 0
 
 
-def geometric_mean_conjugacy(t: ActionTuple, extra_generator=None, n: int = 8,
+def geometric_mean_conjugacy(t: ActionTuple, n: int = 8,
                              cfg: ToleranceConfig = DEFAULT_CONFIG,
                              tol: float = 1e-6) -> GeometricMeanReport:
     """Conjugacy phi_n with D(phi_n) = normalized geometric mean of the word
@@ -270,30 +244,17 @@ def geometric_mean_conjugacy(t: ActionTuple, extra_generator=None, n: int = 8,
     if n < 1:
         raise ValueError("n must be >= 1")
     circle = t.kind == "circle"
-    gens = list(t.generators)
-    if extra_generator is not None:
-        if getattr(extra_generator, "kind", "interval") != t.kind:
-            raise ValueError("extra generator must match the tuple kind")
-        gens = [extra_generator] + gens
-    if n ** len(gens) > _WORD_BUDGET:
-        raise ValueError(f"word budget n^m <= {_WORD_BUDGET:.0e} exceeded")
-
+    steps = [_jet_step(g) for g in t.generators]
     x = np.linspace(0.0, 1.0, cfg.grid_N + 1)
 
     def mean_log_deriv(pts):
         total = np.zeros_like(pts)
-        count = 0
-
-        def leaf(y, ld):
-            nonlocal total, count
+        for _, ld in _walk_words(steps, n, (pts, np.zeros_like(pts))):
             total += ld
-            count += 1
-
-        _box_reduce(gens, n, pts, leaf)
         if not np.all(np.isfinite(total)):
             raise OverflowError("word derivative accumulation left the "
                                 "representable range")
-        return total / count
+        return total / n**t.d
 
     psi = mean_log_deriv(x)
     phi = _from_log_deriv(psi, t.kind, cfg)
@@ -303,20 +264,14 @@ def geometric_mean_conjugacy(t: ActionTuple, extra_generator=None, n: int = 8,
     # log D(phi f phi^-1) at phi(x) is u(x) = Psi(f x) + log Df(x) - Psi(x)
     # with Psi the exact box mean (no interpolation error enters the check)
     vars_c, bounds, slacks = [], [], []
-    for g in t.generators:
-        fx, ld = g.jet(x)
-        y = np.mod(fx, 1.0) if circle else fx
-        u = mean_log_deriv(y) + ld - psi
-        var_u = variation(u, periodic=circle)
-        # log Df^n(x), its first step being the jet just taken
-        acc = ld
-        for _ in range(n - 1):
-            y, ld = g.jet(y)
-            acc = acc + ld
-            if circle:
-                y = np.mod(y, 1.0)
-        bound = variation(acc, periodic=circle)
-        bound /= n
+    for step in steps:
+        # the orbit f^k(x), k = 0..n, with log Df^k(x): the conjugate is
+        # read at k = 1 and the bound from log Df^n
+        orbit = _walk_words([step], n + 1, (x, np.zeros_like(x)))
+        for k, (y, acc) in enumerate(orbit):
+            if k == 1:
+                var_u = variation(mean_log_deriv(y) + acc - psi, periodic=circle)
+        bound = variation(acc, periodic=circle) / n
         slack = bound + tol - var_u
         if slack < 0:
             raise RuntimeError(
@@ -805,8 +760,7 @@ class DeformationPath:
 
     def __init__(self, source: ActionTuple, r: str = "1+ac",
                  cfg: ToleranceConfig = DEFAULT_CONFIG,
-                 eps_crash: float = 1e-6, max_components: int = 16,
-                 cyclic_n_cap: int = 32):
+                 max_components: int = 16, cyclic_n_cap: int = 32):
         if r not in ("1+ac", "2"):
             raise ValueError("r must be '1+ac' or '2'")
         self.source = source
@@ -1009,19 +963,13 @@ def normalize_finite_order(g: CircleDiffeo, n: int, psi=None,
     if psi is None:
         psi = identity()
 
-    # preconditions
-    orbit_err = 0.0
-    y = 0.0
-    for k in range(1, n + 1):
-        y = float(g.value(y))
-        orbit_err = max(orbit_err, abs(y - k / n))
+    # preconditions, on the orbit g^k(0), k = 0..n, with log Dg^k(0)
+    zero = np.array(0.0)
+    orbit = list(_walk_words([_jet_step(g)], n + 1, (zero, zero)))
+    orbit_err = max(abs(float(y) - k / n) for k, (y, _) in enumerate(orbit))
     if orbit_err > boundary_tol:
         raise ValueError(f"orbit of 0 is not {{k/n}} (error {orbit_err:.3e})")
-    ld_gn = 0.0
-    y = 0.0
-    for _ in range(n):
-        ld_gn += float(g.log_deriv(y))
-        y = float(g.value(y)) % 1.0
+    ld_gn = float(orbit[n][1])
     if abs(ld_gn) > boundary_tol:
         raise ValueError(f"g^n is not parabolic at 0 (log Dg^n(0) = {ld_gn:.3e})")
     if abs(float(psi.log_deriv(np.array(0.0)))) > boundary_tol:
@@ -1051,19 +999,13 @@ def normalize_finite_order(g: CircleDiffeo, n: int, psi=None,
     phi = CircleGrid(GridFunction(disp), GridFunction(lds), cfg)
 
     # junction gluing: one-sided log-derivative gaps at the cell boundaries
-    mism = []
-    for kk in range(1, n):
-        left = float(psi.log_deriv(np.array(1.0)))
-        yy = 1.0 / n
-        for _ in range(kk - 1):
-            left += float(g.log_deriv(yy % 1.0))
-            yy = float(g.value(yy))
-        right = float(psi.log_deriv(np.array(0.0)))
-        yy = 0.0
-        for _ in range(kk):
-            right += float(g.log_deriv(yy % 1.0))
-            yy = float(g.value(yy))
-        mism.append(abs(left - right))
+    # k/n, k = 1..n-1: log Dpsi(1) + log Dg^{k-1}(1/n) from the left against
+    # log Dpsi(0) + log Dg^k(0) from the right
+    psi0 = float(psi.log_deriv(np.array(0.0)))
+    psi1 = float(psi.log_deriv(np.array(1.0)))
+    inner = _walk_words([_jet_step(g)], n - 1, (np.array(1.0 / n), zero))
+    mism = [abs((psi1 + float(ld_l)) - (psi0 + float(ld_r)))
+            for (_, ld_l), (_, ld_r) in zip(inner, orbit[1:n])]
 
     # phi^-1 g phi = R_{1/n} away from the last cell, checked without
     # inverting: g(phi(x)) = phi(x + 1/n) on [0, (n-1)/n]

@@ -344,6 +344,10 @@ class InverseMap(Diffeo):
 
     lift = value  # wrapped by perfbench/tracing.py as CircleInverse.lift
 
+    def inverse_value(self, y):
+        # (f^-1)^-1 = f: evaluate f itself rather than bisect on f^-1
+        return self.f.value(y)
+
     def log_deriv(self, x):
         return self.jet(x)[1]
 
@@ -652,6 +656,49 @@ def iterate(f, n: int):
     if n == 1:
         return f
     return Composition([f] * n)
+
+
+# ---------------------------------------------------------------------------
+# word walks
+
+
+_WORD_BUDGET = 10**6
+
+
+def _jet_step(g):
+    """The step rule w -> g w on the usual word state (w(x), log Dw(x))."""
+
+    def step(state):
+        y, ld = state
+        gy, ld_g = g.jet(y)
+        return gy, ld + ld_g
+
+    return step
+
+
+def _walk_words(steps, n, state):
+    """The states of the n^d words g_1^{k_1}...g_d^{k_d}, 0 <= k_i < n, one
+    per word, walked from the state of the empty word; steps[i] takes the
+    state of a word w to that of g_i w.
+
+    The walk is depth first with k_1 outermost, so each row (k_i running
+    over 0..n-1, the exponents before it fixed) takes n - 1 steps of g_i,
+    and a walk of one generator yields the orbit w = g^k, k = 0..n-1.
+    Circle orbits walk the lift.  The budget n^d <= 1e6 is checked here,
+    before the first step."""
+    if n ** len(steps) > _WORD_BUDGET:
+        raise ValueError(f"word budget n^d <= {_WORD_BUDGET:.0e} exceeded")
+
+    def rec(i, s):
+        if i == len(steps):
+            yield s
+            return
+        for k in range(n):
+            yield from rec(i + 1, s)
+            if k < n - 1:
+                s = steps[i](s)
+
+    return rec(0, state)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ the infimum of the sequence).  The Mather invariant of a fixed-point-free
 interval map compares the flows generated at the two ends; it is trivial
 exactly when the map embeds in a C^1 flow of the closed interval.  The drift
 of the affine-derivative cocycle c(f) = D^2f/Df in L^1 recovers V_inf.
+
+The orbits that accumulate log Df^n (V_inf, the Mather sweep, the drift) and
+the cocycle box average psi_n walk through the one kernel
+diffeo._walk_words: depth first, k_1 outermost, n - 1 steps per row,
+one word's state at a time; circle orbits walk the lift.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from .diffeo import (
     ActionTuple,
     CircleGrid,
     IntervalDiffeo,
+    _jet_step,
+    _walk_words,
     fixed_point_analysis,
     iterate,
 )
@@ -79,14 +86,9 @@ def asymptotic_variation(f, schedule=DEFAULT_SCHEDULE,
                 raise OverflowError(f"derivative accumulation blew up at n={n}")
             pairs.append((n, variation(ld) / n))
     else:
-        acc = np.zeros_like(pts)
-        y = pts.copy()
         want = set(schedule)
-        for step in range(1, n_max + 1):
-            y, ld = f.jet(y)
-            acc = acc + ld
-            if circle:
-                y = np.mod(y, 1.0)
+        orbit = _walk_words([_jet_step(f)], n_max + 1, (pts, np.zeros_like(pts)))
+        for step, (_, acc) in enumerate(orbit):
             if not np.all(np.isfinite(acc)):
                 raise OverflowError(f"derivative accumulation blew up at n={step}")
             if step in want:
@@ -158,12 +160,8 @@ def mather_invariant(f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
     x0 = float(iterate(f, -n).value(half))
     fx0 = float(f.value(np.array(x0)))
     ps = np.linspace(fx0, x0, samples + 1)
-    acc = np.zeros_like(ps)
-    y = ps.copy()
-    for _ in range(k):
-        y, ld = f.jet(y)
-        acc = acc + ld
-    q = y  # = f^k(p), deep near 0
+    for q, acc in _walk_words([_jet_step(f)], k + 1, (ps, np.zeros_like(ps))):
+        pass  # the last word: q = f^k(p), deep near 0, and log Df^k(p)
     V = np.log(-X.X(ps)) + acc - np.log(-Xg.X(1.0 - q))
     var_logDM = variation(V)
 
@@ -240,9 +238,6 @@ def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
     of GridFunction (one per generator); extension to words always uses the
     cocycle relation c(f g) = c(g) + U(g) c(f)."""
     gens = t.generators
-    d = len(gens)
-    if n**d > 10**6:
-        raise ValueError("box budget n^d <= 1e6 exceeded")
     N = min(cfg.grid_N, 2048)
     bps = {0.0, 1.0}
     for g in gens:
@@ -255,24 +250,22 @@ def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
             return cocycle[i](y)
         return gens[i].affine_deriv(y)
 
-    # enumerate the box incrementally: state = (word value, word log-deriv,
-    # word cocycle), all sampled at x
-    words = [(x.copy(), np.zeros_like(x), np.zeros_like(x))]
-    for i in range(d):
-        new_words = []
-        for (y, ld, c) in words:
-            yy, ldd, cc = y, ld, c
-            for k in range(n):
-                new_words.append((yy, ldd, cc))
-                if k == n - 1:
-                    break
-                # left-multiply by f_i: c(f_i w) = c(w) + (c(f_i) o w) Dw
-                cc = cc + gen_c(i, yy) * np.exp(ldd)
-                yy, ld_i = gens[i].jet(yy)
-                ldd = ldd + ld_i
-        words = new_words
+    def cocycle_step(i):
+        # left-multiply by f_i: c(f_i w) = c(w) + (c(f_i) o w) Dw, on the
+        # word state (value, log-derivative, cocycle), all sampled at x
+        def step(state):
+            y, ld, c = state
+            c = c + gen_c(i, y) * np.exp(ld)
+            y, ld_i = gens[i].jet(y)
+            return y, ld + ld_i, c
+        return step
 
-    psi = np.mean([c for (_, _, c) in words], axis=0)
+    zero = np.zeros_like(x)
+    psi = np.zeros_like(x)
+    steps = [cocycle_step(i) for i in range(len(gens))]
+    for _, _, c in _walk_words(steps, n, (x, zero, zero)):
+        psi += c
+    psi /= n**len(gens)
 
     f = gens[f_index]
     cf = gen_c(f_index, x)
@@ -290,15 +283,6 @@ def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
     # node values alone, immune to the 2^m spike at repelling ends that no
     # fixed grid can resolve in x.  A cocycle override has no antiderivative,
     # so it falls back to direct quadrature.
-    y = x.copy()
-    ld = np.zeros_like(x)
-    c = np.zeros_like(x)
-
-    def _a_norm():
-        if cocycle is None:
-            return variation(ld)
-        return _l1_norm(c, x)
-
     # a_m/m converges to the drift from above (subadditivity); the orbit is
     # a single vectorized iteration, so burn in well past the box size and
     # refine with the last doubling increment.
@@ -310,14 +294,12 @@ def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
     while m <= m_max:
         marks.append(m)
         m *= 2
-    a = {}
-    for k in range(marks[-1]):
-        if cocycle is not None:
-            c = c + gen_c(f_index, y) * np.exp(ld)
-        y, ld_f = f.jet(y)
-        ld = ld + ld_f
-        if k + 1 in marks:
-            a[k + 1] = _a_norm()
+    if cocycle is None:
+        orbit = _walk_words([_jet_step(f)], marks[-1] + 1, (x, zero))
+        a = {m: variation(ld) for m, (_, ld) in enumerate(orbit) if m in marks}
+    else:
+        orbit = _walk_words([steps[f_index]], marks[-1] + 1, (x, zero, zero))
+        a = {m: _l1_norm(c, x) for m, (_, _, c) in enumerate(orbit) if m in marks}
     drift = a[n] / n
     drift_refined = (a[marks[-1]] - a[marks[-2]]) / (marks[-1] - marks[-2]) \
         if len(marks) > 1 else drift

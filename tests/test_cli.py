@@ -207,3 +207,15 @@ class TestMain:
     def test_violation_exit_code(self, capsys):
         rc = main(["flow", "--tol", "1e-18"])
         assert rc == 2
+
+    def test_classify_fixed_interval(self, tmp_path, capsys):
+        # the identity fixes all of [0, 1]: a fixed interval, no components
+        spec_path = tmp_path / "run.json"
+        spec_path.write_text(json.dumps(
+            {"cmd": "classify",
+             "params": {"action": {"generators": [{"kind": "identity"}]}}}))
+        rc = main(["classify", "--spec", str(spec_path)])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["parabolic_set"] == [[0.0, 1.0]]
+        assert report["components"] == []

@@ -35,7 +35,14 @@ from difflab import (
     rotation_number,
 )
 from difflab.deform import ComponentwiseDiffeo, _SmoothConjugacy
-from difflab.diffeo import ChartMap, Diffeo, _grid_backed, _lift_step
+from difflab.diffeo import (
+    ChartMap,
+    Diffeo,
+    _grid_backed,
+    _jet_step,
+    _lift_step,
+    _walk_words,
+)
 from difflab.szekeres import szekeres_field
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -374,6 +381,17 @@ class TestInverses:
         finv.value(x)
         assert calls.count(1) == 1
 
+    def test_double_inverse_is_exact(self):
+        # (f^-1)^-1 evaluates f itself, not a bisection through a bisection
+        # (10.8 s for these 101 points when each level bisected)
+        f = compose(Rotation(0.1), conjugated_rotation(0.0).maps[0])
+        x = np.linspace(-1.5, 1.5, 101)
+        finv = InverseMap(f)
+        assert np.array_equal(InverseMap(finv).value(x), f.value(x))
+        assert np.array_equal(InverseMap(InverseMap(finv)).value(x), finv.value(x))
+        assert np.array_equal(InverseMap(InverseMap(InverseMap(finv))).value(x),
+                              f.value(x))
+
     @pytest.mark.parametrize("target", [0.5, 0.25])
     def test_exact_root_stays_put(self, target):
         y = bisect_monotone(lambda v: v, np.array([target]), 0.0, 1.0)
@@ -532,3 +550,61 @@ def test_grid_backed_walk():
     # the fixed-point threshold: 1e-4 for grid tables, 1e-8 otherwise
     for name, (f, expected) in _grid_backed_cases().items():
         assert _grid_backed(f) is expected, name
+
+
+# ---------------------------------------------------------------------------
+# word walks
+
+
+def _listed_words(gens, n, x):
+    """The box of words listed generator by generator, each word extended
+    by n - 1 jets of the next generator: the enumeration the walk
+    replaced."""
+    words = [(x, np.zeros_like(x))]
+    for g in gens:
+        extended = []
+        for y, ld in words:
+            for k in range(n):
+                extended.append((y, ld))
+                if k < n - 1:
+                    y, ld_g = g.jet(y)
+                    ld = ld + ld_g
+        words = extended
+    return words
+
+
+_WALK_GENS = (
+    BumpPerturbation(Moebius(2.0), [Bump(0.4, 0.2, 0.1)]),
+    Moebius(0.6),
+    GridLogDeriv(GridFunction(0.3 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 65)))),
+)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_walk_matches_listed_words(d):
+    # the maps do not commute, so the bits also pin the enumeration order
+    x = np.linspace(0.0, 1.0, 33)
+    gens = _WALK_GENS[:d]
+    walked = list(_walk_words([_jet_step(g) for g in gens], 4, (x, np.zeros_like(x))))
+    listed = _listed_words(gens, 4, x)
+    assert len(walked) == len(listed) == 4 ** d
+    for (y, ld), (y_ref, ld_ref) in zip(walked, listed):
+        assert np.array_equal(y, y_ref) and np.array_equal(ld, ld_ref)
+
+
+def test_walk_takes_n_minus_one_jets_per_row(leaf_counter):
+    gens = [leaf_counter(g) for g in _WALK_GENS]
+    x = np.linspace(0.0, 1.0, 9)
+    for _ in _walk_words([_jet_step(g) for g in gens], 5, (x, np.zeros_like(x))):
+        pass
+    # generator i walks n^i rows of n - 1 steps
+    assert [g.calls for g in gens] == [4, 5 * 4, 25 * 4]
+
+
+def test_walk_checks_the_budget_before_any_step():
+    def step(state):
+        raise AssertionError("stepped")
+
+    with pytest.raises(ValueError, match="word budget"):
+        _walk_words([step, step], 1001, None)
+    assert len(list(_walk_words([step, step], 1, None))) == 1

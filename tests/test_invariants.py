@@ -2,6 +2,7 @@
 circle-map obstruction to embedding in a flow, and cocycle drift."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,12 @@ from difflab import (
     BumpPerturbation,
     FlowTime,
     Moebius,
+    Rotation,
     asymptotic_variation,
     coboundary_drift,
+    example_two_component_action,
+    geometric_mean_conjugacy,
+    herman_average,
     identity,
     mather_inequality_check,
     mather_invariant,
@@ -141,6 +146,24 @@ class TestCoboundaryDrift:
         assert f.calls == 3 + 2 + 8
 
     def test_box_budget_guard(self):
+        # one budget check, in the word walk, serves every box average
         t = ActionTuple(generators=(Moebius(2.0), Moebius(3.0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="word budget"):
             coboundary_drift(t, n=1001)
+        with pytest.raises(ValueError, match="word budget"):
+            geometric_mean_conjugacy(t, n=1001)
+        circle = ActionTuple(generators=(Rotation(0.1), Rotation(0.2)))
+        with pytest.raises(ValueError, match="word budget"):
+            herman_average(circle, 1001)
+
+    def test_box_is_streamed(self):
+        # the box average keeps one word per level alive, not all n^d
+        # (value, log-derivative, cocycle) triples: 64.5 MB when the 1024
+        # words of this box were listed first
+        tracemalloc.start()
+        try:
+            coboundary_drift(example_two_component_action(), n=32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
