@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .diffeo import bisect_monotone
 from .gridfn import variation
@@ -869,13 +868,11 @@ def sergeraert_check(k: int) -> SergeraertReport:
     scan = np.linspace(0.5 + 1e-9, 1.0 - 1e-9, 20001)
     d2 = _delta_d2(scan)
     sign = np.sign(d2)
-    roots = [0.5, 1.0]
-    for i in np.nonzero(np.diff(sign) != 0)[0]:
-        if d2[i] != 0.0 and d2[i + 1] != 0.0:
-            roots.append(float(brentq(
-                lambda x: float(_delta_d2(np.array([x]))[0]),
-                scan[i], scan[i + 1])))
-    roots = sorted(roots)
+    cells = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    s = sign[cells + 1]  # each bracket an increasing crossing of s D^2 delta
+    roots = bisect_monotone(lambda x: s * _delta_d2(x), np.zeros(cells.size),
+                            scan[cells], scan[cells + 1])
+    roots = sorted([0.5, 1.0] + roots.tolist())
     var_integral = 0.0
     for a, b in zip(roots[:-1], roots[1:]):
         xs = np.linspace(a, b, 4097)

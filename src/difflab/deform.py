@@ -182,7 +182,6 @@ def herman_average(t: ActionTuple, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    rhos = tuple(rotation_number(g, cfg).value for g in t.generators)
     if n == 1:
         phi = Rotation(0.0)
         conjs = t.generators
@@ -199,6 +198,7 @@ def herman_average(t: ActionTuple, n: int,
         phi = CircleGrid(GridFunction(lift - x), GridFunction(logd), cfg)
         conjs = tuple(_conjugate(phi, g) for g in t.generators)
 
+    rhos = tuple(rotation_number(g, cfg).value for g in t.generators)
     probes = np.linspace(0.0, 1.0, 1025)
     dists = []
     for g, rho in zip(conjs, rhos):
@@ -399,12 +399,6 @@ class PushforwardField(VectorField1D):
     def edge_rates(self):
         return self.base.edge_rates()
 
-    def tau(self, y):
-        return self.base.tau(self.phinv.value(np.asarray(y, dtype=float)))
-
-    def tau_inv(self, s):
-        return self.phi.value(self.base.tau_inv(s))
-
     def flow(self, y, t):
         # the same path as flow_log_deriv, so their flows agree bit for bit
         u = self.phinv.value(np.asarray(y, dtype=float))
@@ -485,6 +479,8 @@ class RegularizedFlow:
     extra_checks: dict | None
 
 
+# Simpson intervals in s of the averaging integral
+_S_STEPS = 64
 # Simpson nodes per batched flow evaluation.  The batch's temporaries set the
 # peak memory of regularize_flow: at grid_N = 4096 on a bumped Moebius map,
 # 8 nodes peaked at 90 MB, 16 at 93 MB and all 64 at 125 MB
@@ -509,8 +505,7 @@ def _mean_log_deriv(X: VectorField1D, xg: np.ndarray, s_steps: int) -> np.ndarra
 
 
 def regularize_flow(X, extra=None, r: str = "1+ac",
-                    cfg: ToleranceConfig = DEFAULT_CONFIG,
-                    s_steps: int = 64) -> RegularizedFlow:
+                    cfg: ToleranceConfig = DEFAULT_CONFIG) -> RegularizedFlow:
     """Straighten a contraction flow by the averaging conjugacy
 
         log D(phi)(x) = int_0^1 log Df^s(x) ds - c,   phi(0) = 0,
@@ -518,20 +513,18 @@ def regularize_flow(X, extra=None, r: str = "1+ac",
     after which the field derivative equals log Df o phi^-1 and
     var(DX~) = var(log Df).
 
-    The s-integral is composite Simpson on s_steps intervals, evaluated a
+    The s-integral is composite Simpson on _S_STEPS intervals, evaluated a
     chunk of _S_CHUNK nodes at a time: one ``flow_log_deriv`` call per
     chunk takes every grid point's orbit once into the field's reference
     interval and once out, for all the chunk's times together."""
     if r not in ("1+ac", "2"):
         raise ValueError("r must be '1+ac' or '2'")
-    if s_steps < 64:
-        raise ValueError("need at least 64 flow evaluations in s")
     if isinstance(X, Diffeo):
         X = szekeres_field(X, cfg)
     f1 = FlowTime(X, 1.0)
 
     xg = np.linspace(0.0, 1.0, cfg.grid_N + 1)
-    acc = _mean_log_deriv(X, xg, s_steps)
+    acc = _mean_log_deriv(X, xg, _S_STEPS)
     # endpoints: log Df^s(p) = s * log Df(p) at a fixed endpoint, so the
     # s-average is half the edge rate; fill any remaining non-finite nodes
     # (flow evaluation degenerates at the very ends) by interpolation
@@ -596,13 +589,7 @@ def log_linear_deform(g, t: float, cfg: ToleranceConfig = DEFAULT_CONFIG):
     by 1/q is preserved along the whole path."""
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    if t == 0.0:
-        return g
-    if t == 1.0:
-        return _id_like(g.kind)
-    x = np.linspace(0.0, 1.0, cfg.grid_N + 1)
-    ld = (1.0 - t) * np.asarray(g.log_deriv(x), dtype=float)
-    return _from_log_deriv(ld, g.kind, cfg)
+    return _scaled_conjugacy(g, 1.0 - t, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -713,14 +700,9 @@ def classify_action(t: ActionTuple, cfg: ToleranceConfig = DEFAULT_CONFIG,
             fracs.append(frac)
 
         if all(v == "rational" for v in verdicts):
-            nonzero = [f for f in fracs if f != 0]
-            L = 1
-            for f in nonzero:
-                L = L * f.denominator // math.gcd(L, f.denominator)
+            L = math.lcm(*(f.denominator for f in fracs))
             ints = [int(f * L) for f in fracs]
-            g0 = 0
-            for k in ints:
-                g0 = math.gcd(g0, abs(k))
+            g0 = math.gcd(*ints)
             beta = Fraction(g0, L)
             exps = tuple(k // g0 for k in ints)
             gen = None
@@ -749,6 +731,13 @@ def classify_action(t: ActionTuple, cfg: ToleranceConfig = DEFAULT_CONFIG,
 # the glued deformation path
 
 
+# at r = "2", the most components deformed; the ones of smallest d*_2 beyond
+# it are crashed to the identity
+_MAX_COMPONENTS = 16
+# the largest box size n tried for a cyclic component's geometric mean
+_CYCLIC_N_CAP = 32
+
+
 class DeformationPath:
     """t in [0,1] -> ActionTuple, from the source action to the trivial one.
 
@@ -759,8 +748,7 @@ class DeformationPath:
     """
 
     def __init__(self, source: ActionTuple, r: str = "1+ac",
-                 cfg: ToleranceConfig = DEFAULT_CONFIG,
-                 max_components: int = 16, cyclic_n_cap: int = 32):
+                 cfg: ToleranceConfig = DEFAULT_CONFIG):
         if r not in ("1+ac", "2"):
             raise ValueError("r must be '1+ac' or '2'")
         self.source = source
@@ -772,14 +760,14 @@ class DeformationPath:
 
         active = [c for c in self.decomp.components if c.tag != "trivial"]
         self.crashed = ()
-        if r == "2" and len(active) > max_components:
+        if r == "2" and len(active) > _MAX_COMPONENTS:
             sized = sorted(
                 active,
                 key=lambda c: metric(
                     ComponentwiseDiffeo([c.interval], [c.charts[0]]),
                     identity(), "2", starred=True, cfg=cfg),
             )
-            self.crashed = tuple(sized[: len(active) - max_components])
+            self.crashed = tuple(sized[: len(active) - _MAX_COMPONENTS])
             active = [c for c in active if c not in self.crashed]
         self.plans = []
         for c in active:
@@ -792,7 +780,7 @@ class DeformationPath:
                 target = 2.0 * max(vinf.limit, 1e-12)
                 chosen = None
                 nn = 2
-                while nn <= cyclic_n_cap:
+                while nn <= _CYCLIC_N_CAP:
                     gm = geometric_mean_conjugacy(ActionTuple((h,)), n=nn, cfg=cfg)
                     if gm.vars_conjugate[0] <= target:
                         chosen = gm

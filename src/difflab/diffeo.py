@@ -104,21 +104,25 @@ def _table_inverse(y, xs, ys, fn, dfn):
     return x
 
 
-def _refined_max(fn, xs, vals, rounds: int = 2, fan: int = 33):
+# rounds of refinement around the argmax in _refined_max, and probes per round
+_REFINE_ROUNDS = 2
+_REFINE_FAN = 33
+
+
+def _refined_max(fn, xs, vals):
     """Sup of |fn| starting from grid samples `vals` at `xs`, with local
     refinement around the discrete argmax (grid values assumed = fn(xs))."""
     best = float(np.max(np.abs(vals)))
     i = int(np.argmax(np.abs(vals)))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, len(xs) - 1)]
-    for _ in range(rounds):
-        probe = np.linspace(lo, hi, fan)
+    for _ in range(_REFINE_ROUNDS):
+        probe = np.linspace(lo, hi, _REFINE_FAN)
         pv = np.abs(fn(probe))
         j = int(np.argmax(pv))
         best = max(best, float(pv[j]))
-        lo2 = probe[max(j - 1, 0)]
-        hi2 = probe[min(j + 1, fan - 1)]
-        lo, hi = lo2, hi2
+        lo = probe[max(j - 1, 0)]
+        hi = probe[min(j + 1, _REFINE_FAN - 1)]
     return best
 
 
@@ -250,23 +254,6 @@ def _is_identity(f) -> bool:
     return isinstance(f, Moebius) and f.a == 1.0
 
 
-def _inverse_pair(a, b) -> bool:
-    """Adjacent factors that cancel exactly (so conjugacy chains like
-    phi f phi^-1 phi g phi^-1 collapse symbolically, keeping commutator
-    residuals at the level of the inner maps)."""
-    if isinstance(a, InverseMap) and a.f is b:
-        return True
-    if isinstance(b, InverseMap) and b.f is a:
-        return True
-    if isinstance(a, Moebius) and isinstance(b, Moebius) and a.a * b.a == 1.0:
-        return True
-    ka = getattr(a, "_flow_key", None)
-    kb = getattr(b, "_flow_key", None)
-    if ka is not None and kb is not None and ka[0] == kb[0] and ka[1] == -kb[1]:
-        return True
-    return False
-
-
 class Composition(Diffeo):
     """Composition(maps) represents maps[0] o maps[1] o ... (outer first),
     all of one kind."""
@@ -283,9 +270,12 @@ class Composition(Diffeo):
                 flat.extend(m.maps)
             elif not _is_identity(m):
                 flat.append(m)
+        # adjacent factors that cancel exactly go, so conjugacy chains like
+        # phi f phi^-1 phi g phi^-1 collapse symbolically, keeping
+        # commutator residuals at the level of the inner maps
         stack = []
         for m in flat:
-            if stack and _inverse_pair(stack[-1], m):
+            if stack and _same_map(stack[-1].inverse_map(), m):
                 stack.pop()
             else:
                 stack.append(m)
@@ -1068,13 +1058,13 @@ def _classify(t: ActionTuple, p: float, thr: float, cfg: ToleranceConfig) -> Fix
 def fixed_point_analysis(t: ActionTuple, cfg: ToleranceConfig = DEFAULT_CONFIG) -> FixedPointReport:
     """Common fixed set of the tuple, classified by multipliers.
 
-    The hyperbolic/parabolic threshold on |log Df(p)| is 1e-8 for analytic
+    Each sign change of f_i - id on the grid brackets a root, and all of a
+    generator's brackets are solved together by ``bisect_monotone``.  The
+    hyperbolic/parabolic threshold on |log Df(p)| is 1e-8 for analytic
     representations and 1e-4 for grid-backed ones (the dichotomy is exact in
     exact arithmetic; numerics needs a policy)."""
     if t.kind != "interval":
         raise ValueError("fixed point analysis applies to interval actions")
-    from scipy.optimize import brentq
-
     grid_backed = any(map(_grid_backed, t.generators))
     thr = 1e-4 if grid_backed else 1e-8
     loc_tol = 1e-4 if grid_backed else 1e-10
@@ -1084,40 +1074,30 @@ def fixed_point_analysis(t: ActionTuple, cfg: ToleranceConfig = DEFAULT_CONFIG) 
     disps = [g.value(x) - x for g in t.generators]
     total = np.max(np.abs(np.array(disps)), axis=0)
 
-    # maximal runs of nodes where every generator is (numerically) identity
+    # maximal runs of nodes where every generator is (numerically) identity;
+    # a run of one node is an isolated common fixed point, not an interval
     flat = total < loc_tol
-    intervals = []
-    isolated_flat = []
-    i = 0
-    while i <= N:
-        if flat[i]:
-            j = i
-            while j + 1 <= N and flat[j + 1]:
-                j += 1
-            if j > i:
-                intervals.append((x[i], x[j]))
-            else:
-                # a single fixed node is an isolated common fixed point,
-                # not a fixed interval
-                isolated_flat.append(float(x[i]))
-            i = j + 1
-        else:
-            i += 1
+    edges = np.diff(np.concatenate([[0], flat.astype(int), [0]]))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    intervals = [(x[i], x[j]) for i, j in zip(starts, ends) if j > i]
+    candidates = {0.0, 1.0}
+    candidates.update(x[starts[starts == ends]].tolist())
 
     def in_flat(p):
         return any(a - 1e-12 <= p <= b + 1e-12 for a, b in intervals)
 
-    # isolated candidates: endpoints + bisected sign changes of each f_i - id
-    candidates = {0.0, 1.0}
-    candidates.update(isolated_flat)
-    for gi, disp in zip(t.generators, disps):
+    # isolated candidates: bisected sign changes of each f_i - id, each
+    # bracket made an increasing crossing by the sign at its right end, and
+    # the nodes where f_i - id touches 0 outside the flat runs
+    for g, disp in zip(t.generators, disps):
         sign = np.sign(disp)
-        for i in range(N):
-            if sign[i] * sign[i + 1] < 0:
-                fn = lambda p: float(gi.value(p) - p)
-                candidates.add(float(brentq(fn, x[i], x[i + 1], xtol=1e-14)))
-            elif sign[i] != 0 and sign[i + 1] == 0 and not flat[i + 1]:
-                candidates.add(float(x[i + 1]))
+        cells = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        s = sign[cells + 1]
+        roots = bisect_monotone(lambda p: s * (g.value(p) - p), np.zeros(cells.size),
+                                x[cells], x[cells + 1])
+        touch = np.flatnonzero((sign[:-1] != 0) & (sign[1:] == 0) & ~flat[1:]) + 1
+        candidates.update(roots.tolist())
+        candidates.update(x[touch].tolist())
 
     points = []
     for p in sorted(candidates):

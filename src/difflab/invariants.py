@@ -42,6 +42,8 @@ __all__ = [
 
 
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+# sweep cells of the fundamental interval in mather_invariant
+_MATHER_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ def _check_no_interior_fixed_point(f: IntervalDiffeo):
 
 
 def mather_invariant(f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
-                     m: int = 8, n: int = 8, samples: int = 1024) -> MatherInvariant:
+                     m: int = 8, n: int = 8) -> MatherInvariant:
     """The circle map M_f = T_{-m} o psi1^{-1} o f^{m+n} o psi0 o T_{-n}
     comparing the two end flows (anchors a = b = 1/2).
 
@@ -159,7 +161,7 @@ def mather_invariant(f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
     # sweep p over the fundamental interval [f(x0), x0], x0 = f^{-n}(1/2)
     x0 = float(iterate(f, -n).value(half))
     fx0 = float(f.value(np.array(x0)))
-    ps = np.linspace(fx0, x0, samples + 1)
+    ps = np.linspace(fx0, x0, _MATHER_SAMPLES + 1)
     for q, acc in _walk_words([_jet_step(f)], k + 1, (ps, np.zeros_like(ps))):
         pass  # the last word: q = f^k(p), deep near 0, and log Df^k(p)
     V = np.log(-X.X(ps)) + acc - np.log(-Xg.X(1.0 - q))

@@ -59,6 +59,8 @@ class TransportBudgetExceeded(RuntimeError):
 
 
 _TINY = 1e-15
+# nodes of the series table on the reference fundamental interval
+_REF_NODES = 4097
 # within this distance of an end, log Df^t is read off the endpoint rate
 _EDGE_EPS = 1e-13
 
@@ -77,7 +79,7 @@ class VectorField1D:
     def DX(self, x):
         """Derivative of X; numeric fallback via central differences."""
         x = np.asarray(x, dtype=float)
-        h = 1e-6
+        h = 1e-5
         lo = np.clip(x - h, 0.0, 1.0)
         hi = np.clip(x + h, 0.0, 1.0)
         return (self.X(hi) - self.X(lo)) / (hi - lo)
@@ -105,16 +107,6 @@ class VectorField1D:
         y = self.flow(x, t)
         with np.errstate(divide="ignore", invalid="ignore"):
             return y, np.log(self.X(y) / self.X(x))
-
-
-def _tau_inv_by_bisection(field: VectorField1D, s):
-    """Invert the (decreasing) tau by bisection on [tiny, 1-tiny]."""
-    s = np.asarray(s, dtype=float)
-    lo = np.full(s.shape, _TINY)
-    hi = np.full(s.shape, 1.0 - _TINY)
-    # tau is decreasing in x; bisect on -tau which is increasing
-    y = bisect_monotone(lambda v: -field.tau(v), -s, lo, hi, iters=100)
-    return y
 
 
 class AnalyticField(VectorField1D):
@@ -169,7 +161,8 @@ class AnalyticField(VectorField1D):
         if self.family == "bridge":
             # tau = -ln(x/(1-x))/lam  =>  x = 1/(1 + exp(lam s))
             return 1.0 / (1.0 + np.exp(np.clip(self.lam * s, -700, 700)))
-        return _tau_inv_by_bisection(self, s)
+        # tau is decreasing: bisect on -tau over [tiny, 1 - tiny]
+        return bisect_monotone(lambda v: -self.tau(v), -s, _TINY, 1.0 - _TINY, iters=100)
 
     def flow(self, x, t):
         if self.family == "bridge":
@@ -221,7 +214,7 @@ class SzekeresField(VectorField1D):
     """
 
     def __init__(self, f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
-                 anchor: float | None = None, ref_nodes: int = 4097):
+                 anchor: float | None = None):
         xs = np.linspace(0.0, 1.0, 513)[1:-1]
         fx = f.value(xs)
         if not np.all(fx < xs):
@@ -292,7 +285,7 @@ class SzekeresField(VectorField1D):
             anchor = 0.5
         self.anchor = float(anchor)
         fa = float(f.value(np.array(self.anchor)))
-        ref_x = np.linspace(fa, self.anchor, ref_nodes)
+        ref_x = np.linspace(fa, self.anchor, _REF_NODES)
         self._ref_x = ref_x
         # the reference interval sits at the anchor, where the majorant is
         # far smaller than at 1 - 1/N; certify it separately so a slow tail
@@ -439,13 +432,6 @@ class SzekeresField(VectorField1D):
         r = s - j * self._period
         return j, np.interp(r, self._ref_tau[::-1], self._ref_x[::-1])
 
-    def DX(self, x):
-        x = np.asarray(x, dtype=float)
-        h = 1e-5
-        lo = np.clip(x - h, 0.0, 1.0)
-        hi = np.clip(x + h, 0.0, 1.0)
-        return (self.X(hi) - self.X(lo)) / (hi - lo)
-
     def edge_rates(self):
         # the flow's log-multipliers at the ends equal those of f; probe a
         # hair inside so charts that share an endpoint with a neighbor are
@@ -560,18 +546,11 @@ class FlowTime(IntervalDiffeo):
         x = self._check_domain(x)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        out = np.zeros_like(x)
         eps = 1e-9
-        interior = (x > eps) & (x < 1.0 - eps)
-        if np.any(interior):
-            xi = x[interior]
-            yi = self.field.flow(xi, self.t) if self.t != 0.0 else xi
-            out[interior] = (self.field.DX(yi) - self.field.DX(xi)) / self.field.X(xi)
-        if np.any(~interior):
-            # one-sided limit via a nearby interior probe
-            xe = np.clip(x[~interior], 2 * eps, 1.0 - 2 * eps)
-            ye = self.field.flow(xe, self.t) if self.t != 0.0 else xe
-            out[~interior] = (self.field.DX(ye) - self.field.DX(xe)) / self.field.X(xe)
+        # at the ends, the one-sided limit via a nearby interior probe
+        x = np.where((x > eps) & (x < 1.0 - eps), x, np.clip(x, 2 * eps, 1.0 - 2 * eps))
+        y = self.field.flow(x, self.t) if self.t != 0.0 else x
+        out = (self.field.DX(y) - self.field.DX(x)) / self.field.X(x)
         return out[0] if scalar else out
 
     def inverse_map(self):
@@ -580,13 +559,8 @@ class FlowTime(IntervalDiffeo):
     def _iterate_fast(self, n: int):
         return FlowTime(self.field, self.t * n)
 
-    @property
-    def _flow_key(self):
-        return (id(self.field), self.t)
-
     def _compose_fast(self, other):
-        key = getattr(other, "_flow_key", None)
-        if key is not None and key[0] == id(self.field):
+        if isinstance(other, FlowTime) and other.field is self.field:
             return FlowTime(self.field, self.t + other.t)
         return None
 

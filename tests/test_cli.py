@@ -3,6 +3,8 @@ determinism, file emission, and exit codes."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -219,3 +221,17 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)["report"]
         assert report["parabolic_set"] == [[0.0, 1.0]]
         assert report["components"] == []
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported where a spline is built, never at import: a
+    # module-level scipy import more than doubles the start-up of every run
+    import difflab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(difflab.__file__)))
+    code = ("import sys, difflab, difflab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from difflab import (
     build_staircase,
@@ -16,9 +17,11 @@ from difflab import (
     staircase_phi,
     staircase_report,
 )
+from difflab import bisect_monotone, counterexamples
 from difflab.counterexamples import (
     ConstructionError,
     _audit_tree,
+    _delta_d2,
     _piece_preimages,
 )
 
@@ -165,6 +168,25 @@ class TestSergeraert:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             sergeraert_check(2)
+
+    def test_sign_change_roots_match_brentq(self, monkeypatch):
+        # brentq is the reference the bracketed bisection replaced; the
+        # root call is the one with target 0 (the orbit check inverts _phi_local)
+        calls = []
+
+        def recording(fn, target, lo, hi, iters=80):
+            y = bisect_monotone(fn, target, lo, hi, iters)
+            calls.append((np.asarray(target), lo, hi, y))
+            return y
+
+        monkeypatch.setattr(counterexamples, "bisect_monotone", recording)
+        sergeraert_check(3)
+        (lo, hi, roots), = [c[1:] for c in calls if not np.any(c[0])]
+        d2 = lambda x: float(_delta_d2(np.array([x]))[0])
+        # both crossing directions
+        assert {np.sign(d2(a)) for a in lo} == {-1.0, 1.0}
+        ref = [brentq(d2, a, b, xtol=1e-14) for a, b in zip(lo, hi)]
+        assert np.max(np.abs(roots - ref)) <= 1e-13
 
 
 class TestFloatKernels:

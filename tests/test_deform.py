@@ -33,8 +33,10 @@ from difflab import (
     moebius_field,
     normalize_finite_order,
     regularize_flow,
+    rotation_number,
     szekeres_field,
 )
+from difflab import deform
 from difflab.deform import _mean_log_deriv
 
 LN2 = math.log(2.0)
@@ -54,6 +56,19 @@ class TestHermanAverage:
         t = ActionTuple(generators=(Rotation(0.3),))
         rep = herman_average(t, 4)
         assert rep.rotation_distances[0] < 1e-12
+
+    def test_word_budget_is_checked_before_rotation_numbers(self, monkeypatch):
+        calls = []
+
+        def counting(g, cfg):
+            calls.append(g)
+            return rotation_number(g, cfg)
+
+        monkeypatch.setattr(deform, "rotation_number", counting)
+        g = conjugated_rotation(GOLDEN)
+        with pytest.raises(ValueError, match="word budget"):
+            herman_average(ActionTuple((g, g)), 1001)
+        assert calls == []
 
     def test_distance_decreases_with_depth(self):
         t = ActionTuple(generators=(conjugated_rotation(GOLDEN),))
@@ -160,6 +175,11 @@ class TestRegularizeFlow:
     def test_bad_regularity_selector(self):
         with pytest.raises(ValueError):
             regularize_flow(moebius_field(2.0), r="5")
+
+    def test_c2_bound(self):
+        # sup |D^2 X~| is bounded by d*_2 of the time-1 map (1.40 <= 2.0)
+        checks = regularize_flow(moebius_field(2.0), r="2").checks
+        assert 1.0 < checks["d2_norm"] <= checks["d2_bound"] == pytest.approx(2.0, rel=1e-3)
 
     def test_regularized_field_flow_log_deriv(self):
         # the chain rule through phi agrees with the field ratio

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from difflab import (
     ActionTuple,
     AnalyticField,
+    DEFAULT_CONFIG,
     Bump,
     BumpPerturbation,
     CircleGrid,
@@ -279,6 +281,52 @@ class TestFixedPointAnalysis:
         by_loc = {round(p.location): p for p in rep.points}
         assert by_loc[1].classification in ("parabolic", "2-parabolic")
         assert by_loc[0].classification == "hyperbolic"
+
+    def test_sign_change_roots_match_brentq(self):
+        # brentq is the reference the bracketed bisection replaced
+        g = BumpPerturbation(Moebius(1.0001), [Bump(0.3, 0.1, 0.05),
+                                               Bump(0.7, 0.1, -0.05)])
+        x = np.linspace(0.0, 1.0, DEFAULT_CONFIG.grid_N + 1)
+        sign = np.sign(g.value(x) - x)
+        cells = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        # one upward and one downward crossing
+        assert sorted(sign[cells + 1]) == [-1.0, 1.0]
+        ref = [brentq(lambda p: float(g.value(p) - p), x[i], x[i + 1], xtol=1e-14)
+               for i in cells]
+        locs = [p.location for p in fixed_point_analysis(ActionTuple((g,))).points]
+        assert locs[0] == 0.0 and locs[-1] == 1.0
+        assert np.max(np.abs(np.array(locs[1:-1]) - ref)) <= 1e-13
+
+    def test_exact_zero_at_a_node(self):
+        # f - id is exactly 0 at the node 1/2: found there, never bisected
+        f = ComponentwiseDiffeo([(0.0, 0.5), (0.5, 1.0)],
+                                [Moebius(2.0), Moebius(0.5)])
+        rep = fixed_point_analysis(ActionTuple((f,)))
+        assert [p.location for p in rep.points] == [0.0, 0.5, 1.0]
+        assert rep.components == ((0.0, 0.5), (0.5, 1.0))
+
+
+def _central_log_deriv_slope(f, x, h=1e-6):
+    return (f.log_deriv(x + h) - f.log_deriv(x - h)) / (2.0 * h)
+
+
+_BUMPED = BumpPerturbation(Moebius(2.0), [Bump(0.4, 0.2, 0.05)])
+
+
+@pytest.mark.parametrize("f, tol", [
+    (ChartMap(_BUMPED, 0.2, 0.8), 1e-6),
+    (ChartMap(_BUMPED, 1.0, 0.0), 1e-6),
+    (compose(_BUMPED, Moebius(3.0)), 1e-6),
+    (_BUMPED, 1e-6),
+    (Rotation(0.3), 1e-6),
+    # node gradients read linearly against the slope of the linear
+    # log_deriv in each cell: an O(1/N) gap
+    (GridLogDeriv.from_log_deriv_callable(
+        lambda x: 0.3 * np.sin(2.0 * math.pi * x), 4096), 5e-3),
+], ids=["chart", "reflection", "composition", "bump", "rotation", "grid"])
+def test_affine_deriv_is_slope_of_log_deriv(f, tol):
+    x = np.linspace(0.05, 0.95, 181)
+    assert np.max(np.abs(f.affine_deriv(x) - _central_log_deriv_slope(f, x))) <= tol
 
 
 @settings(max_examples=40, deadline=None)
