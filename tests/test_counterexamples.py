@@ -21,9 +21,11 @@ from difflab import bisect_monotone, counterexamples
 from difflab.counterexamples import (
     ConstructionError,
     _audit_tree,
+    _delta_d1,
     _delta_d2,
     _piece_preimages,
 )
+from difflab.gridfn import variation
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +170,25 @@ class TestSergeraert:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             sergeraert_check(2)
+
+    def test_chunked_grid_sums_match_full_grid(self):
+        # the 2^20-interval variation and L^1 quadrature run in chunks; they
+        # must give the full-grid sums without building full-grid arrays
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            rep = sergeraert_check(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20  # one full-grid float array is 8 MiB
+        t = 2.0 ** (9 - 27)
+        ug = np.linspace(0.5, 1.0, 2 ** 20 + 1)
+        var_full = variation(np.log1p(t * _delta_d1(ug)))
+        c_full = float(np.trapezoid(np.abs(_delta_d2(ug)), ug))
+        assert rep.var_measured == pytest.approx(var_full, rel=1e-13, abs=0.0)
+        assert rep.c_l1_half == pytest.approx(c_full, rel=1e-13, abs=0.0)
 
     def test_sign_change_roots_match_brentq(self, monkeypatch):
         # brentq is the reference the bracketed bisection replaced; the
