@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import __version__
 from .gridfn import DEFAULT_CONFIG, GridFunction, ToleranceConfig
 from .diffeo import (
     ActionTuple,
@@ -77,12 +78,6 @@ __all__ = ["SpecError", "ExperimentSpec", "load_spec", "run_command",
 
 SPEC_VERSION = 1
 
-COMMANDS = (
-    "szekeres", "flow", "metrics", "rot", "vinf", "mather", "drift",
-    "herman", "gmconj", "interp", "regularize", "classify", "deform",
-    "staircase", "bvdemo", "hyperbolic", "sergeraert",
-)
-
 
 class SpecError(ValueError):
     """Schema violation; the message names the offending field path."""
@@ -106,27 +101,6 @@ class ExperimentSpec:
         return ToleranceConfig(grid_N=self.grid_N)
 
 
-# per-command parameter schemas: name -> (validator description, default)
-_PARAM_SCHEMAS: dict = {
-    "szekeres": {"f": None, "samples": 257},
-    "flow": {"field": None, "t": 1.0, "s": 0.5, "pairs": 0},
-    "metrics": {"f": None, "g": None, "r": "1", "starred": False},
-    "rot": {"f": None},
-    "vinf": {"f": None, "schedule": None},
-    "mather": {"f": None},
-    "drift": {"action": None, "f_index": 0, "n": 32},
-    "herman": {"action": None, "ns": [4, 16, 64]},
-    "gmconj": {"action": None, "n": 8, "ns": None},
-    "interp": {"action": None, "phi": None, "t": 0.5, "r": "1+ac"},
-    "regularize": {"field": None, "r": "1+ac"},
-    "classify": {"action": None},
-    "deform": {"action": None, "t": 1.0, "r": "1+ac"},
-    "staircase": {"depth": 8, "M": 4, "n": 3},
-    "bvdemo": {"depth": 8, "M": 4, "n": 3},
-    "hyperbolic": {"N": 1000},
-    "sergeraert": {"k": 3},
-}
-
 _TOP_LEVEL = ("cmd", "params", "grid_N", "tol", "format", "out", "version")
 
 
@@ -142,7 +116,7 @@ def _validate_spec_dict(doc: dict) -> ExperimentSpec:
     cmd = doc.get("cmd")
     if cmd not in COMMANDS:
         raise SpecError(f"field 'cmd' must be one of {COMMANDS}, got {cmd!r}")
-    schema = _PARAM_SCHEMAS[cmd]
+    schema = _COMMANDS[cmd][1]
     raw = doc.get("params", {})
     if not isinstance(raw, dict):
         raise SpecError("field 'params' must be an object")
@@ -352,6 +326,14 @@ def _sanitize(value):
     return repr(value)
 
 
+def _series(columns, rows, xlabel, ylabel) -> dict:
+    return {"columns": columns, "rows": rows, "xlabel": xlabel, "ylabel": ylabel}
+
+
+def _violations(ok, check: str, detail: str) -> list:
+    return [] if ok else [{"check": check, "detail": detail}]
+
+
 # ---------------------------------------------------------------------------
 # command implementations
 
@@ -371,9 +353,9 @@ def _cmd_szekeres(spec: ExperimentSpec, cfg: ToleranceConfig):
         oracle = -math.log(a) * xs * (1.0 - xs)
         report["oracle_sup_gap"] = float(
             np.max(np.abs(vals[interior] - oracle[interior])))
-    series = {"field": {"columns": ["x", "X"],
-                        "rows": [[float(a), float(b)] for a, b in zip(xs, vals)],
-                        "xlabel": "x", "ylabel": "X(x)"}}
+    series = {"field": _series(["x", "X"],
+                               [[float(a), float(b)] for a, b in zip(xs, vals)],
+                               "x", "X(x)")}
     return report, series, []
 
 
@@ -385,14 +367,11 @@ def _cmd_flow(spec: ExperimentSpec, cfg: ToleranceConfig):
     xs = np.linspace(0.0, 1.0, 257)
     ft = FlowTime(X, t)
     report = {"t": t, "s": s, "group_residual": res}
-    violations = []
-    if res > spec.tol:
-        violations.append({"check": "flow_group_law",
-                           "detail": f"residual {res} exceeds tol {spec.tol}"})
-    series = {"time_map": {"columns": ["x", "f_t"],
-                           "rows": [[float(a), float(b)]
-                                    for a, b in zip(xs, ft.value(xs))],
-                           "xlabel": "x", "ylabel": "flow(x, t)"}}
+    violations = _violations(res <= spec.tol, "flow_group_law",
+                             f"residual {res} exceeds tol {spec.tol}")
+    series = {"time_map": _series(["x", "f_t"], [[float(a), float(b)] for a, b
+                                                 in zip(xs, ft.value(xs))],
+                                  "x", "flow(x, t)")}
     return report, series, violations
 
 
@@ -403,11 +382,8 @@ def _cmd_metrics(spec: ExperimentSpec, cfg: ToleranceConfig):
     d = metric(f, g, r, starred=False, cfg=cfg)
     ds = metric(f, g, r, starred=True, cfg=cfg)
     report = {"r": r, "d": d, "d_star": ds}
-    violations = []
-    if not (ds <= d + 1e-9 and d <= 2.0 * ds + 1e-9):
-        violations.append({"check": "metric_star_sandwich",
-                           "detail": f"d*={ds}, d={d}"})
-    return report, {}, violations
+    return report, {}, _violations(ds <= d + 1e-9 and d <= 2.0 * ds + 1e-9,
+                                   "metric_star_sandwich", f"d*={ds}, d={d}")
 
 
 def _cmd_rot(spec: ExperimentSpec, cfg: ToleranceConfig):
@@ -426,18 +402,17 @@ def _cmd_vinf(spec: ExperimentSpec, cfg: ToleranceConfig):
                                   cfg=cfg)
     report = {"limit": ve.limit, "uncertainty": ve.uncertainty,
               "lower_bound": ve.lower_bound}
-    series = {"var_over_n": {"columns": ["n", "var_over_n"],
-                             "rows": [[int(n), float(v)] for n, v in ve.pairs],
-                             "xlabel": "n", "ylabel": "var(log Df^n)/n"}}
+    series = {"var_over_n": _series(["n", "var_over_n"],
+                                    [[int(n), float(v)] for n, v in ve.pairs],
+                                    "n", "var(log Df^n)/n")}
     return report, series, []
 
 
 def _cmd_mather(spec: ExperimentSpec, cfg: ToleranceConfig):
     f = _build_interval_map(spec.params["f"], "params.f")
     chk = mather_inequality_check(f, cfg)
-    violations = [] if chk["holds"] else [
-        {"check": "mather_inequality", "detail": f"slack {chk['slack']}"}]
-    return chk, {}, violations
+    return chk, {}, _violations(chk["holds"], "mather_inequality",
+                                f"slack {chk['slack']}")
 
 
 def _cmd_drift(spec: ExperimentSpec, cfg: ToleranceConfig):
@@ -446,10 +421,8 @@ def _cmd_drift(spec: ExperimentSpec, cfg: ToleranceConfig):
         raise SpecError("field 'params.action' must be an interval action")
     out = coboundary_drift(act, f_index=int(spec.params["f_index"]),
                            n=int(spec.params["n"]), cfg=cfg)
-    violations = [] if out["lower_bound_holds"] else [
-        {"check": "drift_lower_bound",
-         "detail": f"defect {out['defect']} < drift {out['drift']}"}]
-    return out, {}, violations
+    return out, {}, _violations(out["lower_bound_holds"], "drift_lower_bound",
+                                f"defect {out['defect']} < drift {out['drift']}")
 
 
 def _cmd_herman(spec: ExperimentSpec, cfg: ToleranceConfig):
@@ -465,8 +438,8 @@ def _cmd_herman(spec: ExperimentSpec, cfg: ToleranceConfig):
               "distances": [r[1] for r in rows],
               "monotone": bool(all(a > b for (_, a), (_, b)
                                    in zip(rows, rows[1:])))}
-    series = {"herman": {"columns": ["n", "distance"], "rows": rows,
-                         "xlabel": "n", "ylabel": "sup distance to rotation"}}
+    series = {"herman": _series(["n", "distance"], rows, "n",
+                                "sup distance to rotation")}
     return report, series, []
 
 
@@ -482,17 +455,15 @@ def _cmd_gmconj(spec: ExperimentSpec, cfg: ToleranceConfig):
         rows.append([int(n), float(max(rep.vars_conjugate)),
                      float(max(rep.var_bounds))])
         for i, s in enumerate(rep.slacks):
-            if s < 0:
-                violations.append({"check": "gm_conjugacy_bound",
-                                   "detail": f"n={n} generator {i} slack {s}"})
+            violations += _violations(s >= 0, "gm_conjugacy_bound",
+                                      f"n={n} generator {i} slack {s}")
         last = rep
     report = {"rows": rows,
               "vars_conjugate": list(last.vars_conjugate),
               "var_bounds": list(last.var_bounds),
               "slacks": list(last.slacks)}
-    series = {"gmconj": {"columns": ["n", "var_conjugate", "bound"],
-                         "rows": rows, "xlabel": "n",
-                         "ylabel": "var(log D conj)"}}
+    series = {"gmconj": _series(["n", "var_conjugate", "bound"], rows, "n",
+                                "var(log D conj)")}
     return report, series, violations
 
 
@@ -510,9 +481,8 @@ def _cmd_interp(spec: ExperimentSpec, cfg: ToleranceConfig):
     step = interpolation_path(act, rho1, phi, float(spec.params["t"]),
                               r=str(spec.params["r"]), cfg=cfg)
     cert = step.certificate
-    violations = [] if cert.get("holds", True) else [
-        {"check": "interpolation_bound", "detail": json.dumps(_sanitize(cert))}]
-    return {"t": step.t, "certificate": cert}, {}, violations
+    return {"t": step.t, "certificate": cert}, {}, _violations(
+        cert["holds"], "interpolation_bound", json.dumps(_sanitize(cert)))
 
 
 def _cmd_regularize(spec: ExperimentSpec, cfg: ToleranceConfig):
@@ -520,9 +490,8 @@ def _cmd_regularize(spec: ExperimentSpec, cfg: ToleranceConfig):
     reg = regularize_flow(X, r=str(spec.params["r"]), cfg=cfg)
     violations = []
     for key in ("deriv_identity_ok", "var_ok"):
-        if not reg.checks.get(key, True):
-            violations.append({"check": f"regularize.{key}",
-                               "detail": json.dumps(_sanitize(reg.checks))})
+        violations += _violations(reg.checks[key], f"regularize.{key}",
+                                  json.dumps(_sanitize(reg.checks)))
     return {"checks": reg.checks}, {}, violations
 
 
@@ -539,17 +508,15 @@ def _cmd_deform(spec: ExperimentSpec, cfg: ToleranceConfig):
     act = _build_action(spec.params["action"], "params.action", cfg)
     t = float(spec.params["t"])
     action, cert = deform_action(act, t, r=str(spec.params["r"]), cfg=cfg)
-    violations = [] if cert["holds"] else [
-        {"check": "deformation_certificate",
-         "detail": json.dumps(_sanitize(
-             [row for row in cert["samples"] if not row["ok"]]))}]
+    violations = _violations(cert["holds"], "deformation_certificate", json.dumps(
+        _sanitize([row for row in cert["samples"] if not row["ok"]])))
     rows = [[row["t"], row["d_star"], row["commutation"]]
             for row in cert["samples"]]
     trivial = (t == 1.0 and all(
         getattr(g, "a", None) == 1.0 for g in action.generators))
     report = {"t": t, "certificate": cert, "trivial": bool(trivial)}
-    series = {"path": {"columns": ["t", "d_star", "commutation"], "rows": rows,
-                       "xlabel": "t", "ylabel": "d*_r to identity"}}
+    series = {"path": _series(["t", "d_star", "commutation"], rows, "t",
+                              "d*_r to identity")}
     return report, series, violations
 
 
@@ -557,9 +524,7 @@ def _cmd_staircase(spec: ExperimentSpec, cfg: ToleranceConfig):
     tree = build_staircase(int(spec.params["depth"]),
                            Fraction(spec.params["M"]))
     rep = staircase_report(tree, int(spec.params["n"]))
-    violations = [] if rep.holds else [{"check": "staircase_bounds",
-                                        "detail": "see report"}]
-    return rep, {}, violations
+    return rep, {}, _violations(rep.holds, "staircase_bounds", "see report")
 
 
 def _cmd_bvdemo(spec: ExperimentSpec, cfg: ToleranceConfig):
@@ -573,8 +538,7 @@ def _cmd_bvdemo(spec: ExperimentSpec, cfg: ToleranceConfig):
     rep = bv_group_demo(tree, n)
     report = {"n": n, "d1_phi": rep.d1_phi, "d1pbv_left": rep.d1pbv_left,
               "grid_slack": rep.grid_slack}
-    series = {"bvdemo": {"columns": ["n", "d1_phi", "d1pbv_left"],
-                         "rows": rows, "xlabel": "n", "ylabel": "distance"}}
+    series = {"bvdemo": _series(["n", "d1_phi", "d1pbv_left"], rows, "n", "distance")}
     return report, series, []
 
 
@@ -592,8 +556,8 @@ def _cmd_hyperbolic(spec: ExperimentSpec, cfg: ToleranceConfig):
     }
     rows = [[k + 1, float(v), float(w)] for k, (v, w) in
             enumerate(zip(rep.annulus_var_g, rep.annulus_var_root))]
-    series = {"annuli": {"columns": ["k", "var_g", "var_root"], "rows": rows,
-                         "xlabel": "annulus k", "ylabel": "var(log D)"}}
+    series = {"annuli": _series(["k", "var_g", "var_root"], rows, "annulus k",
+                                "var(log D)")}
     return report, series, []
 
 
@@ -602,15 +566,28 @@ def _cmd_sergeraert(spec: ExperimentSpec, cfg: ToleranceConfig):
     return dataclasses.asdict(rep), {}, []
 
 
-_DISPATCH = {
-    "szekeres": _cmd_szekeres, "flow": _cmd_flow, "metrics": _cmd_metrics,
-    "rot": _cmd_rot, "vinf": _cmd_vinf, "mather": _cmd_mather,
-    "drift": _cmd_drift, "herman": _cmd_herman, "gmconj": _cmd_gmconj,
-    "interp": _cmd_interp, "regularize": _cmd_regularize,
-    "classify": _cmd_classify, "deform": _cmd_deform,
-    "staircase": _cmd_staircase, "bvdemo": _cmd_bvdemo,
-    "hyperbolic": _cmd_hyperbolic, "sergeraert": _cmd_sergeraert,
+# every command: its runner and its parameters with their defaults, in the
+# order of the subcommands
+_COMMANDS = {
+    "szekeres": (_cmd_szekeres, {"f": None, "samples": 257}),
+    "flow": (_cmd_flow, {"field": None, "t": 1.0, "s": 0.5, "pairs": 0}),
+    "metrics": (_cmd_metrics, {"f": None, "g": None, "r": "1", "starred": False}),
+    "rot": (_cmd_rot, {"f": None}),
+    "vinf": (_cmd_vinf, {"f": None, "schedule": None}),
+    "mather": (_cmd_mather, {"f": None}),
+    "drift": (_cmd_drift, {"action": None, "f_index": 0, "n": 32}),
+    "herman": (_cmd_herman, {"action": None, "ns": [4, 16, 64]}),
+    "gmconj": (_cmd_gmconj, {"action": None, "n": 8, "ns": None}),
+    "interp": (_cmd_interp, {"action": None, "phi": None, "t": 0.5, "r": "1+ac"}),
+    "regularize": (_cmd_regularize, {"field": None, "r": "1+ac"}),
+    "classify": (_cmd_classify, {"action": None}),
+    "deform": (_cmd_deform, {"action": None, "t": 1.0, "r": "1+ac"}),
+    "staircase": (_cmd_staircase, {"depth": 8, "M": 4, "n": 3}),
+    "bvdemo": (_cmd_bvdemo, {"depth": 8, "M": 4, "n": 3}),
+    "hyperbolic": (_cmd_hyperbolic, {"N": 1000}),
+    "sergeraert": (_cmd_sergeraert, {"k": 3}),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run_command(spec: ExperimentSpec) -> dict:
@@ -620,7 +597,7 @@ def run_command(spec: ExperimentSpec) -> dict:
     empty) and ``exit_code`` (0 ok / 2 certificate falsified).  Errors
     propagate as exceptions (mapped to exit code 1 by ``main``)."""
     cfg = spec.config
-    payload, series, violations = _DISPATCH[spec.cmd](spec, cfg)
+    payload, series, violations = _COMMANDS[spec.cmd][0](spec, cfg)
     report = {
         "command": spec.cmd,
         "grid_N": spec.grid_N,
@@ -715,12 +692,7 @@ def emit_report(report: dict, target: str, formats=("json",)) -> list:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload + "\n")
     written.append(path)
-    try:
-        from importlib.metadata import version
-        ver = version("artifact")
-    except Exception:
-        ver = "unknown"
-    meta = {"tool": "difflab", "package_version": ver,
+    meta = {"tool": "difflab", "package_version": __version__,
             "spec_digest": hashlib.sha256(payload.encode()).hexdigest()}
     mpath = os.path.join(target, f"{name}.meta.json")
     with open(mpath, "w", encoding="utf-8") as fh:

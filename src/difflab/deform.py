@@ -116,9 +116,6 @@ class ComponentwiseDiffeo(IntervalDiffeo):
             val[m] = a + (b - a) * c.value(u)
         return val[0] if scalar else val
 
-    def log_deriv(self, x):
-        return self.jet(x)[1]
-
     def jet(self, x):
         x = self._check_domain(x)
         scalar = x.ndim == 0
@@ -473,9 +470,7 @@ class _SmoothConjugacy(IntervalDiffeo):
 class RegularizedFlow:
     conjugacy: IntervalDiffeo
     field: PushforwardField
-    time_one: IntervalDiffeo
     checks: dict
-    conjugated_extra: object
     extra_checks: dict | None
 
 
@@ -560,10 +555,8 @@ def regularize_flow(X, extra=None, r: str = "1+ac",
         checks["d2_norm"] = float(np.max(np.abs(d2)))
         checks["d2_bound"] = d2_bound
 
-    conj_extra = None
     extra_checks = None
     if extra is not None:
-        conj_extra = _conjugate(phi, extra)
         ev, el = extra.jet(xg)
         u = phi.log_deriv(ev) + el - phi.log_deriv(xg)
         var_conj = variation(u)
@@ -573,7 +566,7 @@ def regularize_flow(X, extra=None, r: str = "1+ac",
             "var_original": var_orig,
             "ok": bool(var_conj <= var_orig + 1e-6),
         }
-    return RegularizedFlow(phi, Xt, FlowTime(Xt, 1.0), checks, conj_extra, extra_checks)
+    return RegularizedFlow(phi, Xt, checks, extra_checks)
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +749,6 @@ class DeformationPath:
         self.cfg = cfg
         self.decomp = classify_action(source, cfg)
         self._cache = {}
-        self._llcache = {}
 
         active = [c for c in self.decomp.components if c.tag != "trivial"]
         self.crashed = ()
@@ -820,11 +812,7 @@ class DeformationPath:
                             per_gen[i].append(identity() if tt == 0.0
                                               else FlowTime(obj, tt))
                     else:
-                        key = (id(obj), s)
-                        h_s = self._llcache.get(key)
-                        if h_s is None:
-                            h_s = log_linear_deform(obj, s, self.cfg)
-                            self._llcache[key] = h_s
+                        h_s = log_linear_deform(obj, s, self.cfg)
                         for i, m in enumerate(c.exponents):
                             per_gen[i].append(identity() if m == 0
                                               else iterate(h_s, m))

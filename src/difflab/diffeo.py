@@ -151,7 +151,8 @@ class Diffeo:
         raise NotImplementedError
 
     def log_deriv(self, x):
-        raise NotImplementedError
+        """log Df(x); a map defines this, or jet, or both."""
+        return self.jet(x)[1]
 
     def jet(self, x):
         """(f(x), log Df(x)) together.  Maps whose two evaluations share
@@ -287,9 +288,6 @@ class Composition(Diffeo):
             y = m.value(y)
         return y
 
-    def log_deriv(self, x):
-        return self.jet(x)[1]
-
     def jet(self, x):
         y = self._check_domain(x)
         acc = np.zeros_like(y)
@@ -338,9 +336,6 @@ class InverseMap(Diffeo):
         # (f^-1)^-1 = f: evaluate f itself rather than bisect on f^-1
         return self.f.value(y)
 
-    def log_deriv(self, x):
-        return self.jet(x)[1]
-
     def jet(self, x):
         y = self.value(x)
         return y, -self.f.log_deriv(y)
@@ -387,9 +382,6 @@ class ChartMap(IntervalDiffeo):
     def value(self, u):
         u = self._check_domain(u)
         return self._down(self.f.value(self._up(u)))
-
-    def log_deriv(self, u):
-        return self.jet(u)[1]
 
     def jet(self, u):
         u = self._check_domain(u)
@@ -574,9 +566,6 @@ class BumpPerturbation(IntervalDiffeo):
 
     def inverse_value(self, y):
         return self._b_inv(self.base.inverse_map().value(y))
-
-    def log_deriv(self, x):
-        return self.jet(x)[1]
 
     def jet(self, x):
         x = self._check_domain(x)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import difflab
 from difflab.cli import (
     COMMANDS,
     SpecError,
@@ -223,11 +224,23 @@ class TestMain:
         assert report["components"] == []
 
 
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_every_command_on_its_defaults(cmd, tmp_path):
+    rc = main([cmd, "--out", str(tmp_path), "--format", "json,csv,svg"])
+    assert rc == 0
+    report = json.loads((tmp_path / f"{cmd}.json").read_text())
+    assert report["violations"] == []
+    meta = json.loads((tmp_path / f"{cmd}.meta.json").read_text())
+    assert meta["package_version"] == difflab.__version__
+    for name in report["series"]:
+        assert (tmp_path / f"{cmd}.{name}.csv").is_file()
+        assert (tmp_path / f"{cmd}.{name}.svg").is_file()
+    assert len(list(tmp_path.iterdir())) == 2 + 2 * len(report["series"])
+
+
 def test_import_loads_no_scipy():
     # scipy is imported where a spline is built, never at import: a
     # module-level scipy import more than doubles the start-up of every run
-    import difflab
-
     src = os.path.dirname(os.path.dirname(os.path.abspath(difflab.__file__)))
     code = ("import sys, difflab, difflab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import difflab.szekeres as szekeres
 from difflab import (
+    DEFAULT_CONFIG,
     AnalyticField,
     Bump,
     BumpPerturbation,
@@ -17,6 +19,7 @@ from difflab import (
     TailNotReached,
     ToleranceConfig,
     TransportBudgetExceeded,
+    example_two_component_action,
     flow_group_residual,
     flow_time,
     identity,
@@ -25,6 +28,8 @@ from difflab import (
     szekeres_bv_check,
     szekeres_field,
 )
+from difflab.diffeo import ChartMap
+from difflab.gridfn import variation
 
 LN2 = math.log(2.0)
 
@@ -107,6 +112,80 @@ class TestSzekeresField:
         with pytest.raises(DomainError):
             X.tau(np.array([bad, 0.5]))
         assert f.calls == before
+
+
+def _linear_scan(f, a, cfg):
+    """Reference for the truncation search: every i >= 0 in turn until
+    var(log Df; [0, f^i(a)]), on the same 513 probes, is below tail_tol;
+    f^i(a) read as the search reads it."""
+    fast = getattr(f, "_iterate_fast", None)
+    z, i = a, 0
+    while True:
+        tail = variation(f.log_deriv(np.linspace(0.0, z, 513)))
+        if tail < cfg.tail_tol:
+            return max(i, 1), tail
+        i += 1
+        z = float(fast(i).value(np.array(a)) if fast else f.value(np.array(z)))
+
+
+_BUMPED = BumpPerturbation(Moebius(2.0), [Bump(0.4, 0.2, 0.05)])
+
+
+class TestTruncationSearch:
+    @pytest.mark.parametrize("f, cfg", [
+        (Moebius(2.0), DEFAULT_CONFIG),
+        (_BUMPED, DEFAULT_CONFIG),
+        (ChartMap(example_two_component_action().generators[0], 0.5, 1.0),
+         DEFAULT_CONFIG),
+        # a closed-form power; near the parabolic end 1 the scan needs
+        # about N / 0.8 steps, so a coarser grid keeps it short
+        (FlowTime(AnalyticField("parabolic_right", 0.8), 1.0),
+         ToleranceConfig(grid_N=64)),
+    ], ids=["moebius", "bumped", "chart", "parabolic_flow"])
+    def test_matches_linear_scan(self, f, cfg):
+        X = SzekeresField(f, cfg)
+        assert (X.n_terms, X.tail_bound) == _linear_scan(f, 1.0 - 1.0 / cfg.grid_N, cfg)
+        assert X._n_ref == _linear_scan(f, X.anchor, cfg)[0]
+
+    @pytest.mark.parametrize("f", [Moebius(2.0), _BUMPED], ids=["moebius", "bumped"])
+    def test_tail_evaluations_are_logarithmic(self, f, monkeypatch):
+        calls = []
+
+        def counted(v, *args, **kwargs):
+            calls.append(1)
+            return variation(v, *args, **kwargs)
+
+        monkeypatch.setattr(szekeres, "variation", counted)
+        X = SzekeresField(f)
+        bound = sum(2 * math.ceil(math.log2(n)) + 3 for n in (X.n_terms, X._n_ref))
+        assert len(calls) <= bound
+
+    def test_raises_at_the_budget(self):
+        # near-parabolic at 0: the majorant needs thousands of terms
+        with pytest.raises(TailNotReached, match="after 64 terms"):
+            SzekeresField(Moebius(1.001), ToleranceConfig(max_iter=64))
+
+    def test_sigma_takes_one_jet_per_term(self, leaf_counter):
+        f = leaf_counter(Moebius(2.0))
+        X = SzekeresField(f)
+        before = f.calls
+        X.sigma(np.linspace(0.2, 0.8, 7), terms=10)
+        assert f.calls - before == 11
+
+
+class TestFieldDerivative:
+    def test_szekeres_field_has_no_numeric_DX(self):
+        with pytest.raises(NotImplementedError):
+            szekeres_field(Moebius(2.0)).DX(np.array(0.5))
+
+    def test_d2_of_the_time_one_map(self):
+        # the time-1 map is f itself, so their d*_2 distances to the
+        # identity agree; d_2 falls back to differences of the sampled
+        # log-derivatives, as for maps without an affine derivative
+        ft = FlowTime(szekeres_field(_BUMPED), 1.0)
+        d2 = metric(ft, identity(), "2", starred=True)
+        assert d2 == pytest.approx(metric(_BUMPED, identity(), "2", starred=True),
+                                   rel=1e-3)
 
 
 class TestTransportBudget:
