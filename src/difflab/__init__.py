@@ -12,9 +12,6 @@ from .gridfn import (
     GridFunction,
     MonotonicityError,
     ToleranceConfig,
-    compose_monotone,
-    integrate,
-    total_variation,
 )
 from .diffeo import (
     ActionTuple,
@@ -54,7 +51,6 @@ from .szekeres import (
     TransportBudgetExceeded,
     VectorField1D,
     flow_group_residual,
-    flow_time,
     moebius_field,
     szekeres_bv_check,
     szekeres_field,

@@ -419,8 +419,11 @@ def _cmd_drift(spec: ExperimentSpec, cfg: ToleranceConfig):
     act = _build_action(spec.params["action"], "params.action", cfg)
     if act.kind != "interval":
         raise SpecError("field 'params.action' must be an interval action")
-    out = coboundary_drift(act, f_index=int(spec.params["f_index"]),
-                           n=int(spec.params["n"]), cfg=cfg)
+    f_index = int(spec.params["f_index"])
+    if not 0 <= f_index < act.d:
+        raise SpecError(f"field 'params.f_index' must be in [0, {act.d}), "
+                        f"got {f_index}")
+    out = coboundary_drift(act, f_index=f_index, n=int(spec.params["n"]), cfg=cfg)
     return out, {}, _violations(out["lower_bound_holds"], "drift_lower_bound",
                                 f"defect {out['defect']} < drift {out['drift']}")
 
@@ -446,11 +449,10 @@ def _cmd_herman(spec: ExperimentSpec, cfg: ToleranceConfig):
 def _cmd_gmconj(spec: ExperimentSpec, cfg: ToleranceConfig):
     act = _build_action(spec.params["action"] or {"preset": "moebius_pair"},
                         "params.action", cfg)
-    ns = spec.params["ns"] or [int(spec.params["n"])]
     rows = []
     violations = []
     last = None
-    for n in ns:
+    for n in spec.params["ns"]:
         rep = geometric_mean_conjugacy(act, n=int(n), cfg=cfg)
         rows.append([int(n), float(max(rep.vars_conjugate)),
                      float(max(rep.var_bounds))])
@@ -570,14 +572,14 @@ def _cmd_sergeraert(spec: ExperimentSpec, cfg: ToleranceConfig):
 # order of the subcommands
 _COMMANDS = {
     "szekeres": (_cmd_szekeres, {"f": None, "samples": 257}),
-    "flow": (_cmd_flow, {"field": None, "t": 1.0, "s": 0.5, "pairs": 0}),
-    "metrics": (_cmd_metrics, {"f": None, "g": None, "r": "1", "starred": False}),
+    "flow": (_cmd_flow, {"field": None, "t": 1.0, "s": 0.5}),
+    "metrics": (_cmd_metrics, {"f": None, "g": None, "r": "1"}),
     "rot": (_cmd_rot, {"f": None}),
     "vinf": (_cmd_vinf, {"f": None, "schedule": None}),
     "mather": (_cmd_mather, {"f": None}),
     "drift": (_cmd_drift, {"action": None, "f_index": 0, "n": 32}),
     "herman": (_cmd_herman, {"action": None, "ns": [4, 16, 64]}),
-    "gmconj": (_cmd_gmconj, {"action": None, "n": 8, "ns": None}),
+    "gmconj": (_cmd_gmconj, {"action": None, "ns": [8]}),
     "interp": (_cmd_interp, {"action": None, "phi": None, "t": 0.5, "r": "1+ac"}),
     "regularize": (_cmd_regularize, {"field": None, "r": "1+ac"}),
     "classify": (_cmd_classify, {"action": None}),

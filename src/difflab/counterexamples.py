@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -589,39 +589,23 @@ def hyperbolic_example(N: int = 1000) -> HyperbolicReport:
       and the partial sums telescope to exactly the harmonic number H_N,
       which diverges.
 
-    Exact rationals are used for N <= 2000 (beyond that the harmonic
-    identity is still exact but the Fractions get slow; floats carry the
-    same telescoping identity to round-off).
+    The sums are exact rationals and the harmonic identity is audited in
+    Fraction arithmetic; N is capped at 2000 to keep the Fractions fast.
     """
-    if not (1 <= N <= 10 ** 4):
-        raise ValueError("need 1 <= N <= 1e4")
-    exact = N <= 2000
-    if exact:
-        var_g = [Fraction(1, k * k) for k in range(1, N + 1)]
-        tail = Fraction(0)
-        var_root_rev: List[Fraction] = []
-        for k in range(N, 0, -1):
-            tail += Fraction(1, k * k)
-            var_root_rev.append(tail)
-        var_root = list(reversed(var_root_rev))
-        partial_g = sum(var_g, Fraction(0))
-        partial_root = sum(var_root, Fraction(0))
-        harmonic = sum((Fraction(1, k) for k in range(1, N + 1)), Fraction(0))
-        if partial_root != harmonic:
-            raise ConstructionError("harmonic telescoping identity failed")
-    else:
-        var_g = [Fraction(1, k * k) for k in range(1, N + 1)]
-        tail_f = 0.0
-        var_root_f: List[float] = []
-        for k in range(N, 0, -1):
-            tail_f += 1.0 / (k * k)
-            var_root_f.append(tail_f)
-        var_root = [Fraction(v).limit_denominator(10 ** 12)
-                    for v in reversed(var_root_f)]
-        partial_g = sum(var_g, Fraction(0))
-        partial_root = Fraction(sum(var_root_f)).limit_denominator(10 ** 12)
-        harmonic = Fraction(
-            sum(1.0 / k for k in range(1, N + 1))).limit_denominator(10 ** 12)
+    if not (1 <= N <= 2000):
+        raise ValueError("need 1 <= N <= 2000")
+    var_g = [Fraction(1, k * k) for k in range(1, N + 1)]
+    tail = Fraction(0)
+    var_root_rev: List[Fraction] = []
+    for k in range(N, 0, -1):
+        tail += Fraction(1, k * k)
+        var_root_rev.append(tail)
+    var_root = list(reversed(var_root_rev))
+    partial_g = sum(var_g, Fraction(0))
+    partial_root = sum(var_root, Fraction(0))
+    harmonic = sum((Fraction(1, k) for k in range(1, N + 1)), Fraction(0))
+    if partial_root != harmonic:
+        raise ConstructionError("harmonic telescoping identity failed")
     basel_tail = math.pi ** 2 / 6.0 - float(partial_g)
 
     # build and audit the first few bumps as genuine maps
@@ -644,14 +628,20 @@ def hyperbolic_example(N: int = 1000) -> HyperbolicReport:
         g = np.interp(xs, nodes, vals)
         sampled_gap = max(
             sampled_gap, abs(variation(g) - 1.0 / (k * k)))
-        # g maps the annulus A_k onto A_{k+1}: check the endpoints through
-        # the conjugated bump
+        # psi_k fixes the right end of its support and increases strictly
+        # on a grid through it, so g maps the annulus A_k into A_{k+1}
+        if res > 1e-12:
+            raise ConstructionError(
+                f"psi_{k} moves the end of its support by {res:.3e}")
+        grid = np.concatenate(
+            ([1.0], np.linspace(nodes[0], nodes[-1], 257), [2.0]))
+        ys = np.array([psi(x) for x in grid])
+        if not np.all(np.diff(ys) > 0.0):
+            raise ConstructionError(f"psi_{k} is not strictly increasing")
         scale = 2.0 ** (-k)
-        for x in (1.0, 1.3, 2.0):
-            y = 0.5 * scale * psi(x)          # g at the point scale*x of A_k
-            target_lo, target_hi = scale / 2.0, scale
-            if not (target_lo - 1e-12 <= y <= target_hi + 1e-12):
-                raise ConstructionError("annulus image escapes its target")
+        y = 0.5 * scale * ys                  # g at the points scale*grid of A_k
+        if np.any(y < scale / 2.0 - 1e-12) or np.any(y > scale + 1e-12):
+            raise ConstructionError("annulus image escapes its target")
         annulus_residual = max(
             annulus_residual,
             abs(0.5 * scale * psi(1.0) - scale / 2.0),

@@ -29,7 +29,6 @@ from .diffeo import (
     ChartMap,
     CircleDiffeo,
     CircleGrid,
-    Diffeo,
     GridLogDeriv,
     IntervalDiffeo,
     Rotation,
@@ -53,7 +52,6 @@ from .szekeres import (
     VectorField1D,
     _flow_jet,
     moebius_field,
-    szekeres_field,
 )
 from .invariants import asymptotic_variation
 
@@ -499,7 +497,7 @@ def _mean_log_deriv(X: VectorField1D, xg: np.ndarray, s_steps: int) -> np.ndarra
     return acc / (3.0 * s_steps)
 
 
-def regularize_flow(X, extra=None, r: str = "1+ac",
+def regularize_flow(X: VectorField1D, extra=None, r: str = "1+ac",
                     cfg: ToleranceConfig = DEFAULT_CONFIG) -> RegularizedFlow:
     """Straighten a contraction flow by the averaging conjugacy
 
@@ -514,8 +512,6 @@ def regularize_flow(X, extra=None, r: str = "1+ac",
     interval and once out, for all the chunk's times together."""
     if r not in ("1+ac", "2"):
         raise ValueError("r must be '1+ac' or '2'")
-    if isinstance(X, Diffeo):
-        X = szekeres_field(X, cfg)
     f1 = FlowTime(X, 1.0)
 
     xg = np.linspace(0.0, 1.0, cfg.grid_N + 1)
@@ -547,7 +543,7 @@ def regularize_flow(X, extra=None, r: str = "1+ac",
         "var_DX": var_dxt,
         "var_logDf": var_logdf,
         "var_ok": bool(abs(var_dxt - var_logdf)
-                       <= max(cfg.rel_tol * max(1.0, var_logdf), 1e-6)),
+                       <= max(1e-8 * max(1.0, var_logdf), 1e-6)),
     }
     if r == "2":
         d2 = np.gradient(dxt, 1.0 / cfg.grid_N)
@@ -899,11 +895,9 @@ def example_two_component_action() -> ActionTuple:
 
 
 def deform_action(t: ActionTuple, t_param: float, r: str = "1+ac",
-                  cfg: ToleranceConfig = DEFAULT_CONFIG,
-                  path: DeformationPath | None = None):
+                  cfg: ToleranceConfig = DEFAULT_CONFIG):
     """The deformed action at parameter t_param, with its certificate row."""
-    if path is None:
-        path = DeformationPath(t, r=r, cfg=cfg)
+    path = DeformationPath(t, r=r, cfg=cfg)
     cert = path.certificate(ts=[0.0, t_param, 1.0])
     action = path.at(t_param)
     return action, cert

@@ -426,10 +426,6 @@ class GridLogDeriv(IntervalDiffeo):
         cum[0] = 0.0
         self._values = GridFunction(cum)
 
-    @classmethod
-    def from_log_deriv_callable(cls, fn, N: int = DEFAULT_CONFIG.grid_N):
-        return cls(GridFunction.from_callable(fn, N))
-
     def value(self, x):
         x = self._check_domain(x)
         return self._values(x)

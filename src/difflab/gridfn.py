@@ -18,15 +18,12 @@ __all__ = [
     "MonotonicityError",
     "ToleranceConfig",
     "GridFunction",
-    "integrate",
-    "total_variation",
     "variation",
-    "compose_monotone",
 ]
 
 
 class DomainError(ValueError):
-    """Evaluation or integration bounds outside the function's domain."""
+    """An evaluation point outside the function's domain."""
 
 
 class MonotonicityError(ValueError):
@@ -60,21 +57,19 @@ class ToleranceConfig:
 
     grid_N   : default grid resolution (power of two, >= 64)
     abs_tol  : absolute comparison tolerance
-    rel_tol  : relative comparison tolerance
     tail_tol : truncation threshold for infinite sums (series tails)
     max_iter : iteration budget for orbit computations / root finding
     """
 
     grid_N: int = 4096
     abs_tol: float = 1e-8
-    rel_tol: float = 1e-8
     tail_tol: float = 1e-9
     max_iter: int = 65536
 
     def __post_init__(self):
         if self.grid_N < 64 or not _is_power_of_two(self.grid_N):
             raise ValueError("grid_N must be a power of two >= 64")
-        for name in ("abs_tol", "rel_tol", "tail_tol"):
+        for name in ("abs_tol", "tail_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iter <= 0:
@@ -112,63 +107,9 @@ class GridFunction:
         x.flags.writeable = False
         return x
 
-    @classmethod
-    def from_callable(cls, fn, N: int = DEFAULT_CONFIG.grid_N) -> "GridFunction":
-        x = np.linspace(0.0, 1.0, N + 1)
-        return cls(np.asarray(fn(x), dtype=float))
-
     def __call__(self, x):
         x = unit_points(x, 1e-15, "evaluation point outside [0, 1]")
         return np.interp(x, self.nodes, self.samples)
-
-    def is_strictly_increasing(self) -> bool:
-        return bool(np.all(np.diff(self.samples) > 0))
-
-
-def integrate(f: GridFunction, a: float = 0.0, b: float = 1.0) -> float:
-    """Integral of the piecewise-linear interpolant over [a, b].
-
-    Trapezoid rule on the nodes, with partial end cells handled exactly
-    (the interpolant is affine there). Exact for affine sample data.
-    """
-    if not (0.0 <= a <= b <= 1.0):
-        raise DomainError("need 0 <= a <= b <= 1")
-    if a == b:
-        return 0.0
-    N = f.N
-    h = 1.0 / N
-    ia = int(np.ceil(a * N - 1e-12))
-    ib = int(np.floor(b * N + 1e-12))
-    total = 0.0
-    if ia > ib:
-        # both endpoints inside one cell
-        return 0.5 * (f(a) + f(b)) * (b - a)
-    if a < ia * h:
-        total += 0.5 * (f(a) + f.samples[ia]) * (ia * h - a)
-    if ib * h < b:
-        total += 0.5 * (f.samples[ib] + f(b)) * (b - ib * h)
-    if ib > ia:
-        total += float(np.trapezoid(f.samples[ia : ib + 1], dx=h))
-    return total
-
-
-def total_variation(f: GridFunction, a: float = 0.0, b: float = 1.0) -> float:
-    """Total variation of the interpolant on [a, b]: sum of |sample jumps|."""
-    if not (0.0 <= a <= b <= 1.0):
-        raise DomainError("need 0 <= a <= b <= 1")
-    if a == b:
-        return 0.0
-    N = f.N
-    ia = int(np.ceil(a * N - 1e-12))
-    ib = int(np.floor(b * N + 1e-12))
-    vals = []
-    if a < ia / N or ia > ib:
-        vals.append(f(a))
-    if ia <= ib:
-        vals.extend(f.samples[ia : ib + 1])
-    if b > ib / N or ia > ib:
-        vals.append(f(b))
-    return variation(np.asarray(vals))
 
 
 def variation(values, periodic: bool = False) -> float:
@@ -180,16 +121,3 @@ def variation(values, periodic: bool = False) -> float:
     if periodic:
         var += float(abs(v[-1] - v[0]))
     return var
-
-
-def compose_monotone(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Samples of f o g on g's grid. Both maps must be strictly increasing
-    and g's range must lie inside [0, 1] (f's domain)."""
-    if not g.is_strictly_increasing():
-        raise MonotonicityError("inner map is not strictly increasing")
-    if not f.is_strictly_increasing():
-        raise MonotonicityError("outer map is not strictly increasing")
-    lo, hi = g.samples[0], g.samples[-1]
-    if lo < -1e-12 or hi > 1 + 1e-12:
-        raise DomainError("inner map's range exceeds the outer map's domain")
-    return GridFunction(f(np.clip(g.samples, 0.0, 1.0)))

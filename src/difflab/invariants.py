@@ -224,8 +224,7 @@ def _graded_grid(N: int, breakpoints=(0.0, 1.0)) -> np.ndarray:
 
 
 def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
-                     cfg: ToleranceConfig = DEFAULT_CONFIG,
-                     cocycle=None) -> dict:
+                     cfg: ToleranceConfig = DEFAULT_CONFIG) -> dict:
     """Drift of the affine-derivative cocycle c(f) = D^2f/Df in L^1, and the
     coboundary defect of the box average
 
@@ -234,11 +233,8 @@ def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
 
     with U(f)(phi) = (phi o f) Df.  The defect bounds the drift from above
     in the limit; for a single generator the box sum telescopes and the
-    defect equals ||c(f^n)||/n exactly.
-
-    `cocycle` optionally overrides the generator cocycle values: a sequence
-    of GridFunction (one per generator); extension to words always uses the
-    cocycle relation c(f g) = c(g) + U(g) c(f)."""
+    defect equals ||c(f^n)||/n exactly.  Words extend the generators'
+    cocycles by the cocycle relation c(f g) = c(g) + U(g) c(f)."""
     gens = t.generators
     N = min(cfg.grid_N, 2048)
     bps = {0.0, 1.0}
@@ -247,17 +243,12 @@ def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
             bps.update((float(a), float(b)))
     x = _graded_grid(N, sorted(bps))
 
-    def gen_c(i, y):
-        if cocycle is not None:
-            return cocycle[i](y)
-        return gens[i].affine_deriv(y)
-
     def cocycle_step(i):
         # left-multiply by f_i: c(f_i w) = c(w) + (c(f_i) o w) Dw, on the
         # word state (value, log-derivative, cocycle), all sampled at x
         def step(state):
             y, ld, c = state
-            c = c + gen_c(i, y) * np.exp(ld)
+            c = c + gens[i].affine_deriv(y) * np.exp(ld)
             y, ld_i = gens[i].jet(y)
             return y, ld + ld_i, c
         return step
@@ -270,38 +261,28 @@ def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
     psi /= n**len(gens)
 
     f = gens[f_index]
-    cf = gen_c(f_index, x)
+    cf = f.affine_deriv(x)
     fx = np.clip(f.value(x), 0.0, 1.0)
     u_psi = np.interp(fx, x, psi) * f.deriv(x)
     defect = _l1_norm(cf - (psi - u_psi), x)
 
-    # direct drift estimate ||c(f^n)||/n via the same cocycle extension.
-    # ||c(f^n)|| is subadditive, so a_n/n converges to the drift from above
-    # and may still overshoot at finite n; the increment (a_{2n} - a_n)/n
-    # removes the O(1) offset and is the estimate the defect is tested
-    # against.
-    # With the default cocycle c(f^m) = (log Df^m)', so ||c(f^m)||_L1 is the
-    # total variation of the accumulated log-derivative -- computable from
-    # node values alone, immune to the 2^m spike at repelling ends that no
-    # fixed grid can resolve in x.  A cocycle override has no antiderivative,
-    # so it falls back to direct quadrature.
-    # a_m/m converges to the drift from above (subadditivity); the orbit is
-    # a single vectorized iteration, so burn in well past the box size and
-    # refine with the last doubling increment.
-    # direct quadrature of an override cocycle accumulates Df^m factors that
-    # overflow past m ~ 1024, so that path stops at one doubling
-    m_max = 2 * n if cocycle is not None else max(8 * n, 512)
+    # direct drift estimate a_n/n, a_m = ||c(f^m)||_L1.  c(f^m) = (log Df^m)',
+    # so a_m is the total variation of the accumulated log-derivative --
+    # computable from node values alone, immune to the 2^m spike at
+    # repelling ends that no fixed grid can resolve in x.
+    # a_m is subadditive, so a_m/m converges to the drift from above and may
+    # still overshoot at finite m; the orbit is a single vectorized
+    # iteration, so burn in well past the box size, and the last doubling
+    # increment, which removes the O(1) offset, is the estimate the defect
+    # is tested against.
+    m_max = max(8 * n, 512)
     marks = []
     m = n
     while m <= m_max:
         marks.append(m)
         m *= 2
-    if cocycle is None:
-        orbit = _walk_words([_jet_step(f)], marks[-1] + 1, (x, zero))
-        a = {m: variation(ld) for m, (_, ld) in enumerate(orbit) if m in marks}
-    else:
-        orbit = _walk_words([steps[f_index]], marks[-1] + 1, (x, zero, zero))
-        a = {m: _l1_norm(c, x) for m, (_, _, c) in enumerate(orbit) if m in marks}
+    orbit = _walk_words([_jet_step(f)], marks[-1] + 1, (x, zero))
+    a = {m: variation(ld) for m, (_, ld) in enumerate(orbit) if m in marks}
     drift = a[n] / n
     drift_refined = (a[marks[-1]] - a[marks[-2]]) / (marks[-1] - marks[-2]) \
         if len(marks) > 1 else drift

@@ -39,7 +39,6 @@ __all__ = [
     "FlowTime",
     "moebius_field",
     "szekeres_field",
-    "flow_time",
     "flow_group_residual",
     "szekeres_bv_check",
 ]
@@ -563,15 +562,6 @@ class FlowTime(IntervalDiffeo):
 def szekeres_field(f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG) -> SzekeresField:
     """The generating field of the C^1 flow containing the contraction f."""
     return SzekeresField(f, cfg)
-
-
-def flow_time(X: VectorField1D, t: float, x: float) -> float:
-    """f^t(x) for the flow of X; zeros of X are returned unchanged."""
-    if t == 0.0:
-        return float(x)
-    if x <= 0.0 or x >= 1.0 or abs(float(X.X(np.array(float(x))))) == 0.0:
-        return float(x)
-    return float(X.flow(np.array([float(x)]), t)[0])
 
 
 def flow_group_residual(X: VectorField1D, s: float, t: float,

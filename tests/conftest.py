@@ -2,12 +2,14 @@
 
 import pytest
 
-from difflab import IntervalDiffeo
+from difflab import DEFAULT_CONFIG, IntervalDiffeo
+from difflab.cli import _build_action
 
 
 class LeafCounter(IntervalDiffeo):
     """Wraps a map and counts the calls of value, log_deriv, jet and deriv
-    on it and on every inverse taken from it, in one shared tally."""
+    on it and on every inverse taken from it, in one shared tally;
+    affine_deriv passes through uncounted."""
 
     def __init__(self, f, tally=None):
         self.f = f
@@ -34,6 +36,10 @@ class LeafCounter(IntervalDiffeo):
         self.tally[0] += 1
         return self.f.deriv(x)
 
+    def affine_deriv(self, x):
+        # uncounted: the cocycle values ride along with the counted jets
+        return self.f.affine_deriv(x)
+
     def inverse_map(self):
         return LeafCounter(self.f.inverse_map(), self.tally)
 
@@ -42,3 +48,10 @@ class LeafCounter(IntervalDiffeo):
 def leaf_counter():
     """The LeafCounter class: wrap a map to count its leaf evaluations."""
     return LeafCounter
+
+
+@pytest.fixture(scope="session")
+def circle_pair():
+    """The CLI's circle_pair preset: the one-generator circle action of
+    f = h R_alpha h^-1, alpha the golden mean, h(x) = x + 0.2 sin(2 pi x)/(2 pi)."""
+    return _build_action({"preset": "circle_pair"}, "action", DEFAULT_CONFIG)

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: spec validation, dispatch, report
 determinism, file emission, and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import difflab
+import difflab.cli as cli
 from difflab.cli import (
     COMMANDS,
     SpecError,
@@ -111,8 +113,15 @@ class TestRunCommand:
         assert report["exit_code"] == 0
         assert report["report"]["half_map_residual"] <= 1e-12
 
+    @pytest.mark.parametrize("f_index", [2, -1])
+    def test_drift_f_index_out_of_range(self, f_index):
+        # the default action has d = 2 generators
+        with pytest.raises(SpecError, match="params.f_index"):
+            run_command(load_spec({"cmd": "drift",
+                                   "params": {"f_index": f_index}}))
+
     def test_determinism(self):
-        doc = {"cmd": "metrics", "params": {"r": "1+bv", "starred": True}}
+        doc = {"cmd": "metrics", "params": {"r": "1+bv"}}
         a = json.dumps(run_command(load_spec(doc)), sort_keys=True)
         b = json.dumps(run_command(load_spec(doc)), sort_keys=True)
         assert a == b
@@ -224,10 +233,37 @@ class TestMain:
         assert report["components"] == []
 
 
+class _ReadLog(dict):
+    """A params dict that records which keys its command reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 @pytest.mark.parametrize("cmd", COMMANDS)
-def test_every_command_on_its_defaults(cmd, tmp_path):
+def test_every_command_on_its_defaults(cmd, tmp_path, monkeypatch):
+    logs = []
+
+    def logged(spec):
+        logs.append(_ReadLog(spec.params))
+        return run_command(dataclasses.replace(spec, params=logs[-1]))
+
+    monkeypatch.setattr(cli, "run_command", logged)
     rc = main([cmd, "--out", str(tmp_path), "--format", "json,csv,svg"])
     assert rc == 0
+    # every schema key reaches the command: no parameter is accepted and
+    # then ignored
+    (log,) = logs
+    assert log.read == set(log)
     report = json.loads((tmp_path / f"{cmd}.json").read_text())
     assert report["violations"] == []
     meta = json.loads((tmp_path / f"{cmd}.meta.json").read_text())

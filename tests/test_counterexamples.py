@@ -24,6 +24,8 @@ from difflab.counterexamples import (
     _delta_d1,
     _delta_d2,
     _piece_preimages,
+    _psi_from_profile,
+    _triangle_profile,
 )
 from difflab.gridfn import variation
 
@@ -139,6 +141,36 @@ class TestHyperbolicExample:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             hyperbolic_example(0)
+        # the sums are exact Fractions only; there is no float fallback
+        with pytest.raises(ValueError):
+            hyperbolic_example(2001)
+
+    def test_psi_matches_quadrature_inside_each_support(self):
+        # psi_k integrates e^g exactly per linear piece; against a fine
+        # trapezoid rule at interior points, where psi_k is not the identity
+        for k in range(1, 9):
+            nodes, vals = _triangle_profile(k)
+            psi, _ = _psi_from_profile(nodes, vals)
+            u = np.linspace(nodes[0], nodes[-1], 200_001)
+            eg = np.exp(np.interp(u, nodes, vals))
+            cum = nodes[0] + np.concatenate(
+                ([0.0], np.cumsum(0.5 * (eg[1:] + eg[:-1]) * np.diff(u))))
+            x = np.linspace(nodes[0], nodes[-1], 259)[1:-1]
+            got = np.array([psi(v) for v in x])
+            assert np.max(np.abs(got - np.interp(x, u, cum))) <= 1e-12
+
+    def test_unbalanced_bump_is_refused(self, monkeypatch):
+        # halving the down-triangle leaves psi_1 off the end of its support
+        # by 3.5e-3; the annulus audit looks inside every support
+        def unbalanced(k):
+            nodes, vals = _triangle_profile(k)
+            vals = vals.copy()
+            vals[3] /= 2.0
+            return nodes, vals
+
+        monkeypatch.setattr(counterexamples, "_triangle_profile", unbalanced)
+        with pytest.raises(ConstructionError, match="end of its support"):
+            hyperbolic_example(8)
 
 
 class TestSergeraert:

@@ -3,6 +3,7 @@ conjugation, interpolation between conjugate actions, flow regularization,
 log-linear paths, action classification, and finite-order normal forms."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +109,11 @@ class TestGeometricMeanConjugacy:
             geometric_mean_conjugacy(ActionTuple(generators=(Moebius(2.0),)),
                                      n=0)
 
+    def test_circle_generator_within_its_bound(self, circle_pair):
+        # the circle branch measures variation with the seam term
+        rep = geometric_mean_conjugacy(circle_pair, n=8)
+        assert all(s >= 0.0 for s in rep.slacks)
+
 
 class TestInterpolationPath:
     def setup_method(self):
@@ -183,7 +189,7 @@ class TestRegularizeFlow:
 
     def test_regularized_field_flow_log_deriv(self):
         # the chain rule through phi agrees with the field ratio
-        Xt = regularize_flow(Moebius(2.0)).field
+        Xt = regularize_flow(szekeres_field(Moebius(2.0))).field
         xs = np.linspace(0.002, 0.998, 199)
         ts = np.linspace(-1.5, 2.5, xs.size)
         y, ld = Xt.flow_log_deriv(xs, ts)
@@ -246,6 +252,26 @@ class TestClassifyAction:
         (comp,) = dec.components
         assert comp.tag == "cyclic"
         assert comp.exponents == (1, 2)
+
+    def test_cyclic_with_a_trivial_generator(self):
+        # the identity has translation time 0 on the component of Moebius(2)
+        dec = classify_action(ActionTuple(generators=(Moebius(2.0), identity())))
+        (comp,) = dec.components
+        assert comp.tag == "cyclic"
+        assert comp.exponents == (1, 0)
+
+    def test_cyclic_root_realized_by_no_generator(self):
+        # times 0.4 and 0.6 of one flow are h^2 and h^3 for h its time-0.2
+        # map, which neither generator is
+        X = moebius_field(2.0)
+        dec = classify_action(ActionTuple(generators=(FlowTime(X, 0.4),
+                                                      FlowTime(X, 0.6))))
+        (comp,) = dec.components
+        assert comp.tag == "cyclic"
+        assert comp.exponents == (2, 3)
+        assert comp.base_time == Fraction(1, 2)
+        assert any("no generator realizes the common root" in w
+                   for w in comp.warnings)
 
     def test_flowable_incommensurate_times(self):
         X = moebius_field(2.0)

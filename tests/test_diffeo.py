@@ -321,8 +321,8 @@ _BUMPED = BumpPerturbation(Moebius(2.0), [Bump(0.4, 0.2, 0.05)])
     (Rotation(0.3), 1e-6),
     # node gradients read linearly against the slope of the linear
     # log_deriv in each cell: an O(1/N) gap
-    (GridLogDeriv.from_log_deriv_callable(
-        lambda x: 0.3 * np.sin(2.0 * math.pi * x), 4096), 5e-3),
+    (GridLogDeriv(GridFunction(
+        0.3 * np.sin(2.0 * math.pi * np.linspace(0.0, 1.0, 4097)))), 5e-3),
 ], ids=["chart", "reflection", "composition", "bump", "rotation", "grid"])
 def test_affine_deriv_is_slope_of_log_deriv(f, tol):
     x = np.linspace(0.05, 0.95, 181)

@@ -1,26 +1,17 @@
-"""Tests for the monotone-numerics substrate: quadrature, total variation,
-and monotone composition of grid-sampled functions."""
-
-import math
+"""Tests for the grid substrate: grid-sampled functions, the variation
+helper and the tolerance policy."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from difflab import (
-    DomainError,
-    GridFunction,
-    MonotonicityError,
-    ToleranceConfig,
-    compose_monotone,
-    integrate,
-    total_variation,
-)
+from difflab import GridFunction, ToleranceConfig
+from difflab.gridfn import variation
 
 
-def grid_from(fn, N=4096):
-    return GridFunction.from_callable(fn, N)
+def samples(fn, N=4096):
+    return fn(np.linspace(0.0, 1.0, N + 1))
 
 
 class TestGridFunction:
@@ -44,93 +35,29 @@ class TestGridFunction:
         # midpoint of the first cell interpolates linearly
         assert g(0.125) == pytest.approx(0.5)
 
-    def test_strictly_increasing_flag(self):
-        assert grid_from(lambda x: x, 64).is_strictly_increasing()
-        assert not grid_from(lambda x: np.sin(2 * np.pi * x),
-                             64).is_strictly_increasing()
-
-
-class TestIntegrate:
-    def test_constant_one(self):
-        assert integrate(grid_from(lambda x: np.ones_like(x), 64)) == 1.0
-
-    def test_affine_exact(self):
-        assert integrate(grid_from(lambda x: x, 64)) == pytest.approx(
-            0.5, abs=1e-15)
-
-    def test_square_oracle(self):
-        # closed-form antiderivative: int_0^1 x^2 = 1/3
-        val = integrate(grid_from(lambda x: x ** 2, 4096))
-        assert val == pytest.approx(1.0 / 3.0, abs=1e-7)
-
-    def test_subinterval(self):
-        val = integrate(grid_from(lambda x: x, 4096), 0.25, 0.75)
-        assert val == pytest.approx(0.25, abs=1e-12)
-
-    def test_out_of_domain(self):
-        g = grid_from(lambda x: x, 64)
-        with pytest.raises((DomainError, ValueError)):
-            integrate(g, -0.5, 0.5)
-
-    def test_second_order_convergence(self):
-        # halving the step divides the quadrature error by about 4
-        exact = 1.0 / 3.0
-        e1 = abs(integrate(grid_from(lambda x: x ** 2, 256)) - exact)
-        e2 = abs(integrate(grid_from(lambda x: x ** 2, 512)) - exact)
-        assert e2 < e1 / 3.0
-
 
 class TestTotalVariation:
     def test_monotone_is_range(self):
-        g = grid_from(lambda x: x ** 3, 1024)
-        assert total_variation(g) == pytest.approx(1.0, abs=1e-12)
+        assert variation(samples(lambda x: x ** 3, 1024)) == pytest.approx(
+            1.0, abs=1e-12)
+
+    def test_periodic_adds_the_seam(self):
+        # the closed curve on the circle also jumps from 1 back to 0
+        assert variation(samples(lambda x: x ** 3, 1024),
+                         periodic=True) == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_zero(self):
-        assert total_variation(grid_from(lambda x: 2.0 * np.ones_like(x),
-                                         64)) == 0.0
+        assert variation(samples(lambda x: 2.0 * np.ones_like(x), 64)) == 0.0
 
     def test_sine_oracle(self):
         # two monotone branches up and down: var = 4 * amplitude
-        g = grid_from(lambda x: np.sin(2 * np.pi * x), 4096)
-        assert total_variation(g) == pytest.approx(4.0, abs=1e-4)
+        v = samples(lambda x: np.sin(2 * np.pi * x))
+        assert variation(v) == pytest.approx(4.0, abs=1e-4)
 
     def test_subinterval(self):
-        g = grid_from(lambda x: np.sin(2 * np.pi * x), 4096)
-        assert total_variation(g, 0.0, 0.25) == pytest.approx(1.0, abs=1e-4)
-
-
-class TestComposeMonotone:
-    def test_identity_left(self):
-        g = grid_from(lambda x: x ** 2 * (3 - 2 * x), 1024)
-        ident = grid_from(lambda x: x, 1024)
-        out = compose_monotone(ident, g)
-        assert np.allclose(out.samples, g.samples, atol=1e-9)
-
-    def test_moebius_composition_law(self):
-        # x/(2-x) composed with itself is x/(4-3x)
-        h2 = grid_from(lambda x: x / (2.0 - x), 4096)
-        out = compose_monotone(h2, h2)
-        target = out.nodes / (4.0 - 3.0 * out.nodes)
-        assert np.max(np.abs(out.samples - target)) < 1e-6
-
-    def test_variation_invariance(self):
-        # var(u o g) = var(u) for any increasing change of variables;
-        # u is not monotone, so the composite is resampled directly
-        u = grid_from(lambda x: np.sin(2 * np.pi * x), 4096)
-        g = grid_from(lambda x: x / (2.0 - x), 4096)
-        composite = grid_from(lambda x: u(g(x)), 4096)
-        assert abs(total_variation(u) - total_variation(composite)) < 1e-3
-
-    def test_non_monotone_rejected(self):
-        u = grid_from(lambda x: np.sin(2 * np.pi * x), 256)
-        g = grid_from(lambda x: x, 256)
-        with pytest.raises(MonotonicityError):
-            compose_monotone(g, u)
-
-    def test_preserves_monotonicity(self):
-        f = grid_from(lambda x: x ** 2 * (3 - 2 * x), 1024)
-        g = grid_from(lambda x: x / (2.0 - x), 1024)
-        assert compose_monotone(f, g).is_strictly_increasing()
+        # nodes 0..1024 of 4096 cover [0, 1/4], one monotone branch
+        v = samples(lambda x: np.sin(2 * np.pi * x))
+        assert variation(v[:1025]) == pytest.approx(1.0, abs=1e-4)
 
 
 class TestToleranceConfig:
@@ -145,19 +72,9 @@ class TestToleranceConfig:
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6),
-       st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+       st.integers(0, 256), st.integers(0, 256))
 def test_variation_superadditive_on_split(coeffs, a, b):
     """var over [0,1] >= var over [a,b] for any polynomial samples."""
     a, b = min(a, b), max(a, b)
-    g = grid_from(lambda x: sum(c * x ** i for i, c in enumerate(coeffs)), 256)
-    assert total_variation(g) >= total_variation(g, a, b) - 1e-12
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.floats(-3, 3), st.floats(-3, 3))
-def test_integral_linearity(alpha, beta):
-    f = grid_from(lambda x: x ** 2, 512)
-    g = grid_from(lambda x: np.cos(2 * np.pi * x), 512)
-    lhs = integrate(GridFunction(alpha * f.samples + beta * g.samples))
-    rhs = alpha * integrate(f) + beta * integrate(g)
-    assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(alpha) + abs(beta)))
+    v = samples(lambda x: sum(c * x ** i for i, c in enumerate(coeffs)), 256)
+    assert variation(v) >= variation(v[a:b + 1]) - 1e-12

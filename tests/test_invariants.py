@@ -4,7 +4,6 @@ circle-map obstruction to embedding in a flow, and cocycle drift."""
 import math
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from difflab import (
@@ -57,6 +56,15 @@ class TestAsymptoticVariation:
         assert ve.lower_bound == 0.0
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert ve.limit < 0.05
+
+    def test_conjugated_rotation_stays_bounded(self, circle_pair):
+        # f^n = h R^n h^-1, so var(log Df^n) <= 2 var(log Dh) = 4 ln 1.5 on
+        # the circle for every n (largest measured: 1.6157 at n = 4)
+        (f,) = circle_pair.generators
+        ve = asymptotic_variation(f)
+        assert ve.lower_bound == 0.0
+        for n, v in ve.pairs:
+            assert n * v <= 4.0 * math.log(1.5) + 1e-3
 
     def test_bad_schedule_rejected(self):
         with pytest.raises(ValueError):
@@ -118,32 +126,16 @@ class TestCoboundaryDrift:
                                               rel=0.1)
         assert rep["lower_bound_holds"]
 
-    def test_exact_coboundary_has_zero_drift(self):
-        # c = psi - U(f) psi with psi(y) = y(1-y) is a coboundary: its
-        # refined drift estimate must vanish identically
-        f = Moebius(2.0)
-
-        def cob(y):
-            fy = np.clip(f.value(y), 0.0, 1.0)
-            return y * (1.0 - y) - fy * (1.0 - fy) * f.deriv(y)
-
-        rep = coboundary_drift(ActionTuple(generators=(f,)), n=256,
-                               cocycle=[cob])
-        assert rep["drift_refined"] == pytest.approx(0.0, abs=1e-9)
-        assert rep["lower_bound_holds"]
-
     def test_box_walk_stops_at_the_last_word(self, leaf_counter):
         # one jet per step and n - 1 steps per word row; a step past the
         # n-th word of each row cost 33 of 1056 steps at n = 32, d = 2
         f = leaf_counter(Moebius(2.0))
         g = leaf_counter(Moebius(3.0))
-        zero = lambda y: np.zeros_like(y)
-        coboundary_drift(ActionTuple(generators=(f, g)), n=4,
-                         cocycle=[zero, zero])
+        coboundary_drift(ActionTuple(generators=(f, g)), n=4)
         assert g.calls == 4 * 3
-        # f: one row of 3 steps, then value and deriv at x and 2n = 8
-        # steps of the drift orbit
-        assert f.calls == 3 + 2 + 8
+        # f: one row of 3 steps, then value and deriv at x and the
+        # max(8n, 512) = 512 steps of the drift orbit
+        assert f.calls == 3 + 2 + 512
 
     def test_box_budget_guard(self):
         # one budget check, in the word walk, serves every box average

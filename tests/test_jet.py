@@ -42,7 +42,7 @@ def _interval_maps():
     included."""
     bumped = BumpPerturbation(Moebius(2.0), [Bump(0.45, 0.2, 0.08)])
     X = szekeres_field(bumped)
-    grid = GridLogDeriv.from_log_deriv_callable(lambda x: 0.3 * np.sin(2 * np.pi * x), 256)
+    grid = GridLogDeriv(GridFunction(0.3 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 257))))
     xs = np.linspace(0.0, 1.0, 65)
     smooth = _SmoothConjugacy(xs, 0.2 * np.cos(np.pi * xs))
     bridge = moebius_field(2.0)
@@ -129,7 +129,7 @@ class TestSameMap:
         assert _same_map(FlowTime(X1, 0.3), FlowTime(X1, 0.3))
 
     def test_powers_and_moebius(self):
-        g = GridLogDeriv.from_log_deriv_callable(lambda x: 0.2 * x, 64)
+        g = GridLogDeriv(GridFunction(0.2 * np.linspace(0.0, 1.0, 65)))
         assert _same_map(*_orders(ActionTuple((iterate(g, 2), g))))
         assert _same_map(Moebius(2.0), Moebius(2.0))
         assert not _same_map(Moebius(2.0), Moebius(3.0))

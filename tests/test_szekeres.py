@@ -21,7 +21,6 @@ from difflab import (
     TransportBudgetExceeded,
     example_two_component_action,
     flow_group_residual,
-    flow_time,
     identity,
     metric,
     moebius_field,
@@ -270,24 +269,24 @@ class TestFlowTime:
     def test_half_time_oracle(self):
         X = AnalyticField("bridge", LN2)
         # h_{sqrt 2}(1/2) = sqrt 2 - 1
-        assert flow_time(X, 0.5, 0.5) == pytest.approx(math.sqrt(2.0) - 1.0,
-                                                       abs=1e-7)
+        assert float(FlowTime(X, 0.5).value(0.5)) == pytest.approx(
+            math.sqrt(2.0) - 1.0, abs=1e-7)
 
     def test_zero_time_identity(self):
         X = AnalyticField("parabolic_both", 1.0)
         for x in (0.0, 0.3, 0.77, 1.0):
-            assert flow_time(X, 0.0, x) == x
+            assert float(FlowTime(X, 0.0).value(x)) == x
 
     def test_unit_time_is_moebius(self):
         X = AnalyticField("bridge", LN2)
         for x in (0.1, 0.5, 0.9):
-            assert flow_time(X, 1.0, x) == pytest.approx(x / (2.0 - x),
-                                                         abs=1e-7)
+            assert float(FlowTime(X, 1.0).value(x)) == pytest.approx(
+                x / (2.0 - x), abs=1e-7)
 
     def test_endpoints_fixed(self):
         X = moebius_field(2.0)
-        assert flow_time(X, 3.7, 0.0) == 0.0
-        assert flow_time(X, -2.1, 1.0) == 1.0
+        assert float(FlowTime(X, 3.7).value(0.0)) == 0.0
+        assert float(FlowTime(X, -2.1).value(1.0)) == 1.0
 
     def test_log_deriv_matches_field_ratio(self):
         # log Df^t(x) = log(X(f^t x) / X(x))
