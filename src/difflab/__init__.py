@@ -18,12 +18,11 @@ from .diffeo import (
     Bump,
     BumpPerturbation,
     CircleDiffeo,
-    CircleGrid,
     Composition,
     Diffeo,
     FixedPoint,
     FixedPointReport,
-    GridLogDeriv,
+    GridMap,
     GridSample,
     IntervalDiffeo,
     InverseMap,

@@ -29,12 +29,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .gridfn import DEFAULT_CONFIG, GridFunction, ToleranceConfig
+from .gridfn import DEFAULT_CONFIG, ToleranceConfig
 from .diffeo import (
     ActionTuple,
     Bump,
     BumpPerturbation,
-    CircleGrid,
+    GridMap,
     Moebius,
     Rotation,
     compose,
@@ -133,15 +133,16 @@ def _validate_spec_dict(doc: dict) -> ExperimentSpec:
         if fmt not in ("json", "csv", "svg"):
             raise SpecError(f"unknown field 'format.{fmt}'")
     grid_N = doc.get("grid_N", DEFAULT_CONFIG.grid_N)
-    if not isinstance(grid_N, int):
+    if not isinstance(grid_N, int) or isinstance(grid_N, bool):
         raise SpecError("field 'grid_N' must be an integer")
     try:
         ToleranceConfig(grid_N=grid_N)
     except ValueError as exc:
         raise SpecError(f"field 'grid_N': {exc}") from None
     tol = doc.get("tol", 1e-6)
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        raise SpecError("field 'tol' must be a positive number")
+    if (not isinstance(tol, (int, float)) or isinstance(tol, bool)
+            or not 0 < tol < math.inf):
+        raise SpecError("field 'tol' must be a finite positive number")
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise SpecError("field 'out' must be a string")
@@ -149,13 +150,18 @@ def _validate_spec_dict(doc: dict) -> ExperimentSpec:
                           tol=float(tol), formats=tuple(fmts), out=out)
 
 
+def _reject_constant(name):
+    raise SpecError(f"spec is not valid JSON: {name} is not a number")
+
+
 def _read_spec(path):
-    """The parsed JSON document of a spec file."""
+    """The parsed JSON document of a spec file.  NaN and Infinity, which
+    Python's json reader accepts, are rejected anywhere in it."""
     if not os.path.exists(path):
         raise SpecError(f"spec file {path!r} does not exist")
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise SpecError(f"spec is not valid JSON: {exc}") from exc
 
@@ -238,7 +244,7 @@ def _conjugated_rotation(alpha: float, amp: float, freq: int,
     w = 2.0 * math.pi * freq
     disp = amp * np.sin(w * x) / w
     logd = np.log1p(amp * np.cos(w * x))
-    h = CircleGrid(GridFunction(disp), GridFunction(logd), cfg=cfg)
+    h = GridMap(x + disp, logd, "circle")
     return compose(h, compose(Rotation(alpha), inverse(h)))
 
 

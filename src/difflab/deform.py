@@ -23,13 +23,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gridfn import DEFAULT_CONFIG, GridFunction, ToleranceConfig, variation
+from .gridfn import ABS_TOL, DEFAULT_CONFIG, ToleranceConfig, variation
 from .diffeo import (
     ActionTuple,
     ChartMap,
     CircleDiffeo,
-    CircleGrid,
-    GridLogDeriv,
+    GridMap,
     IntervalDiffeo,
     Rotation,
     commutator_residual,
@@ -190,7 +189,7 @@ def herman_average(t: ActionTuple, n: int,
             total_d += np.exp(ld)
         lift = total / n**t.d
         logd = np.log(total_d / n**t.d)
-        phi = CircleGrid(GridFunction(lift - x), GridFunction(logd), cfg)
+        phi = GridMap(lift, logd, "circle")
         conjs = tuple(_conjugate(phi, g) for g in t.generators)
 
     rhos = tuple(rotation_number(g, cfg).value for g in t.generators)
@@ -207,19 +206,6 @@ def herman_average(t: ActionTuple, n: int,
 # geometric-mean conjugacy
 
 
-def _from_log_deriv(psi: np.ndarray, kind: str, cfg: ToleranceConfig):
-    """The map of the given kind fixing 0 whose log-derivative interpolates
-    the samples psi, normalized to total mass 1: a GridLogDeriv, or for a
-    circle map (psi periodic) the CircleGrid lift of that same map."""
-    f = GridLogDeriv(GridFunction(psi))
-    if kind == "interval":
-        return f
-    disp = f._values.samples - f._values.nodes
-    logd = f.g.samples.copy()
-    disp[-1], logd[-1] = disp[0], logd[0]
-    return CircleGrid(GridFunction(disp), GridFunction(logd), cfg)
-
-
 @dataclass
 class GeometricMeanReport:
     conjugacy: object
@@ -227,7 +213,7 @@ class GeometricMeanReport:
     n: int
     vars_conjugate: tuple    # var(log D(phi f_i phi^-1)) per generator
     var_bounds: tuple        # var(log Df_i^n)/n per generator
-    slacks: tuple            # bound + tol - var, all >= 0
+    slacks: tuple            # bound + tol - var; < 0 falsifies the bound
 
 
 def geometric_mean_conjugacy(t: ActionTuple, n: int = 8,
@@ -252,7 +238,7 @@ def geometric_mean_conjugacy(t: ActionTuple, n: int = 8,
         return total / n**t.d
 
     psi = mean_log_deriv(x)
-    phi = _from_log_deriv(psi, t.kind, cfg)
+    phi = GridMap.from_log_deriv(psi, t.kind)
     conjs = tuple(_conjugate(phi, g) for g in t.generators)
 
     # certified variation drop, measured parametrization-invariantly:
@@ -268,11 +254,6 @@ def geometric_mean_conjugacy(t: ActionTuple, n: int = 8,
                 var_u = variation(mean_log_deriv(y) + acc - psi, periodic=circle)
         bound = variation(acc, periodic=circle) / n
         slack = bound + tol - var_u
-        if slack < 0:
-            raise RuntimeError(
-                f"variation bound violated: var(conj)={var_u:.6e} exceeds "
-                f"var(log Df^n)/n={bound:.6e} + {tol:.0e}"
-            )
         vars_c.append(var_u)
         bounds.append(bound)
         slacks.append(slack)
@@ -296,7 +277,7 @@ def _scaled_conjugacy(phi, s: float, cfg: ToleranceConfig):
         return phi
     x = np.linspace(0.0, 1.0, cfg.grid_N + 1)
     ld = s * np.asarray(phi.log_deriv(x), dtype=float)
-    return _from_log_deriv(ld, phi.kind, cfg)
+    return GridMap.from_log_deriv(ld, phi.kind)
 
 
 def _conjugate(phi, g):
@@ -826,7 +807,7 @@ class DeformationPath:
         Each row holds d*_r(rho_t, id), the largest over generators, which
         must stay within ``bound`` = 2 d*_r(rho_0, id) + tol; the commutator
         residual of rho_t, which must stay within 10 times the source's plus
-        cfg.abs_tol; and the increment max_i d_r(rho_t(i), rho_prev(i)) from
+        ABS_TOL; and the increment max_i d_r(rho_t(i), rho_prev(i)) from
         the previous row (0 on the first).  Each generator is sampled on the
         metric grid once per row, and that sample serves both its d* and
         the next row's increment."""
@@ -857,7 +838,7 @@ class DeformationPath:
             res_t = commutator_residual(act, cfg)
             step = (max(sampled_distance(a, b, r) for a, b in zip(cur, prev))
                     if prev is not None else 0.0)
-            ok = (d_t <= bound + tol) and (res_t <= 10.0 * res_src + cfg.abs_tol)
+            ok = (d_t <= bound + tol) and (res_t <= 10.0 * res_src + ABS_TOL)
             all_ok = all_ok and ok
             rows.append({"t": t, "d_star": d_t, "commutation": res_t,
                          "increment": step, "ok": bool(ok)})
@@ -909,7 +890,7 @@ def deform_action(t: ActionTuple, t_param: float, r: str = "1+ac",
 
 @dataclass
 class NormalFormReport:
-    conjugacy: CircleGrid
+    conjugacy: GridMap
     n: int
     junction_mismatches: tuple   # one-sided log-derivative gaps at k/n
     conjugation_residual: float  # sup |g(phi(x)) - phi(x + 1/n)| off the last cell
@@ -964,9 +945,8 @@ def normalize_finite_order(g: CircleDiffeo, n: int, psi=None,
         val[m] = g.value(val[m])
     disp = val - x
     disp[-1] = disp[0]
-    lds = ld.copy()
-    lds[-1] = lds[0]
-    phi = CircleGrid(GridFunction(disp), GridFunction(lds), cfg)
+    ld[-1] = ld[0]
+    phi = GridMap(x + disp, ld, "circle")
 
     # junction gluing: one-sided log-derivative gaps at the cell boundaries
     # k/n, k = 1..n-1: log Dpsi(1) + log Dg^{k-1}(1/n) from the left against

@@ -4,7 +4,7 @@ Every map is a Diffeo with one protocol: value (f(x), or the lift F(x) for
 circle maps), log_deriv, jet and inverse_value; one compose / inverse /
 iterate serves both kinds.  Maps are kept as symbolic specs (Moebius
 fractions, rotations, compositions, inverses, flow times, grid
-log-derivatives, bump perturbations) for as long as possible; grids appear
+tables, bump perturbations) for as long as possible; grids appear
 only at evaluation boundaries.  All evaluators are vectorized over numpy
 arrays.
 
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import (
+    ABS_TOL,
     DEFAULT_CONFIG,
     DomainError,
     GridFunction,
@@ -43,7 +44,7 @@ __all__ = [
     "Composition",
     "InverseMap",
     "ChartMap",
-    "GridLogDeriv",
+    "GridMap",
     "Bump",
     "BumpPerturbation",
     "identity",
@@ -56,7 +57,6 @@ __all__ = [
     "sampled_distance",
     "CircleDiffeo",
     "Rotation",
-    "CircleGrid",
     "CircleInverse",
     "RotationNumber",
     "rotation_number",
@@ -141,8 +141,9 @@ class Diffeo:
     lift F, F(x+1) = F(x) + 1 (kind "circle").
 
     value(x) is f(x), resp. F(x), and log_deriv(x) is log Df(x), resp.
-    log DF(x).  The kind decides only the domain check and the bracket of
-    the generic bisection inverse; composites take it from their factors."""
+    log DF(x).  The kind decides only the domain check, the bracket of the
+    generic bisection inverse and where a GridMap reads its log-derivative
+    table; composites take it from their factors."""
 
     kind = "interval"
 
@@ -367,6 +368,8 @@ class ChartMap(IntervalDiffeo):
     def __init__(self, f: Diffeo, a: float, b: float):
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and a != b):
             raise ValueError("need a != b in [0, 1]")
+        if f.kind != "interval":
+            raise ValueError("a chart map reads an interval map")
         self.f = f
         self.a = float(a)
         self.b = float(b)
@@ -407,86 +410,138 @@ class ChartMap(IntervalDiffeo):
         return f"ChartMap({self.f!r}, {self.a}, {self.b})"
 
 
-class GridLogDeriv(IntervalDiffeo):
-    """Map reconstructed from log-derivative samples g:
+# how far a circle table may miss F(1) = F(0) + 1 and logd(1) = logd(0)
+_SEAM_TOL = 1e-6
 
-        f(x) = int_0^x exp(g) du / int_0^1 exp(g) du
 
-    The normalization constant is folded into the stored samples so that
-    int_0^1 exp(g) = 1; node values of f come from trapezoid prefix sums and
-    evaluation between nodes is linear (same contract as GridFunction)."""
+class GridMap(Diffeo):
+    """A map given by two tables on the N + 1 uniform nodes x_i = i/N, both
+    read linearly between nodes: values holds f(x_i), for a circle map the
+    lift F(x_i), and logd holds log Df(x_i).  The kind, "interval" or
+    "circle", is set per map.
 
-    def __init__(self, g: GridFunction):
+    An interval table runs from 0 to 1.  A circle table closes up to
+    F(1) = F(0) + 1 and logd(1) = logd(0) within 1e-6, and F(1) is then set
+    to F(0) + 1.  value(x) = k + table(x - k) with k = floor(x), and the
+    inverse reads the value table backwards: exact for both kinds."""
+
+    def __init__(self, values, logd, kind: str = "interval"):
+        v, ld = GridFunction(values).samples, GridFunction(logd).samples
+        if v.shape != ld.shape:
+            raise ValueError("values and logd must share one grid")
+        if kind == "interval":
+            if v[0] != 0.0 or v[-1] != 1.0:
+                raise ValueError("an interval table must run from 0 to 1")
+        elif kind == "circle":
+            if abs(v[-1] - v[0] - 1.0) > _SEAM_TOL:
+                raise ValueError("lift seam mismatch: F(1) != F(0) + 1")
+            if abs(ld[-1] - ld[0]) > _SEAM_TOL:
+                raise ValueError("log-derivative seam mismatch")
+            v = v.copy()
+            v[-1] = v[0] + 1.0
+            v.flags.writeable = False
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        if not np.all(np.diff(v) > 0):
+            raise MonotonicityError("values are not strictly increasing")
+        self.kind = kind
+        self.values = v
+        self.logd = ld
+        self.nodes = np.linspace(0.0, 1.0, len(v))
+
+    @classmethod
+    def from_log_deriv(cls, psi, kind: str = "interval") -> "GridMap":
+        """The map of the given kind fixing 0 whose log-derivative
+        interpolates the samples psi (periodic for a circle map), shifted
+        so that int_0^1 exp(log Df) = 1: node values from trapezoid prefix
+        sums, with f(1) = 1 exactly."""
+        g = GridFunction(psi)
         h = 1.0 / g.N
         z = float(np.trapezoid(np.exp(g.samples), dx=h))
-        self.g = GridFunction(g.samples - math.log(z))
-        eg = np.exp(self.g.samples)
+        ld = g.samples - math.log(z)
+        eg = np.exp(ld)
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (eg[1:] + eg[:-1]) * h)])
         cum /= cum[-1]  # force f(1) = 1 exactly
         cum[0] = 0.0
-        self._values = GridFunction(cum)
+        if kind == "circle":
+            ld[-1] = ld[0]
+        return cls(cum, ld, kind)
+
+    def _read(self, table, x):
+        """A node table read linearly at x, reduced mod 1 on the circle."""
+        x = self._check_domain(x)
+        if self.kind == "circle":
+            x = np.mod(x, 1.0)
+        return np.interp(x, self.nodes, table)
 
     def value(self, x):
         x = self._check_domain(x)
-        return self._values(x)
+        k = np.floor(x)
+        return k + np.interp(x - k, self.nodes, self.values)
 
     def inverse_value(self, y):
-        # exact: the piecewise-linear value table read backwards
-        return np.interp(y, self._values.samples, self._values.nodes)
+        # reduce by F(y + 1) = F(y) + 1 into [F(0), F(0) + 1], then read the
+        # value table backwards
+        y = np.asarray(y, dtype=float)
+        k = np.floor(y - self.values[0])
+        return k + np.interp(y - k, self.values, self.nodes)
 
     def log_deriv(self, x):
-        x = self._check_domain(x)
-        return self.g(x)
+        return self._read(self.logd, x)
 
     def affine_deriv(self, x):
         # finite differencing of the stored log-derivative samples
-        x = self._check_domain(x)
-        h = 1.0 / self.g.N
-        d = np.gradient(self.g.samples, h)
-        return np.interp(x, self.g.nodes, d)
+        h = 1.0 / (len(self.nodes) - 1)
+        return self._read(np.gradient(self.logd, h), x)
+
+    def reflect(self):
+        return ChartMap(self, 1.0, 0.0)
 
     def __repr__(self):
-        return f"GridLogDeriv(N={self.g.N})"
+        return f"GridMap(N={len(self.nodes) - 1}, kind={self.kind!r})"
 
 
-# -- smooth bump profile used by BumpPerturbation ---------------------------
+# -- flat bump profiles exp(c - 1/((u - a)(b - u))) on (a, b) --------------
 
 
-def _bump_eta(u):
-    """C-infinity bump on (0,1), max value 1 at u=1/2, flat-zero outside."""
+def _flat_bump(u, a, b, c):
+    """C-infinity bump exp(c - 1/((u - a)(b - u))) on (a, b), flat-zero
+    outside."""
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
-    inside = (u > 0.0) & (u < 1.0)
+    inside = (u > a) & (u < b)
     ui = u[inside]
-    out[inside] = np.exp(4.0 - 1.0 / (ui * (1.0 - ui)))
+    out[inside] = np.exp(c - 1.0 / ((ui - a) * (b - ui)))
     return out
 
 
-def _bump_eta_d1(u):
+def _flat_bump_d1(u, a, b, c):
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
-    inside = (u > 0.0) & (u < 1.0)
+    inside = (u > a) & (u < b)
     ui = u[inside]
-    p = ui * (1.0 - ui)
-    sp = (1.0 - 2.0 * ui) / p**2
-    out[inside] = np.exp(4.0 - 1.0 / p) * sp
+    p = (ui - a) * (b - ui)
+    pp = a + b - 2.0 * ui
+    out[inside] = np.exp(c - 1.0 / p) * (pp / p**2)
     return out
 
 
-def _bump_eta_d2(u):
+def _flat_bump_d2(u, a, b, c):
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
-    inside = (u > 0.0) & (u < 1.0)
+    inside = (u > a) & (u < b)
     ui = u[inside]
-    p = ui * (1.0 - ui)
-    pp = 1.0 - 2.0 * ui
+    p = (ui - a) * (b - ui)
+    pp = a + b - 2.0 * ui
     sp = pp / p**2
     spp = (-2.0 * p - 2.0 * pp**2) / p**3
-    out[inside] = np.exp(4.0 - 1.0 / p) * (sp**2 + spp)
+    out[inside] = np.exp(c - 1.0 / p) * (sp**2 + spp)
     return out
 
 
-_ETA_D1_MAX = float(np.max(np.abs(_bump_eta_d1(np.linspace(0, 1, 20001)))))
+# the displacement bump's profile: max 1 at u = 1/2 of its support (0, 1)
+_ETA = (0.0, 1.0, 4.0)
+_ETA_D1_MAX = float(np.max(np.abs(_flat_bump_d1(np.linspace(0, 1, 20001), *_ETA))))
 
 
 @dataclass(frozen=True)
@@ -533,7 +588,7 @@ class BumpPerturbation(IntervalDiffeo):
     def _b(self, x):
         y = np.asarray(x, dtype=float)
         for b in self.bumps:
-            y = y + b.amplitude * b.width * _bump_eta(b._u(x))
+            y = y + b.amplitude * b.width * _flat_bump(b._u(x), *_ETA)
         return y
 
     def _b_inv(self, z):
@@ -547,13 +602,13 @@ class BumpPerturbation(IntervalDiffeo):
     def _db(self, x):
         d = np.ones_like(np.asarray(x, dtype=float))
         for b in self.bumps:
-            d = d + b.amplitude * _bump_eta_d1(b._u(x))
+            d = d + b.amplitude * _flat_bump_d1(b._u(x), *_ETA)
         return d
 
     def _d2b(self, x):
         d = np.zeros_like(np.asarray(x, dtype=float))
         for b in self.bumps:
-            d = d + b.amplitude * _bump_eta_d2(b._u(x)) / b.width
+            d = d + b.amplitude * _flat_bump_d2(b._u(x), *_ETA) / b.width
         return d
 
     def value(self, x):
@@ -794,52 +849,6 @@ class Rotation(CircleDiffeo):
         return f"Rotation({self.alpha!r})"
 
 
-class CircleGrid(CircleDiffeo):
-    """Lift from displacement samples on [0,1]; optional log-derivative
-    samples (else finite differences of the displacement)."""
-
-    def __init__(self, disp: GridFunction, logd: GridFunction | None = None,
-                 cfg: ToleranceConfig = DEFAULT_CONFIG):
-        if abs(disp.samples[-1] - disp.samples[0]) > 1e2 * cfg.abs_tol:
-            raise ValueError("displacement seam mismatch: F(x+1) != F(x)+1")
-        # enforce exact periodicity at the seam
-        s = disp.samples.copy()
-        s[-1] = s[0]
-        self.disp = GridFunction(s)
-        self._lift_table = self.disp.nodes + self.disp.samples
-        if not np.all(np.diff(self._lift_table) > 0):
-            raise MonotonicityError("lift is not strictly increasing")
-        if logd is not None and abs(logd.samples[-1] - logd.samples[0]) > 1e-6:
-            raise ValueError("log-derivative seam mismatch")
-        self.logd = logd
-
-    def lift_frac(self, x):
-        x = np.asarray(x, dtype=float)
-        return x + self.disp(x)
-
-    def inverse_value(self, x):
-        # exact: reduce by L(y + 1) = L(y) + 1 into [L(0), L(0) + 1], then
-        # read the piecewise-linear lift table backwards
-        x = np.asarray(x, dtype=float)
-        k = np.floor(x - self._lift_table[0])
-        return k + np.interp(x - k, self._lift_table, self.disp.nodes)
-
-    def log_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        x = np.mod(x, 1.0)
-        if self.logd is not None:
-            return self.logd(x)
-        # centered differences of the periodic displacement
-        s = self.disp.samples[:-1]
-        N = len(s)
-        d = (np.roll(s, -1) - np.roll(s, 1)) * (N / 2.0)
-        d = np.append(d, d[0])
-        return np.log1p(np.interp(x, self.disp.nodes, d))
-
-    def __repr__(self):
-        return f"CircleGrid(N={self.disp.N})"
-
-
 # ---------------------------------------------------------------------------
 # rotation number
 
@@ -970,16 +979,15 @@ def _same_map(a, b) -> bool:
 
 
 def _grid_backed(p) -> bool:
-    """True when a grid table map (GridLogDeriv, CircleGrid) sits in the
-    expression p: a map, or a tuple of parts, walked as _same_map walks
-    them.  Other attributes, fields included, are not walked, so flow times
-    and _SmoothConjugacy are not grid-backed."""
+    """True when a grid table map (a GridMap) sits in the expression p: a
+    map, or a tuple of parts, walked as _same_map walks them.  Other
+    attributes, fields included, are not walked, so flow times and
+    _SmoothConjugacy are not grid-backed."""
     if isinstance(p, tuple):
         return any(map(_grid_backed, p))
     if not isinstance(p, Diffeo):
         return False
-    return (isinstance(p, (GridLogDeriv, CircleGrid))
-            or any(map(_grid_backed, vars(p).values())))
+    return isinstance(p, GridMap) or any(map(_grid_backed, vars(p).values()))
 
 
 def commutator_residual(t: ActionTuple, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
@@ -1023,7 +1031,7 @@ def _classify(t: ActionTuple, p: float, thr: float, cfg: ToleranceConfig) -> Fix
     mults = tuple(float(g.log_deriv(p)) for g in t.generators)
     # ambiguity band around the threshold; capped at thr/4 so clear cases
     # (e.g. an exactly parabolic multiplier) never fall inside it
-    band = 3.0 * min(cfg.abs_tol, thr / 4.0)
+    band = 3.0 * min(ABS_TOL, thr / 4.0)
     unresolved = any(abs(abs(m) - thr) <= band for m in mults)
     if any(abs(m) > thr for m in mults):
         cls = "hyperbolic"

@@ -51,27 +51,26 @@ def unit_points(x, slack: float, message: str = "point outside [0, 1]"):
     return x
 
 
+# absolute comparison tolerance
+ABS_TOL = 1e-8
+# truncation threshold for infinite sums (series tails)
+TAIL_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical policy shared by the whole library.
 
     grid_N   : default grid resolution (power of two, >= 64)
-    abs_tol  : absolute comparison tolerance
-    tail_tol : truncation threshold for infinite sums (series tails)
     max_iter : iteration budget for orbit computations / root finding
     """
 
     grid_N: int = 4096
-    abs_tol: float = 1e-8
-    tail_tol: float = 1e-9
     max_iter: int = 65536
 
     def __post_init__(self):
         if self.grid_N < 64 or not _is_power_of_two(self.grid_N):
             raise ValueError("grid_N must be a power of two >= 64")
-        for name in ("abs_tol", "tail_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfn import DEFAULT_CONFIG, GridFunction, ToleranceConfig, variation
+from .gridfn import ABS_TOL, DEFAULT_CONFIG, ToleranceConfig, variation
 from .diffeo import (
     ActionTuple,
-    CircleGrid,
+    GridMap,
     IntervalDiffeo,
     _jet_step,
     _walk_words,
@@ -113,7 +113,7 @@ def asymptotic_variation(f, schedule=DEFAULT_SCHEDULE,
 
 @dataclass(frozen=True)
 class MatherInvariant:
-    circle_map: CircleGrid
+    circle_map: GridMap
     var_logDM: float
     m: int
     n: int
@@ -177,7 +177,10 @@ def mather_invariant(f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
     seam = float(abs((M[-1] - M[0]) - 1.0))
     disp = M - tgrid
     disp[-1] = disp[0]
-    circle_map = CircleGrid(GridFunction(disp))
+    # log DM from centered differences of the periodic displacement
+    s = disp[:-1]
+    d = (np.roll(s, -1) - np.roll(s, 1)) * (len(s) / 2.0)
+    circle_map = GridMap(tgrid + disp, np.log1p(np.append(d, d[0])), "circle")
     return MatherInvariant(circle_map, var_logDM, m, n, seam, inverted)
 
 
@@ -195,7 +198,7 @@ def mather_inequality_check(f: IntervalDiffeo,
         "vinf_uncertainty": ve.uncertainty,
         "bound": bound,
         "slack": slack,
-        "holds": bool(slack >= -(ve.uncertainty + cfg.abs_tol + 1e-4)),
+        "holds": bool(slack >= -(ve.uncertainty + ABS_TOL + 1e-4)),
     }
 
 
@@ -287,7 +290,7 @@ def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
     drift_refined = (a[marks[-1]] - a[marks[-2]]) / (marks[-1] - marks[-2]) \
         if len(marks) > 1 else drift
 
-    tol = 10.0 * max(cfg.abs_tol, 1.0 / N)
+    tol = 10.0 * max(ABS_TOL, 1.0 / N)
     return {
         "n": n,
         "defect": defect,

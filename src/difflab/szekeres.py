@@ -26,7 +26,14 @@ import math
 
 import numpy as np
 
-from .gridfn import DEFAULT_CONFIG, DomainError, ToleranceConfig, variation
+from .gridfn import (
+    ABS_TOL,
+    DEFAULT_CONFIG,
+    TAIL_TOL,
+    DomainError,
+    ToleranceConfig,
+    variation,
+)
 from .diffeo import IntervalDiffeo, bisect_monotone
 
 __all__ = [
@@ -49,7 +56,7 @@ class NotAContraction(ValueError):
 
 
 class TailNotReached(RuntimeError):
-    """The series tail bound did not fall below tail_tol within budget."""
+    """The series tail bound did not fall below TAIL_TOL within budget."""
 
 
 class TransportBudgetExceeded(RuntimeError):
@@ -227,7 +234,7 @@ class SzekeresField(VectorField1D):
         fast = getattr(f, "_iterate_fast", None)
 
         def _certify(a: float):
-            """Smallest i >= 1 with var(log Df; [0, f^i(a)]) < tail_tol, and
+            """Smallest i >= 1 with var(log Df; [0, f^i(a)]) < TAIL_TOL, and
             that bound, by a doubling search on i and then bisection.  f^i(a)
             is read from the closed-form power where f has one (near-parabolic
             ends need thousands of terms), else from one scalar orbit walk,
@@ -247,18 +254,18 @@ class SzekeresField(VectorField1D):
                     tails[i] = variation(f.log_deriv(np.linspace(0.0, z, 513)))
                 return tails[i]
 
-            if tail(0) < cfg.tail_tol:
+            if tail(0) < TAIL_TOL:
                 return 1, tail(0)
             lo, hi = 0, 1
-            while tail(hi) >= cfg.tail_tol:
+            while tail(hi) >= TAIL_TOL:
                 if hi == cfg.max_iter:
                     raise TailNotReached(
                         f"tail bound {tail(hi):.3e} above tail_tol="
-                        f"{cfg.tail_tol:.1e} after {hi} terms")
+                        f"{TAIL_TOL:.1e} after {hi} terms")
                 lo, hi = hi, min(2 * hi, cfg.max_iter)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if tail(mid) < cfg.tail_tol:
+                if tail(mid) < TAIL_TOL:
                     hi = mid
                 else:
                     lo = mid
@@ -596,7 +603,7 @@ def szekeres_bv_check(f: IntervalDiffeo, c: float,
     log_df0 = abs(float(f.log_deriv(np.array(0.0))))
     probes = np.linspace(0.0, c, 4097)
     var_logdf = variation(f.log_deriv(probes))
-    ok = abs(var_logX - log_df0) <= var_logdf + cfg.abs_tol
+    ok = abs(var_logX - log_df0) <= var_logdf + ABS_TOL
     return {
         "var_logX_fundamental": var_logX,
         "abs_log_df0": log_df0,

@@ -15,11 +15,10 @@ from difflab import (
     AnalyticField,
     Bump,
     BumpPerturbation,
-    CircleGrid,
     Composition,
     DeformationPath,
     FlowTime,
-    GridFunction,
+    GridMap,
     Moebius,
     Rotation,
     build_staircase,
@@ -71,8 +70,8 @@ class _Budget:
 def conjugated_rotation(alpha, amp=0.2, N=4096):
     x = np.linspace(0.0, 1.0, N + 1)
     w = 2.0 * math.pi
-    h = CircleGrid(GridFunction(amp * np.sin(w * x) / w),
-                   GridFunction(np.log1p(amp * np.cos(w * x))))
+    h = GridMap(x + amp * np.sin(w * x) / w, np.log1p(amp * np.cos(w * x)),
+                "circle")
     return compose(h, compose(Rotation(alpha), inverse(h)))
 
 

@@ -2,6 +2,7 @@
 determinism, file emission, and exit codes."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -48,6 +49,29 @@ class TestLoadSpec:
     def test_bad_tolerance(self):
         with pytest.raises(SpecError, match="tol"):
             load_spec({"cmd": "flow", "tol": -1.0})
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), True, "1e-6"])
+    def test_tolerance_is_a_finite_positive_number(self, tol):
+        # nan fails every comparison and inf passes every one; True is no
+        # number of a spec
+        with pytest.raises(SpecError, match="'tol' must be a finite positive"):
+            load_spec({"cmd": "flow", "tol": tol})
+
+    def test_boolean_grid_N(self):
+        with pytest.raises(SpecError, match="'grid_N' must be an integer"):
+            load_spec({"cmd": "flow", "grid_N": True})
+
+    @pytest.mark.parametrize("text", [
+        '{"cmd": "flow", "tol": NaN}',
+        '{"cmd": "flow", "params": {"t": Infinity}}',
+        '{"cmd": "flow", "params": {"s": -Infinity}}',
+    ])
+    def test_non_finite_constants_in_a_file(self, text, tmp_path):
+        # Python's json reader accepts these; the report would not be JSON
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        with pytest.raises(SpecError, match="not a number"):
+            load_spec(str(path))
 
     @pytest.mark.parametrize("field, value", [
         ("grid_N", 100), ("grid_N", 32), ("format", 5), ("out", 5)])
@@ -201,6 +225,11 @@ class TestMain:
         assert rc == 1 and captured.out == ""
         assert captured.err.startswith("spec error:") and field in captured.err
 
+    def test_nan_tolerance_flag(self, capsys):
+        assert main(["flow", "--tol", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tol" in captured.err
+
     def test_bad_grid_N_in_spec_file(self, tmp_path, capsys):
         spec_path = tmp_path / "run.json"
         spec_path.write_text(json.dumps({"cmd": "metrics", "grid_N": 100}))
@@ -219,6 +248,24 @@ class TestMain:
     def test_violation_exit_code(self, capsys):
         rc = main(["flow", "--tol", "1e-18"])
         assert rc == 2
+
+    def test_falsified_gm_bound_exits_2(self, capsys, monkeypatch):
+        # a negative slack is reported as a violation, not raised
+        real = cli.geometric_mean_conjugacy
+        monkeypatch.setattr(cli, "geometric_mean_conjugacy",
+                            lambda act, n, cfg: real(act, n=n, cfg=cfg, tol=-1.0))
+        assert main(["gmconj"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert {v["check"] for v in report["violations"]} == {"gm_conjugacy_bound"}
+        assert all(s < 0 for s in report["report"]["slacks"])
+
+    def test_falsified_staircase_bound_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(difflab.counterexamples, "_family_sup_bound",
+                            lambda M, eps: 0.0)
+        assert main(["staircase"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert [v["check"] for v in report["violations"]] == ["staircase_bounds"]
+        assert report["report"]["holds"] is False
 
     def test_classify_fixed_interval(self, tmp_path, capsys):
         # the identity fixes all of [0, 1]: a fixed interval, no components
@@ -249,6 +296,21 @@ class _ReadLog(dict):
         return super().get(key, default)
 
 
+def _reference_check():
+    """perfbench's stored cli_defaults reports and its comparison, read
+    from the checkout."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+    spec = importlib.util.spec_from_file_location(
+        "refcheck", os.path.join(bench, "refcheck.py"))
+    refcheck = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(refcheck)
+    with open(os.path.join(bench, "reference.json"), encoding="utf-8") as fh:
+        reference = json.load(fh)
+    return (refcheck.compare, reference["workloads"]["cli_defaults"],
+            reference["rel_tol"], reference["abs_tol"])
+
+
 @pytest.mark.parametrize("cmd", COMMANDS)
 def test_every_command_on_its_defaults(cmd, tmp_path, monkeypatch):
     logs = []
@@ -272,6 +334,9 @@ def test_every_command_on_its_defaults(cmd, tmp_path, monkeypatch):
         assert (tmp_path / f"{cmd}.{name}.csv").is_file()
         assert (tmp_path / f"{cmd}.{name}.svg").is_file()
     assert len(list(tmp_path.iterdir())) == 2 + 2 * len(report["series"])
+    # no report drifts from the benchmark's stored one beyond its tolerances
+    compare, refs, rel_tol, abs_tol = _reference_check()
+    assert compare(refs[cmd], report, rel_tol, abs_tol) == []
 
 
 def test_import_loads_no_scipy():

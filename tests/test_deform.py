@@ -12,10 +12,9 @@ from difflab import (
     ActionTuple,
     Bump,
     BumpPerturbation,
-    CircleGrid,
     DeformationPath,
     FlowTime,
-    GridFunction,
+    GridMap,
     Moebius,
     Rotation,
     classify_action,
@@ -47,8 +46,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def conjugated_rotation(alpha, amp=0.2, freq=1, N=4096):
     x = np.linspace(0.0, 1.0, N + 1)
     w = 2.0 * math.pi * freq
-    h = CircleGrid(GridFunction(amp * np.sin(w * x) / w),
-                   GridFunction(np.log1p(amp * np.cos(w * x))))
+    h = GridMap(x + amp * np.sin(w * x) / w, np.log1p(amp * np.cos(w * x)),
+                "circle")
     return compose(h, compose(Rotation(alpha), inverse(h)))
 
 
@@ -108,6 +107,13 @@ class TestGeometricMeanConjugacy:
         with pytest.raises(ValueError):
             geometric_mean_conjugacy(ActionTuple(generators=(Moebius(2.0),)),
                                      n=0)
+
+    def test_falsified_bound_is_reported(self):
+        # var(log D conj) equals its bound here, so a tolerance of -1 falsifies
+        # it: the report says so through its slacks and raises nothing
+        rep = geometric_mean_conjugacy(ActionTuple(generators=(Moebius(2.0),)),
+                                       n=8, tol=-1.0)
+        assert all(s < 0.0 for s in rep.slacks)
 
     def test_circle_generator_within_its_bound(self, circle_pair):
         # the circle branch measures variation with the seam term
@@ -327,8 +333,8 @@ class TestFiniteOrderNormalForm:
         # so the orbit and parabolicity preconditions are met
         x = np.linspace(0.0, 1.0, 4097)
         w = 4.0 * math.pi
-        h = CircleGrid(GridFunction(0.2 * np.sin(w * x) / w),
-                       GridFunction(np.log1p(0.2 * np.cos(w * x))))
+        h = GridMap(x + 0.2 * np.sin(w * x) / w, np.log1p(0.2 * np.cos(w * x)),
+                    "circle")
         g = compose(h, compose(Rotation(0.5), inverse(h)))
         rep = normalize_finite_order(g, 2)
         assert rep.conjugation_residual < 1e-6

@@ -16,14 +16,14 @@ from difflab import (
     DEFAULT_CONFIG,
     Bump,
     BumpPerturbation,
-    CircleGrid,
     Composition,
     DomainError,
     FlowTime,
     GridFunction,
-    GridLogDeriv,
+    GridMap,
     InverseMap,
     Moebius,
+    MonotonicityError,
     Rotation,
     bisect_monotone,
     commutator_residual,
@@ -53,8 +53,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def conjugated_rotation(alpha, amp=0.2, freq=1, N=4096):
     x = np.linspace(0.0, 1.0, N + 1)
     w = 2.0 * math.pi * freq
-    h = CircleGrid(GridFunction(amp * np.sin(w * x) / w),
-                   GridFunction(np.log1p(amp * np.cos(w * x))))
+    h = GridMap(x + amp * np.sin(w * x) / w, np.log1p(amp * np.cos(w * x)),
+                "circle")
     return compose(h, compose(Rotation(alpha), inverse(h)))
 
 
@@ -189,8 +189,8 @@ class TestMetric:
             metric(Moebius(2.0), identity(), "3")
 
     def test_circle_d2_by_finite_differences(self):
-        # CircleGrid has no affine derivative: d_2 differences the sampled
-        # log-derivatives, whose derivative peaks near 2 pi amp / sqrt(1 - amp^2)
+        # d_2 reads a circle GridMap's affine derivative, its differenced
+        # log-derivative table, whose peak is near 2 pi amp / sqrt(1 - amp^2)
         h = conjugated_rotation(0.0).maps[0]
         d = metric(h, Rotation(0.0), "2", starred=True)
         assert math.isfinite(d)
@@ -211,7 +211,8 @@ class TestRotationNumber:
     def test_fixed_point_gives_zero(self):
         # displacement vanishing at 0 pins the rotation number at 0
         x = np.linspace(0.0, 1.0, 4097)
-        f = CircleGrid(GridFunction(0.1 * np.sin(2 * np.pi * x) ** 2))
+        f = GridMap(x + 0.1 * np.sin(2 * np.pi * x) ** 2,
+                    np.log1p(0.2 * np.pi * np.sin(4 * np.pi * x)), "circle")
         assert rotation_number(f).value == pytest.approx(0.0, abs=1e-9)
 
     def test_lift_step_is_np_interp(self):
@@ -321,8 +322,8 @@ _BUMPED = BumpPerturbation(Moebius(2.0), [Bump(0.4, 0.2, 0.05)])
     (Rotation(0.3), 1e-6),
     # node gradients read linearly against the slope of the linear
     # log_deriv in each cell: an O(1/N) gap
-    (GridLogDeriv(GridFunction(
-        0.3 * np.sin(2.0 * math.pi * np.linspace(0.0, 1.0, 4097)))), 5e-3),
+    (GridMap.from_log_deriv(
+        0.3 * np.sin(2.0 * math.pi * np.linspace(0.0, 1.0, 4097))), 5e-3),
 ], ids=["chart", "reflection", "composition", "bump", "rotation", "grid"])
 def test_affine_deriv_is_slope_of_log_deriv(f, tol):
     x = np.linspace(0.05, 0.95, 181)
@@ -373,7 +374,7 @@ def _check_inverse(f, n=513):
 
 _X = np.linspace(0.0, 1.0, 4097)
 INVERSE_CASES = {
-    "grid_log_deriv": lambda: GridLogDeriv(GridFunction(0.5 * np.sin(6.0 * _X))),
+    "grid_log_deriv": lambda: GridMap.from_log_deriv(0.5 * np.sin(6.0 * _X)),
     "smooth_conjugacy": lambda: _SmoothConjugacy(
         _X, 0.5 * np.sin(6.0 * _X) + 0.3 * np.cos(13.0 * _X)),
     "bump_perturbation": lambda: BumpPerturbation(
@@ -382,6 +383,46 @@ INVERSE_CASES = {
         [FlowTime(moebius_field(2.0), 0.7),
          BumpPerturbation(Moebius(0.5), [Bump(0.3, 0.1, 0.05)])]),
 }
+
+
+class TestGridMap:
+    _N = np.linspace(0.0, 1.0, 65)
+
+    @pytest.mark.parametrize("values, logd, kind, error", [
+        (0.5 * _N, 0.0 * _N, "interval", ValueError),   # does not reach 1
+        (_N + 0.1, 0.0 * _N, "interval", ValueError),   # does not start at 0
+        (_N + 1e-5 * _N, 0.0 * _N, "circle", ValueError),  # lift seam
+        (_N, 1e-5 * _N, "circle", ValueError),          # log-derivative seam
+        (_N, 0.0 * _N[:33], "interval", ValueError),    # two grids
+        (_N, 0.0 * _N, "torus", ValueError),
+        (np.minimum(2.0 * _N, 1.0), 0.0 * _N, "interval", MonotonicityError),
+    ])
+    def test_rejected_tables(self, values, logd, kind, error):
+        with pytest.raises(error):
+            GridMap(values, logd, kind)
+
+    def test_circle_seam_made_exact(self):
+        m = GridMap(self._N + 1e-9 * self._N + 0.25, 0.0 * self._N, "circle")
+        assert m.values[-1] == m.values[0] + 1.0
+        x = np.linspace(-2.0, 2.0, 41)
+        assert np.max(np.abs(m.value(x + 1.0) - m.value(x) - 1.0)) <= 1e-15
+        assert np.max(np.abs(m.inverse_value(m.value(x)) - x)) <= 1e-15
+
+    def test_from_log_deriv_of_either_kind(self):
+        psi = 0.3 * np.cos(2.0 * math.pi * self._N)
+        f = GridMap.from_log_deriv(psi)
+        c = GridMap.from_log_deriv(psi, "circle")
+        # one table: the interval map and the lift agree on [0, 1]
+        assert np.array_equal(f.values, c.values) and f.value(1.0) == 1.0
+        assert float(np.trapezoid(np.exp(f.logd), self._N)) == pytest.approx(1.0, abs=1e-15)
+        x = np.linspace(0.0, 1.0, 33)[:-1]
+        assert np.array_equal(c.log_deriv(x + 3.0), f.log_deriv(x))
+        assert np.array_equal(c.affine_deriv(x - 1.0), f.affine_deriv(x))
+
+    def test_only_an_interval_map_reflects(self):
+        _check_inverse(GridMap.from_log_deriv(0.2 * self._N).reflect())
+        with pytest.raises(ValueError, match="interval map"):
+            GridMap.from_log_deriv(0.0 * self._N, "circle").reflect()
 
 
 class TestInverses:
@@ -402,7 +443,7 @@ class TestInverses:
     def test_circle_grid_lift(self):
         c = conjugated_rotation(0.0)
         h = c.maps[0]
-        assert isinstance(h, CircleGrid)
+        assert isinstance(h, GridMap) and h.kind == "circle"
         x = np.linspace(-3.3, 2.7, 1001)
         hinv = inverse(h)
         assert np.max(np.abs(h.value(hinv.value(x)) - x)) <= 1e-12
@@ -471,7 +512,7 @@ class TestInverses:
 @given(st.floats(-1.0, 1.0), st.integers(1, 12), st.floats(0.0, 6.0))
 def test_grid_log_deriv_inverse(amp, freq, phase):
     g = amp * np.sin(2.0 * math.pi * freq * _X + phase)
-    _check_inverse(GridLogDeriv(GridFunction(g)))
+    _check_inverse(GridMap.from_log_deriv(g))
 
 
 @settings(max_examples=25, deadline=None)
@@ -529,9 +570,10 @@ class TestDomainCheck:
 
 _CX = np.linspace(0.0, 1.0, 257)
 _CIRCLE_GRIDS = (
-    CircleGrid(GridFunction(0.05 * np.sin(2 * np.pi * _CX))),
-    CircleGrid(GridFunction(0.03 * np.sin(4 * np.pi * _CX) / (4 * np.pi)),
-               GridFunction(np.log1p(0.03 * np.cos(4 * np.pi * _CX)))),
+    GridMap(_CX + 0.05 * np.sin(2 * np.pi * _CX),
+            np.log1p(0.1 * np.pi * np.cos(2 * np.pi * _CX)), "circle"),
+    GridMap(_CX + 0.03 * np.sin(4 * np.pi * _CX) / (4 * np.pi),
+            np.log1p(0.03 * np.cos(4 * np.pi * _CX)), "circle"),
 )
 _circle_leaf = st.one_of(st.floats(-1.0, 1.0).map(Rotation),
                          st.sampled_from(_CIRCLE_GRIDS))
@@ -565,7 +607,7 @@ def test_circle_expressions_are_lifts(f):
 
 def _grid_backed_cases():
     x = _CX
-    g = GridLogDeriv(GridFunction(0.05 * np.sin(2 * np.pi * x)))
+    g = GridMap.from_log_deriv(0.05 * np.sin(2 * np.pi * x))
     c = _CIRCLE_GRIDS[0]
     bumps = [Bump(0.45, 0.2, 0.08)]
     flow = FlowTime(moebius_field(2.0), 0.3)
@@ -624,7 +666,7 @@ def _listed_words(gens, n, x):
 _WALK_GENS = (
     BumpPerturbation(Moebius(2.0), [Bump(0.4, 0.2, 0.1)]),
     Moebius(0.6),
-    GridLogDeriv(GridFunction(0.3 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 65)))),
+    GridMap.from_log_deriv(0.3 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 65))),
 )
 
 

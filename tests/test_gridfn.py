@@ -66,8 +66,9 @@ class TestToleranceConfig:
             ToleranceConfig(grid_N=32)
 
     def test_positive_tolerances(self):
+        # the iteration budget is the one bound a config sets besides grid_N
         with pytest.raises(ValueError):
-            ToleranceConfig(abs_tol=-1e-9)
+            ToleranceConfig(max_iter=0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,12 +13,10 @@ from difflab import (
     AnalyticField,
     Bump,
     BumpPerturbation,
-    CircleGrid,
     Composition,
     DeformationPath,
     FlowTime,
-    GridFunction,
-    GridLogDeriv,
+    GridMap,
     InverseMap,
     Moebius,
     Rotation,
@@ -42,7 +40,7 @@ def _interval_maps():
     included."""
     bumped = BumpPerturbation(Moebius(2.0), [Bump(0.45, 0.2, 0.08)])
     X = szekeres_field(bumped)
-    grid = GridLogDeriv(GridFunction(0.3 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 257))))
+    grid = GridMap.from_log_deriv(0.3 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 257)))
     xs = np.linspace(0.0, 1.0, 65)
     smooth = _SmoothConjugacy(xs, 0.2 * np.cos(np.pi * xs))
     bridge = moebius_field(2.0)
@@ -60,13 +58,13 @@ def _interval_maps():
 @functools.lru_cache(maxsize=None)
 def _circle_maps():
     xs = np.linspace(0.0, 1.0, 257)
-    disp = GridFunction(0.05 * np.sin(2 * np.pi * xs))
-    grid = CircleGrid(disp)
-    with_logd = CircleGrid(disp, GridFunction(
-        np.log1p(0.1 * np.pi * np.cos(2 * np.pi * xs))))
-    comp = compose(grid, compose(Rotation(0.3), with_logd))
-    return [Rotation(0.3), grid, with_logd, comp, inverse(grid),
-            inverse(comp), InverseMap(comp), iterate(with_logd, 3)]
+    grid = GridMap(xs + 0.05 * np.sin(2 * np.pi * xs),
+                   np.log1p(0.1 * np.pi * np.cos(2 * np.pi * xs)), "circle")
+    fine = GridMap(xs + 0.03 * np.sin(4 * np.pi * xs) / (4 * np.pi),
+                   np.log1p(0.03 * np.cos(4 * np.pi * xs)), "circle")
+    comp = compose(grid, compose(Rotation(0.3), fine))
+    return [Rotation(0.3), grid, fine, comp, inverse(grid),
+            inverse(comp), InverseMap(comp), iterate(fine, 3)]
 
 
 def _bits(a):
@@ -129,7 +127,7 @@ class TestSameMap:
         assert _same_map(FlowTime(X1, 0.3), FlowTime(X1, 0.3))
 
     def test_powers_and_moebius(self):
-        g = GridLogDeriv(GridFunction(0.2 * np.linspace(0.0, 1.0, 65)))
+        g = GridMap.from_log_deriv(0.2 * np.linspace(0.0, 1.0, 65))
         assert _same_map(*_orders(ActionTuple((iterate(g, 2), g))))
         assert _same_map(Moebius(2.0), Moebius(2.0))
         assert not _same_map(Moebius(2.0), Moebius(3.0))
@@ -137,7 +135,8 @@ class TestSameMap:
 
     def test_circle_inverse_leaves_the_map_unchanged(self):
         xs = np.linspace(0.0, 1.0, 257)
-        c = CircleGrid(GridFunction(0.05 * np.sin(2 * np.pi * xs)))
+        c = GridMap(xs + 0.05 * np.sin(2 * np.pi * xs),
+                    np.log1p(0.1 * np.pi * np.cos(2 * np.pi * xs)), "circle")
         f, g = compose(Rotation(0.1), c), compose(Rotation(0.1), c)
         assert _same_map(f, g)
         InverseMap(f).value(np.linspace(-1.0, 1.0, 5))

@@ -28,7 +28,7 @@ from difflab import (
     szekeres_field,
 )
 from difflab.diffeo import ChartMap
-from difflab.gridfn import variation
+from difflab.gridfn import TAIL_TOL, variation
 
 LN2 = math.log(2.0)
 
@@ -115,13 +115,13 @@ class TestSzekeresField:
 
 def _linear_scan(f, a, cfg):
     """Reference for the truncation search: every i >= 0 in turn until
-    var(log Df; [0, f^i(a)]), on the same 513 probes, is below tail_tol;
+    var(log Df; [0, f^i(a)]), on the same 513 probes, is below TAIL_TOL;
     f^i(a) read as the search reads it."""
     fast = getattr(f, "_iterate_fast", None)
     z, i = a, 0
     while True:
         tail = variation(f.log_deriv(np.linspace(0.0, z, 513)))
-        if tail < cfg.tail_tol:
+        if tail < TAIL_TOL:
             return max(i, 1), tail
         i += 1
         z = float(fast(i).value(np.array(a)) if fast else f.value(np.array(z)))
