@@ -71,7 +71,6 @@ from .deform import (
     HermanReport,
     InterpolationStep,
     NormalFormReport,
-    PushforwardField,
     RegularizedFlow,
     classify_action,
     deform_action,

@@ -4,10 +4,11 @@ A run is described by a JSON spec::
 
     {"cmd": "vinf", "params": {"f": {"kind": "moebius", "a": 2}}}
 
-``load_spec`` validates the document (unknown fields are rejected with
-their dotted path), ``run_command`` dispatches to the library and returns
-a plain-dict report, and ``emit_report`` writes deterministic JSON plus
-optional CSV series and hand-rolled SVG line plots.  Exit codes: 0 on
+``load_spec`` validates the document (unknown fields and values of the
+wrong type are rejected with their dotted path; every default is written
+once, in the tables below), ``run_command`` dispatches to the library and
+returns a plain-dict report, and ``emit_report`` writes deterministic JSON
+plus optional CSV series and hand-rolled SVG line plots.  Exit codes: 0 on
 success, 2 when a certificate in the report is falsified (the report
 carries a machine-readable ``violations`` array either way), 1 on errors.
 
@@ -18,7 +19,9 @@ payloads (no timestamps; provenance lives in a sidecar metadata file).
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -52,6 +55,7 @@ from .szekeres import (
     szekeres_field,
 )
 from .invariants import (
+    DEFAULT_SCHEDULE,
     asymptotic_variation,
     coboundary_drift,
     mather_inequality_check,
@@ -116,14 +120,7 @@ def _validate_spec_dict(doc: dict) -> ExperimentSpec:
     cmd = doc.get("cmd")
     if cmd not in COMMANDS:
         raise SpecError(f"field 'cmd' must be one of {COMMANDS}, got {cmd!r}")
-    schema = _COMMANDS[cmd][1]
-    raw = doc.get("params", {})
-    if not isinstance(raw, dict):
-        raise SpecError("field 'params' must be an object")
-    for key in raw:
-        if key not in schema:
-            raise SpecError(f"unknown field 'params.{key}'")
-    params = {k: raw.get(k, v) for k, v in schema.items()}
+    params = _read(doc.get("params", {}), _COMMANDS[cmd][1], "params")
     fmts = doc.get("format", ["json"])
     if isinstance(fmts, str):
         fmts = [s.strip() for s in fmts.split(",") if s.strip()]
@@ -172,67 +169,126 @@ def load_spec(path) -> ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# object builders (map / field / action specs)
+# the spec reader
 
 
-def _require_keys(obj: dict, allowed, path: str):
+def _read(obj, schema: dict, path: str) -> dict:
+    """The fields of the spec object obj at the dotted path, read against
+    schema = {key: default}.
+
+    Unknown keys are refused and a missing key takes a copy of its default.
+    A given value must have its default's type: an int default takes a JSON
+    integer, a float default an integer or a finite number (stored as a
+    float), a str default a string, a bool default a boolean, an object
+    default an object (its builder reads the fields), and a list default a
+    non-empty list whose items follow the rule of the default's first item.
+    A boolean is never a number."""
+    if not isinstance(obj, dict):
+        raise SpecError(f"field '{path}' must be an object")
     for key in obj:
-        if key not in allowed:
+        if key not in schema:
             raise SpecError(f"unknown field '{path}.{key}'")
+    return {k: _value(obj[k], d, f"{path}.{k}") if k in obj else copy.deepcopy(d)
+            for k, d in schema.items()}
 
 
-def _build_interval_map(obj, path: str):
-    if obj is None:
-        return Moebius(2.0)
+def _value(v, default, path: str):
+    """The spec value v checked against the type of its default."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if isinstance(default, bool):
+        ok, want = isinstance(v, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, want = number and isinstance(v, int), "an integer"
+    elif isinstance(default, float):
+        # abs(v) <= max float also refuses NaN, infinities and huge integers
+        ok, want = number and abs(v) <= sys.float_info.max, "a finite number"
+        if ok:
+            return float(v)
+    elif isinstance(default, str):
+        ok, want = isinstance(v, str), "a string"
+    elif isinstance(default, dict):
+        ok, want = isinstance(v, dict), "an object"
+    else:
+        if isinstance(v, list) and v:
+            return [_value(item, default[0], f"{path}[{i}]")
+                    for i, item in enumerate(v)]
+        ok, want = False, "a non-empty list"
+    if not ok:
+        raise SpecError(f"field '{path}' must be {want}, "
+                        f"got {json.dumps(v, default=repr)}")
+    return v
+
+
+# ---------------------------------------------------------------------------
+# default tables and object builders (map / field / action specs)
+
+
+_MOEBIUS = {"kind": "moebius", "a": 2.0}
+_FIELD = {"family": "moebius", "a": _MOEBIUS["a"], "lam": math.log(2.0)}
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# every map kind with the defaults of its fields
+_INTERVAL_MAPS = {
+    "moebius": _MOEBIUS,
+    "identity": {"kind": "identity"},
+    "flow": {"kind": "flow", **_FIELD, "t": 1.0},
+    "bump": {"kind": "bump", "base": _MOEBIUS,
+             "center": 0.5, "width": 0.25, "amp": 0.05},
+    "compose": {"kind": "compose", "maps": [_MOEBIUS]},
+    "inverse": {"kind": "inverse", "of": _MOEBIUS},
+    "iterate": {"kind": "iterate", "of": _MOEBIUS, "n": 2},
+}
+_CIRCLE_MAPS = {
+    "rotation": {"kind": "rotation", "alpha": _GOLDEN},
+    "conjugated_rotation": {"kind": "conjugated_rotation", "alpha": _GOLDEN,
+                            "amp": 0.2, "freq": 1},
+}
+# an action is a preset or a list of generators
+_TWO_COMPONENT = {"preset": "two_component"}
+_GENERATORS = {"generators": [_MOEBIUS], "circle": False}
+
+
+def _read_kind(obj, kinds: dict, path: str) -> dict:
+    """A map spec's fields, read with the schema of its kind."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecError(f"field '{path}' must be an object with a 'kind'")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise SpecError(f"unknown field '{path}.kind' value {kind!r}")
+    return _read(obj, kinds[kind], path)
+
+
+def _build_interval_map(obj, path: str):
+    p = _read_kind(obj, _INTERVAL_MAPS, path)
+    kind = p["kind"]
     if kind == "moebius":
-        _require_keys(obj, ("kind", "a"), path)
-        return Moebius(float(obj.get("a", 2.0)))
+        return Moebius(p["a"])
     if kind == "identity":
-        _require_keys(obj, ("kind",), path)
         return identity()
     if kind == "flow":
-        _require_keys(obj, ("kind", "family", "a", "lam", "t"), path)
-        return FlowTime(_build_field(obj, path), float(obj.get("t", 1.0)))
+        return FlowTime(_field(p, path), p["t"])
     if kind == "bump":
-        _require_keys(obj, ("kind", "base", "center", "width", "amp"), path)
-        base = _build_interval_map(obj.get("base"), path + ".base")
-        bump = Bump(center=float(obj.get("center", 0.5)),
-                    width=float(obj.get("width", 0.25)),
-                    amplitude=float(obj.get("amp", 0.05)))
-        return BumpPerturbation(base, [bump])
+        bump = Bump(center=p["center"], width=p["width"], amplitude=p["amp"])
+        return BumpPerturbation(_build_interval_map(p["base"], path + ".base"),
+                                [bump])
     if kind == "compose":
-        _require_keys(obj, ("kind", "maps"), path)
-        maps = obj.get("maps")
-        if not isinstance(maps, list) or not maps:
-            raise SpecError(f"field '{path}.maps' must be a non-empty list")
-        out = _build_interval_map(maps[0], f"{path}.maps[0]")
-        for i, sub in enumerate(maps[1:], start=1):
-            out = compose(out, _build_interval_map(sub, f"{path}.maps[{i}]"))
-        return out
-    if kind == "inverse":
-        _require_keys(obj, ("kind", "of"), path)
-        return inverse(_build_interval_map(obj.get("of"), path + ".of"))
-    if kind == "iterate":
-        _require_keys(obj, ("kind", "of", "n"), path)
-        return iterate(_build_interval_map(obj.get("of"), path + ".of"),
-                       int(obj.get("n", 2)))
-    raise SpecError(f"unknown field '{path}.kind' value {kind!r}")
+        return functools.reduce(compose, (
+            _build_interval_map(sub, f"{path}.maps[{i}]")
+            for i, sub in enumerate(p["maps"])))
+    of = _build_interval_map(p["of"], path + ".of")
+    return inverse(of) if kind == "inverse" else iterate(of, p["n"])
+
+
+def _field(p: dict, path: str):
+    """The field of the read fields p: family, a and lam."""
+    if p["family"] == "moebius":
+        return moebius_field(p["a"])
+    if p["family"] in AnalyticField.FAMILIES:
+        return AnalyticField(p["family"], p["lam"])
+    raise SpecError(f"unknown field '{path}.family' value {p['family']!r}")
 
 
 def _build_field(obj, path: str):
-    if obj is None:
-        return moebius_field(2.0)
-    if not isinstance(obj, dict):
-        raise SpecError(f"field '{path}' must be an object")
-    family = obj.get("family", "moebius")
-    if family == "moebius":
-        return moebius_field(float(obj.get("a", 2.0)))
-    if family in AnalyticField.FAMILIES:
-        return AnalyticField(family, float(obj.get("lam", math.log(2.0))))
-    raise SpecError(f"unknown field '{path}.family' value {family!r}")
+    return _field(_read(obj, _FIELD, path), path)
 
 
 def _conjugated_rotation(alpha: float, amp: float, freq: int,
@@ -249,51 +305,32 @@ def _conjugated_rotation(alpha: float, amp: float, freq: int,
 
 
 def _build_circle_map(obj, path: str, cfg: ToleranceConfig):
-    if obj is None:
-        obj = {"kind": "conjugated_rotation"}
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SpecError(f"field '{path}' must be an object with a 'kind'")
-    kind = obj["kind"]
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    if kind == "rotation":
-        _require_keys(obj, ("kind", "alpha"), path)
-        return Rotation(float(obj.get("alpha", golden)))
-    if kind == "conjugated_rotation":
-        _require_keys(obj, ("kind", "alpha", "amp", "freq"), path)
-        return _conjugated_rotation(float(obj.get("alpha", golden)),
-                                    float(obj.get("amp", 0.2)),
-                                    int(obj.get("freq", 1)), cfg)
-    raise SpecError(f"unknown field '{path}.kind' value {kind!r}")
+    p = _read_kind(obj, _CIRCLE_MAPS, path)
+    if p["kind"] == "rotation":
+        return Rotation(p["alpha"])
+    return _conjugated_rotation(p["alpha"], p["amp"], p["freq"], cfg)
 
 
 def _build_action(obj, path: str, cfg: ToleranceConfig) -> ActionTuple:
-    if obj is None:
-        obj = {"preset": "two_component"}
-    if not isinstance(obj, dict):
-        raise SpecError(f"field '{path}' must be an object")
-    if "preset" in obj:
-        _require_keys(obj, ("preset",), path)
-        name = obj["preset"]
+    if isinstance(obj, dict) and "preset" in obj:
+        name = _read(obj, _TWO_COMPONENT, path)["preset"]
         if name == "two_component":
             return example_two_component_action()
         if name == "moebius_pair":
-            X = moebius_field(2.0)
+            # the default field at times 1 and sqrt 2
+            X = _field(_FIELD, path)
             return ActionTuple(generators=(FlowTime(X, 1.0),
                                            FlowTime(X, math.sqrt(2.0))))
         if name == "circle_pair":
-            golden = (math.sqrt(5.0) - 1.0) / 2.0
-            f = _conjugated_rotation(golden, 0.2, 1, cfg)
-            return ActionTuple(generators=(f,))
+            # the default conjugated rotation as a one-generator action
+            return ActionTuple(generators=(_build_circle_map(
+                _CIRCLE_MAPS["conjugated_rotation"], path, cfg),))
         raise SpecError(f"unknown field '{path}.preset' value {name!r}")
-    _require_keys(obj, ("generators", "circle"), path)
-    gens = obj.get("generators")
-    if not isinstance(gens, list) or not gens:
-        raise SpecError(f"field '{path}.generators' must be a non-empty list")
-    circle = bool(obj.get("circle", False))
+    p = _read(obj, _GENERATORS, path)
     built = []
-    for i, g in enumerate(gens):
+    for i, g in enumerate(p["generators"]):
         sub = f"{path}.generators[{i}]"
-        built.append(_build_circle_map(g, sub, cfg) if circle
+        built.append(_build_circle_map(g, sub, cfg) if p["circle"]
                      else _build_interval_map(g, sub))
     return ActionTuple(generators=tuple(built))
 
@@ -347,44 +384,37 @@ def _violations(ok, check: str, detail: str) -> list:
 def _cmd_szekeres(spec: ExperimentSpec, cfg: ToleranceConfig):
     f = _build_interval_map(spec.params["f"], "params.f")
     X = szekeres_field(f, cfg)
-    n = int(spec.params["samples"])
-    xs = np.linspace(0.0, 1.0, max(n, 3))
+    xs = np.linspace(0.0, 1.0, max(spec.params["samples"], 3))
     vals = X.X(xs)
     report = {"diagnostics": X.diagnostics(),
               "edge_rates": list(X.edge_rates())}
-    fspec = spec.params["f"]
-    if fspec is None or (isinstance(fspec, dict) and fspec.get("kind") == "moebius"):
-        a = float(fspec.get("a", 2.0)) if isinstance(fspec, dict) else 2.0
+    if isinstance(f, Moebius):
         interior = (xs >= 0.05) & (xs <= 0.95)
-        oracle = -math.log(a) * xs * (1.0 - xs)
+        oracle = -math.log(f.a) * xs * (1.0 - xs)
         report["oracle_sup_gap"] = float(
             np.max(np.abs(vals[interior] - oracle[interior])))
-    series = {"field": _series(["x", "X"],
-                               [[float(a), float(b)] for a, b in zip(xs, vals)],
+    series = {"field": _series(["x", "X"], np.column_stack((xs, vals)),
                                "x", "X(x)")}
     return report, series, []
 
 
 def _cmd_flow(spec: ExperimentSpec, cfg: ToleranceConfig):
     X = _build_field(spec.params["field"], "params.field")
-    t = float(spec.params["t"])
-    s = float(spec.params["s"])
-    res = flow_group_residual(X, s, t, cfg)
+    t, s = spec.params["t"], spec.params["s"]
+    res = flow_group_residual(X, s, t)
     xs = np.linspace(0.0, 1.0, 257)
-    ft = FlowTime(X, t)
     report = {"t": t, "s": s, "group_residual": res}
     violations = _violations(res <= spec.tol, "flow_group_law",
                              f"residual {res} exceeds tol {spec.tol}")
-    series = {"time_map": _series(["x", "f_t"], [[float(a), float(b)] for a, b
-                                                 in zip(xs, ft.value(xs))],
-                                  "x", "flow(x, t)")}
+    series = {"time_map": _series(["x", "f_t"], np.column_stack(
+        (xs, FlowTime(X, t).value(xs))), "x", "flow(x, t)")}
     return report, series, violations
 
 
 def _cmd_metrics(spec: ExperimentSpec, cfg: ToleranceConfig):
     f = _build_interval_map(spec.params["f"], "params.f")
     g = _build_interval_map(spec.params["g"], "params.g")
-    r = str(spec.params["r"])
+    r = spec.params["r"]
     d = metric(f, g, r, starred=False, cfg=cfg)
     ds = metric(f, g, r, starred=True, cfg=cfg)
     report = {"r": r, "d": d, "d_star": ds}
@@ -394,24 +424,15 @@ def _cmd_metrics(spec: ExperimentSpec, cfg: ToleranceConfig):
 
 def _cmd_rot(spec: ExperimentSpec, cfg: ToleranceConfig):
     f = _build_circle_map(spec.params["f"], "params.f", cfg)
-    rn = rotation_number(f, cfg)
-    return dataclasses.asdict(rn), {}, []
+    return rotation_number(f), {}, []
 
 
 def _cmd_vinf(spec: ExperimentSpec, cfg: ToleranceConfig):
     f = _build_interval_map(spec.params["f"], "params.f")
-    sched = spec.params["schedule"]
-    if sched is None:
-        ve = asymptotic_variation(f, cfg=cfg)
-    else:
-        ve = asymptotic_variation(f, schedule=tuple(int(n) for n in sched),
-                                  cfg=cfg)
-    report = {"limit": ve.limit, "uncertainty": ve.uncertainty,
-              "lower_bound": ve.lower_bound}
-    series = {"var_over_n": _series(["n", "var_over_n"],
-                                    [[int(n), float(v)] for n, v in ve.pairs],
+    ve = asymptotic_variation(f, schedule=spec.params["schedule"])
+    series = {"var_over_n": _series(["n", "var_over_n"], ve.pairs,
                                     "n", "var(log Df^n)/n")}
-    return report, series, []
+    return ve, series, []
 
 
 def _cmd_mather(spec: ExperimentSpec, cfg: ToleranceConfig):
@@ -425,171 +446,147 @@ def _cmd_drift(spec: ExperimentSpec, cfg: ToleranceConfig):
     act = _build_action(spec.params["action"], "params.action", cfg)
     if act.kind != "interval":
         raise SpecError("field 'params.action' must be an interval action")
-    f_index = int(spec.params["f_index"])
+    f_index = spec.params["f_index"]
     if not 0 <= f_index < act.d:
         raise SpecError(f"field 'params.f_index' must be in [0, {act.d}), "
                         f"got {f_index}")
-    out = coboundary_drift(act, f_index=f_index, n=int(spec.params["n"]), cfg=cfg)
+    out = coboundary_drift(act, f_index=f_index, n=spec.params["n"], cfg=cfg)
     return out, {}, _violations(out["lower_bound_holds"], "drift_lower_bound",
                                 f"defect {out['defect']} < drift {out['drift']}")
 
 
 def _cmd_herman(spec: ExperimentSpec, cfg: ToleranceConfig):
-    act = _build_action(spec.params["action"] or {"preset": "circle_pair"},
-                        "params.action", cfg)
+    act = _build_action(spec.params["action"], "params.action", cfg)
     if act.kind != "circle":
         raise SpecError("field 'params.action' must be a circle action")
-    rows = []
-    for n in spec.params["ns"]:
-        rep = herman_average(act, int(n), cfg)
-        rows.append([int(n), float(max(rep.rotation_distances))])
+    rows = [[n, max(herman_average(act, n, cfg).rotation_distances)]
+            for n in spec.params["ns"]]
     report = {"ns": [r[0] for r in rows],
               "distances": [r[1] for r in rows],
-              "monotone": bool(all(a > b for (_, a), (_, b)
-                                   in zip(rows, rows[1:])))}
+              "monotone": all(a > b for (_, a), (_, b) in zip(rows, rows[1:]))}
     series = {"herman": _series(["n", "distance"], rows, "n",
                                 "sup distance to rotation")}
     return report, series, []
 
 
 def _cmd_gmconj(spec: ExperimentSpec, cfg: ToleranceConfig):
-    act = _build_action(spec.params["action"] or {"preset": "moebius_pair"},
-                        "params.action", cfg)
+    act = _build_action(spec.params["action"], "params.action", cfg)
     rows = []
     violations = []
     last = None
     for n in spec.params["ns"]:
-        rep = geometric_mean_conjugacy(act, n=int(n), cfg=cfg)
-        rows.append([int(n), float(max(rep.vars_conjugate)),
-                     float(max(rep.var_bounds))])
+        rep = geometric_mean_conjugacy(act, n=n, cfg=cfg)
+        rows.append([n, max(rep.vars_conjugate), max(rep.var_bounds)])
         for i, s in enumerate(rep.slacks):
             violations += _violations(s >= 0, "gm_conjugacy_bound",
                                       f"n={n} generator {i} slack {s}")
         last = rep
     report = {"rows": rows,
-              "vars_conjugate": list(last.vars_conjugate),
-              "var_bounds": list(last.var_bounds),
-              "slacks": list(last.slacks)}
+              "vars_conjugate": last.vars_conjugate,
+              "var_bounds": last.var_bounds,
+              "slacks": last.slacks}
     series = {"gmconj": _series(["n", "var_conjugate", "bound"], rows, "n",
                                 "var(log D conj)")}
     return report, series, violations
 
 
 def _cmd_interp(spec: ExperimentSpec, cfg: ToleranceConfig):
-    act = _build_action(spec.params["action"] or {"preset": "moebius_pair"},
-                        "params.action", cfg)
+    act = _build_action(spec.params["action"], "params.action", cfg)
     if act.kind != "interval":
         raise SpecError("field 'params.action' must be an interval action")
-    phi_spec = spec.params["phi"] or {
-        "kind": "bump", "base": {"kind": "identity"},
-        "center": 0.5, "width": 0.5, "amp": 0.1}
-    phi = _build_interval_map(phi_spec, "params.phi")
+    phi = _build_interval_map(spec.params["phi"], "params.phi")
     rho1 = ActionTuple(generators=tuple(
         compose(phi, compose(g, inverse(phi))) for g in act.generators))
-    step = interpolation_path(act, rho1, phi, float(spec.params["t"]),
-                              r=str(spec.params["r"]), cfg=cfg)
+    step = interpolation_path(act, rho1, phi, spec.params["t"],
+                              r=spec.params["r"], cfg=cfg)
     cert = step.certificate
-    return {"t": step.t, "certificate": cert}, {}, _violations(
-        cert["holds"], "interpolation_bound", json.dumps(_sanitize(cert)))
+    return step, {}, _violations(cert["holds"], "interpolation_bound",
+                                 json.dumps(_sanitize(cert)))
 
 
 def _cmd_regularize(spec: ExperimentSpec, cfg: ToleranceConfig):
     X = _build_field(spec.params["field"], "params.field")
-    reg = regularize_flow(X, r=str(spec.params["r"]), cfg=cfg)
+    reg = regularize_flow(X, r=spec.params["r"], cfg=cfg)
     violations = []
     for key in ("deriv_identity_ok", "var_ok"):
         violations += _violations(reg.checks[key], f"regularize.{key}",
                                   json.dumps(_sanitize(reg.checks)))
-    return {"checks": reg.checks}, {}, violations
+    return reg, {}, violations
 
 
 def _cmd_classify(spec: ExperimentSpec, cfg: ToleranceConfig):
-    act = _build_action(spec.params["action"], "params.action", cfg)
-    dec = classify_action(act, cfg)
     # _sanitize writes a fixed interval of the parabolic set as a pair and
     # a Component as its repr fields
-    report = {"parabolic_set": dec.parabolic_set, "components": dec.components}
-    return report, {}, []
+    act = _build_action(spec.params["action"], "params.action", cfg)
+    return classify_action(act, cfg), {}, []
 
 
 def _cmd_deform(spec: ExperimentSpec, cfg: ToleranceConfig):
     act = _build_action(spec.params["action"], "params.action", cfg)
-    t = float(spec.params["t"])
-    action, cert = deform_action(act, t, r=str(spec.params["r"]), cfg=cfg)
+    t = spec.params["t"]
+    action, cert = deform_action(act, t, r=spec.params["r"], cfg=cfg)
     violations = _violations(cert["holds"], "deformation_certificate", json.dumps(
         _sanitize([row for row in cert["samples"] if not row["ok"]])))
     rows = [[row["t"], row["d_star"], row["commutation"]]
             for row in cert["samples"]]
     trivial = (t == 1.0 and all(
         getattr(g, "a", None) == 1.0 for g in action.generators))
-    report = {"t": t, "certificate": cert, "trivial": bool(trivial)}
+    report = {"t": t, "certificate": cert, "trivial": trivial}
     series = {"path": _series(["t", "d_star", "commutation"], rows, "t",
                               "d*_r to identity")}
     return report, series, violations
 
 
 def _cmd_staircase(spec: ExperimentSpec, cfg: ToleranceConfig):
-    tree = build_staircase(int(spec.params["depth"]),
-                           Fraction(spec.params["M"]))
-    rep = staircase_report(tree, int(spec.params["n"]))
+    tree = build_staircase(spec.params["depth"], Fraction(spec.params["M"]))
+    rep = staircase_report(tree, spec.params["n"])
     return rep, {}, _violations(rep.holds, "staircase_bounds", "see report")
 
 
 def _cmd_bvdemo(spec: ExperimentSpec, cfg: ToleranceConfig):
-    tree = build_staircase(int(spec.params["depth"]),
-                           Fraction(spec.params["M"]))
-    n = int(spec.params["n"])
+    tree = build_staircase(spec.params["depth"], Fraction(spec.params["M"]))
+    n = spec.params["n"]
     rows = []
     for m in range(1, min(n, tree.depth - 1) + 1):
         rep = bv_group_demo(tree, m)
         rows.append([m, rep.d1_phi, rep.d1pbv_left])
-    rep = bv_group_demo(tree, n)
-    report = {"n": n, "d1_phi": rep.d1_phi, "d1pbv_left": rep.d1pbv_left,
-              "grid_slack": rep.grid_slack}
     series = {"bvdemo": _series(["n", "d1_phi", "d1pbv_left"], rows, "n", "distance")}
-    return report, series, []
+    return bv_group_demo(tree, n), series, []
 
 
 def _cmd_hyperbolic(spec: ExperimentSpec, cfg: ToleranceConfig):
-    rep = hyperbolic_example(int(spec.params["N"]))
-    report = {
-        "N": rep.N,
-        "partial_sum_g": rep.partial_sum_g,
-        "basel_tail": rep.basel_tail,
-        "partial_sum_root": rep.partial_sum_root,
-        "harmonic_N": rep.harmonic_N,
-        "endpoint_residual": rep.endpoint_residual,
-        "annulus_map_residual": rep.annulus_map_residual,
-        "sampled_var_gap": rep.sampled_var_gap,
-    }
+    rep = hyperbolic_example(spec.params["N"])
     rows = [[k + 1, float(v), float(w)] for k, (v, w) in
             enumerate(zip(rep.annulus_var_g, rep.annulus_var_root))]
     series = {"annuli": _series(["k", "var_g", "var_root"], rows, "annulus k",
                                 "var(log D)")}
-    return report, series, []
+    return rep, series, []
 
 
 def _cmd_sergeraert(spec: ExperimentSpec, cfg: ToleranceConfig):
-    rep = sergeraert_check(int(spec.params["k"]))
-    return dataclasses.asdict(rep), {}, []
+    return sergeraert_check(spec.params["k"]), {}, []
 
 
 # every command: its runner and its parameters with their defaults, in the
 # order of the subcommands
 _COMMANDS = {
-    "szekeres": (_cmd_szekeres, {"f": None, "samples": 257}),
-    "flow": (_cmd_flow, {"field": None, "t": 1.0, "s": 0.5}),
-    "metrics": (_cmd_metrics, {"f": None, "g": None, "r": "1"}),
-    "rot": (_cmd_rot, {"f": None}),
-    "vinf": (_cmd_vinf, {"f": None, "schedule": None}),
-    "mather": (_cmd_mather, {"f": None}),
-    "drift": (_cmd_drift, {"action": None, "f_index": 0, "n": 32}),
-    "herman": (_cmd_herman, {"action": None, "ns": [4, 16, 64]}),
-    "gmconj": (_cmd_gmconj, {"action": None, "ns": [8]}),
-    "interp": (_cmd_interp, {"action": None, "phi": None, "t": 0.5, "r": "1+ac"}),
-    "regularize": (_cmd_regularize, {"field": None, "r": "1+ac"}),
-    "classify": (_cmd_classify, {"action": None}),
-    "deform": (_cmd_deform, {"action": None, "t": 1.0, "r": "1+ac"}),
+    "szekeres": (_cmd_szekeres, {"f": _MOEBIUS, "samples": 257}),
+    "flow": (_cmd_flow, {"field": _FIELD, "t": 1.0, "s": 0.5}),
+    "metrics": (_cmd_metrics, {"f": _MOEBIUS, "g": _MOEBIUS, "r": "1"}),
+    "rot": (_cmd_rot, {"f": _CIRCLE_MAPS["conjugated_rotation"]}),
+    "vinf": (_cmd_vinf, {"f": _MOEBIUS, "schedule": list(DEFAULT_SCHEDULE)}),
+    "mather": (_cmd_mather, {"f": _MOEBIUS}),
+    "drift": (_cmd_drift, {"action": _TWO_COMPONENT, "f_index": 0, "n": 32}),
+    "herman": (_cmd_herman, {"action": {"preset": "circle_pair"},
+                             "ns": [4, 16, 64]}),
+    "gmconj": (_cmd_gmconj, {"action": {"preset": "moebius_pair"}, "ns": [8]}),
+    "interp": (_cmd_interp, {"action": {"preset": "moebius_pair"},
+                             "phi": {"kind": "bump", "base": {"kind": "identity"},
+                                     "center": 0.5, "width": 0.5, "amp": 0.1},
+                             "t": 0.5, "r": "1+ac"}),
+    "regularize": (_cmd_regularize, {"field": _FIELD, "r": "1+ac"}),
+    "classify": (_cmd_classify, {"action": _TWO_COMPONENT}),
+    "deform": (_cmd_deform, {"action": _TWO_COMPONENT, "t": 1.0, "r": "1+ac"}),
     "staircase": (_cmd_staircase, {"depth": 8, "M": 4, "n": 3}),
     "bvdemo": (_cmd_bvdemo, {"depth": 8, "M": 4, "n": 3}),
     "hyperbolic": (_cmd_hyperbolic, {"N": 1000}),

@@ -506,13 +506,14 @@ def bv_group_demo(tree: CantorTree, n: int) -> BvDemoReport:
 @dataclass
 class HyperbolicReport:
     N: int
-    annulus_var_g: List[Fraction]          # var(log Dg) per annulus, exact
-    annulus_var_root: List[Fraction]       # var(log D g^(1/2)) per annulus
+    # var(log Dg) and var(log D g^(1/2)) per annulus, exact
+    annulus_var_g: List[Fraction] = field(repr=False)
+    annulus_var_root: List[Fraction] = field(repr=False)
     partial_sum_g: Fraction
     basel_tail: float
     partial_sum_root: Fraction
     harmonic_N: Fraction
-    support_endpoints: List[Tuple[float, float]]
+    support_endpoints: List[Tuple[float, float]] = field(repr=False)
     endpoint_residual: float
     annulus_map_residual: float
     sampled_var_gap: float

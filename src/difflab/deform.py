@@ -62,7 +62,6 @@ __all__ = [
     "geometric_mean_conjugacy",
     "InterpolationStep",
     "interpolation_path",
-    "PushforwardField",
     "RegularizedFlow",
     "regularize_flow",
     "log_linear_deform",
@@ -192,7 +191,7 @@ def herman_average(t: ActionTuple, n: int,
         phi = GridMap(lift, logd, "circle")
         conjs = tuple(_conjugate(phi, g) for g in t.generators)
 
-    rhos = tuple(rotation_number(g, cfg).value for g in t.generators)
+    rhos = tuple(rotation_number(g).value for g in t.generators)
     probes = np.linspace(0.0, 1.0, 1025)
     dists = []
     for g, rho in zip(conjs, rhos):
@@ -286,19 +285,22 @@ def _conjugate(phi, g):
 
 @dataclass
 class InterpolationStep:
-    action: ActionTuple
-    conjugacy: object
+    action: ActionTuple = dc_field(repr=False)
+    conjugacy: object = dc_field(repr=False)
     t: float
     certificate: dict
 
 
+# the largest d_1 residual of phi as a conjugacy from rho0 to rho1
+_CONJUGACY_TOL = 1e-2
+
+
 def interpolation_path(rho0: ActionTuple, rho1: ActionTuple, phi, t: float,
                        r: str = "1+ac", cfg: ToleranceConfig = DEFAULT_CONFIG,
-                       tol: float = 1e-3,
-                       conjugacy_tol: float = 1e-2) -> InterpolationStep:
+                       tol: float = 1e-3) -> InterpolationStep:
     """The action phi_t rho0 phi_t^-1 with log D(phi_t) = t log D(phi) - c_t.
 
-    Requires rho1 = phi rho0 phi^-1 within conjugacy_tol; the certificate
+    Requires rho1 = phi rho0 phi^-1 within _CONJUGACY_TOL; the certificate
     checks d*_r(rho_t, id) <= max(d*_r(rho0, id), d*_r(rho1, id)) + tol."""
     if r not in ("1+ac", "2"):
         raise ValueError("r must be '1+ac' or '2'")
@@ -312,9 +314,9 @@ def interpolation_path(rho0: ActionTuple, rho1: ActionTuple, phi, t: float,
         metric(b, _conjugate(phi, a), "1", cfg=cfg)
         for a, b in zip(rho0.generators, rho1.generators)
     )
-    if res > conjugacy_tol:
+    if res > _CONJUGACY_TOL:
         raise ValueError(f"phi is not a conjugacy from rho0 to rho1 "
-                         f"(residual {res:.3e} > {conjugacy_tol:.0e})")
+                         f"(residual {res:.3e} > {_CONJUGACY_TOL:.0e})")
 
     if t == 0.0:
         phi_t = _id_like(kind)
@@ -359,14 +361,17 @@ def interpolation_path(rho0: ActionTuple, rho1: ActionTuple, phi, t: float,
 # flow regularization
 
 
-class PushforwardField(VectorField1D):
+class _RegularizedField(VectorField1D):
     """The field phi_* X: X~(y) = Dphi(u) X(u) at u = phi^-1(y), with the
-    time change pulled back through phi (flow equivariance is exact)."""
+    time change pulled back through phi (flow equivariance is exact).  For
+    the averaging conjugacy phi its derivative is exactly the log-derivative
+    of the original time-1 map f1 in the new coordinate."""
 
-    def __init__(self, base: VectorField1D, phi: IntervalDiffeo):
+    def __init__(self, base: VectorField1D, phi: IntervalDiffeo, f1):
         self.base = base
         self.phi = phi
         self.phinv = inverse(phi)
+        self.f1 = f1
 
     def X(self, y):
         u = self.phinv.value(np.asarray(y, dtype=float))
@@ -387,21 +392,12 @@ class PushforwardField(VectorField1D):
         v, ld = self.base.flow_log_deriv(u, t)
         return self.phi.value(v), self.phi.log_deriv(v) + ld - self.phi.log_deriv(u)
 
-    def __repr__(self):
-        return f"PushforwardField({self.base!r})"
-
-
-class _RegularizedField(PushforwardField):
-    """Pushforward by the averaging conjugacy; its derivative is exactly the
-    log-derivative of the original time-1 map in the new coordinate."""
-
-    def __init__(self, base, phi, f1):
-        super().__init__(base, phi)
-        self.f1 = f1
-
     def DX(self, y):
         u = self.phinv.value(np.asarray(y, dtype=float))
         return self.f1.log_deriv(u)
+
+    def __repr__(self):
+        return f"_RegularizedField({self.base!r})"
 
 
 class _SmoothConjugacy(IntervalDiffeo):
@@ -447,10 +443,9 @@ class _SmoothConjugacy(IntervalDiffeo):
 
 @dataclass
 class RegularizedFlow:
-    conjugacy: IntervalDiffeo
-    field: PushforwardField
+    conjugacy: IntervalDiffeo = dc_field(repr=False)
+    field: VectorField1D = dc_field(repr=False)
     checks: dict
-    extra_checks: dict | None
 
 
 # Simpson intervals in s of the averaging integral
@@ -478,7 +473,7 @@ def _mean_log_deriv(X: VectorField1D, xg: np.ndarray, s_steps: int) -> np.ndarra
     return acc / (3.0 * s_steps)
 
 
-def regularize_flow(X: VectorField1D, extra=None, r: str = "1+ac",
+def regularize_flow(X: VectorField1D, r: str = "1+ac",
                     cfg: ToleranceConfig = DEFAULT_CONFIG) -> RegularizedFlow:
     """Straighten a contraction flow by the averaging conjugacy
 
@@ -531,19 +526,7 @@ def regularize_flow(X: VectorField1D, extra=None, r: str = "1+ac",
         d2_bound = metric(f1, identity(), "2", starred=True, cfg=cfg)
         checks["d2_norm"] = float(np.max(np.abs(d2)))
         checks["d2_bound"] = d2_bound
-
-    extra_checks = None
-    if extra is not None:
-        ev, el = extra.jet(xg)
-        u = phi.log_deriv(ev) + el - phi.log_deriv(xg)
-        var_conj = variation(u)
-        var_orig = variation(el)
-        extra_checks = {
-            "var_conjugate": var_conj,
-            "var_original": var_orig,
-            "ok": bool(var_conj <= var_orig + 1e-6),
-        }
-    return RegularizedFlow(phi, Xt, checks, extra_checks)
+    return RegularizedFlow(phi, Xt, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +580,17 @@ class Component:
 class ComponentDecomposition:
     parabolic_set: tuple
     components: tuple
-    fixed_report: object
+    fixed_report: object = dc_field(repr=False)
 
 
-def classify_action(t: ActionTuple, cfg: ToleranceConfig = DEFAULT_CONFIG,
-                    denominator_cap: int = 10**4,
-                    residual_tol: float = 1e-9) -> ComponentDecomposition:
+# a translation time alpha reads as rational when a fraction of denominator
+# at most _DENOMINATOR_CAP lies within _RESIDUAL_TOL of it
+_DENOMINATOR_CAP = 10**4
+_RESIDUAL_TOL = 1e-9
+
+
+def classify_action(t: ActionTuple,
+                    cfg: ToleranceConfig = DEFAULT_CONFIG) -> ComponentDecomposition:
     """Decompose [0,1] minus the common fixed set and tag each component.
 
     On each component a fixed-point-free reference generator is embedded in
@@ -665,7 +653,7 @@ def classify_action(t: ActionTuple, cfg: ToleranceConfig = DEFAULT_CONFIG,
 
         verdicts, fracs = [], []
         for alpha in alphas:
-            frac, verdict, _ = _rational_verdict(alpha, denominator_cap, residual_tol)
+            frac, verdict, _ = _rational_verdict(alpha, _DENOMINATOR_CAP, _RESIDUAL_TOL)
             verdicts.append(verdict)
             fracs.append(frac)
 
@@ -745,7 +733,7 @@ class DeformationPath:
                 self.plans.append(("flowable", c, reg.conjugacy, reg.field))
             else:
                 h = c.generator
-                vinf = asymptotic_variation(h, schedule=(1, 2, 4, 8, 16), cfg=cfg)
+                vinf = asymptotic_variation(h, schedule=(1, 2, 4, 8, 16))
                 target = 2.0 * max(vinf.limit, 1e-12)
                 chosen = None
                 nn = 2
@@ -896,9 +884,12 @@ class NormalFormReport:
     conjugation_residual: float  # sup |g(phi(x)) - phi(x + 1/n)| off the last cell
 
 
+# the largest error allowed in each boundary condition of normalize_finite_order
+_BOUNDARY_TOL = 1e-6
+
+
 def normalize_finite_order(g: CircleDiffeo, n: int, psi=None,
-                           cfg: ToleranceConfig = DEFAULT_CONFIG,
-                           boundary_tol: float = 1e-6) -> NormalFormReport:
+                           cfg: ToleranceConfig = DEFAULT_CONFIG) -> NormalFormReport:
     """Conjugacy phi sending g to the normal form that equals the rotation by
     1/n away from the last cell [(n-1)/n, 1].
 
@@ -918,15 +909,15 @@ def normalize_finite_order(g: CircleDiffeo, n: int, psi=None,
     zero = np.array(0.0)
     orbit = list(_walk_words([_jet_step(g)], n + 1, (zero, zero)))
     orbit_err = max(abs(float(y) - k / n) for k, (y, _) in enumerate(orbit))
-    if orbit_err > boundary_tol:
+    if orbit_err > _BOUNDARY_TOL:
         raise ValueError(f"orbit of 0 is not {{k/n}} (error {orbit_err:.3e})")
     ld_gn = float(orbit[n][1])
-    if abs(ld_gn) > boundary_tol:
+    if abs(ld_gn) > _BOUNDARY_TOL:
         raise ValueError(f"g^n is not parabolic at 0 (log Dg^n(0) = {ld_gn:.3e})")
-    if abs(float(psi.log_deriv(np.array(0.0)))) > boundary_tol:
+    if abs(float(psi.log_deriv(np.array(0.0)))) > _BOUNDARY_TOL:
         raise ValueError("seed psi is not parabolic at 0")
     seam = float(psi.log_deriv(np.array(1.0))) - float(g.log_deriv(0.0))
-    if abs(seam) > boundary_tol:
+    if abs(seam) > _BOUNDARY_TOL:
         raise ValueError(
             f"seed boundary derivative mismatch: D(psi)(1/n) differs from "
             f"Dg(0) by e^{seam:.3e}")

@@ -31,6 +31,7 @@ from .gridfn import (
     DEFAULT_CONFIG,
     DomainError,
     GridFunction,
+    MAX_ITER,
     MonotonicityError,
     ToleranceConfig,
     unit_points,
@@ -492,7 +493,12 @@ class GridMap(Diffeo):
     def affine_deriv(self, x):
         # finite differencing of the stored log-derivative samples
         h = 1.0 / (len(self.nodes) - 1)
-        return self._read(np.gradient(self.logd, h), x)
+        d = np.gradient(self.logd, h)
+        if self.kind == "circle":
+            # a periodic table: the seam nodes 0 and N are one point, whose
+            # neighbours are nodes N - 1 and 1
+            d[0] = d[-1] = (self.logd[1] - self.logd[-2]) / (2.0 * h)
+        return self._read(d, x)
 
     def reflect(self):
         return ChartMap(self, 1.0, 0.0)
@@ -887,13 +893,13 @@ def _lift_step(lift_grid: np.ndarray):
     return step
 
 
-def rotation_number(f: CircleDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG) -> RotationNumber:
+def rotation_number(f: CircleDiffeo) -> RotationNumber:
     """Translation number of the lift, lim F^n(0)/n, reduced mod 1.
 
     Plain Birkhoff averages converge like 1/n; the estimate here uses the
     closest-return times of the orbit (the continued-fraction denominators),
     for which |F^q(0)/q - rho| shrinks like dist(F^q(0), Z)/q."""
-    K = int(min(cfg.max_iter, 1 << 16))
+    K = MAX_ITER
     # pre-sample the lift once so the long orbit iterates a table lookup
     # instead of re-running per-point bisections inside composed inverses;
     # lift(x + m) = lift(x) + m reduces every step to the fundamental domain
@@ -1027,7 +1033,7 @@ class FixedPointReport:
     components: tuple              # components of [0,1] minus the fixed set
 
 
-def _classify(t: ActionTuple, p: float, thr: float, cfg: ToleranceConfig) -> FixedPoint:
+def _classify(t: ActionTuple, p: float, thr: float) -> FixedPoint:
     mults = tuple(float(g.log_deriv(p)) for g in t.generators)
     # ambiguity band around the threshold; capped at thr/4 so clear cases
     # (e.g. an exactly parabolic multiplier) never fall inside it
@@ -1100,7 +1106,7 @@ def fixed_point_analysis(t: ActionTuple, cfg: ToleranceConfig = DEFAULT_CONFIG) 
             continue
         if points and abs(p - points[-1].location) < 2.0 / N:
             continue
-        points.append(_classify(t, p, thr, cfg))
+        points.append(_classify(t, p, thr))
 
     parabolic = tuple(
         [fp.location for fp in points if fp.classification in ("parabolic", "2-parabolic")]

@@ -55,24 +55,22 @@ def unit_points(x, slack: float, message: str = "point outside [0, 1]"):
 ABS_TOL = 1e-8
 # truncation threshold for infinite sums (series tails)
 TAIL_TOL = 1e-9
+# iteration budget for orbit walks, series truncation and rotation numbers
+MAX_ITER = 65536
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical policy shared by the whole library.
 
-    grid_N   : default grid resolution (power of two, >= 64)
-    max_iter : iteration budget for orbit computations / root finding
+    grid_N : default grid resolution (power of two, >= 64)
     """
 
     grid_N: int = 4096
-    max_iter: int = 65536
 
     def __post_init__(self):
         if self.grid_N < 64 or not _is_power_of_two(self.grid_N):
             raise ValueError("grid_N must be a power of two >= 64")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
 
 
 DEFAULT_CONFIG = ToleranceConfig()

@@ -15,7 +15,7 @@ one word's state at a time; circle orbits walk the lift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -48,7 +48,7 @@ _MATHER_SAMPLES = 1024
 
 @dataclass(frozen=True)
 class VarEstimate:
-    pairs: tuple            # (n, var(log Df^n)/n)
+    pairs: tuple = dc_field(repr=False)   # (n, var(log Df^n)/n)
     limit: float            # monotone envelope extrapolation (min of var/n)
     uncertainty: float      # |last - second-to-last| along the schedule
     lower_bound: float      # |log Df(0)| + |log Df(1)| for interval maps
@@ -67,8 +67,7 @@ def _orbit_sample_points(f, n_max: int, base: int, circle: bool) -> np.ndarray:
     return allpts
 
 
-def asymptotic_variation(f, schedule=DEFAULT_SCHEDULE,
-                         cfg: ToleranceConfig = DEFAULT_CONFIG) -> VarEstimate:
+def asymptotic_variation(f, schedule=DEFAULT_SCHEDULE) -> VarEstimate:
     """var(log Df^n)/n along the schedule, with the subadditivity-backed
     monotone-envelope extrapolation (no model fitting)."""
     schedule = tuple(sorted(set(int(n) for n in schedule)))
@@ -188,7 +187,7 @@ def mather_inequality_check(f: IntervalDiffeo,
                             cfg: ToleranceConfig = DEFAULT_CONFIG) -> dict:
     """| var(log DM_f) - V_inf(f) |  <=  |log Df(0)| + |log Df(1)|."""
     mi = mather_invariant(f, cfg)
-    ve = asymptotic_variation(f, cfg=cfg)
+    ve = asymptotic_variation(f)
     bound = ve.lower_bound
     gap = abs(mi.var_logDM - ve.limit)
     slack = bound - gap
@@ -238,6 +237,9 @@ def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
     in the limit; for a single generator the box sum telescopes and the
     defect equals ||c(f^n)||/n exactly.  Words extend the generators'
     cocycles by the cocycle relation c(f g) = c(g) + U(g) c(f)."""
+    if n < 1:
+        # the doubling schedule of the drift estimate below never ends at n <= 0
+        raise ValueError("n must be >= 1")
     gens = t.generators
     N = min(cfg.grid_N, 2048)
     bps = {0.0, 1.0}

@@ -29,6 +29,7 @@ import numpy as np
 from .gridfn import (
     ABS_TOL,
     DEFAULT_CONFIG,
+    MAX_ITER,
     TAIL_TOL,
     DomainError,
     ToleranceConfig,
@@ -61,7 +62,7 @@ class TailNotReached(RuntimeError):
 
 class TransportBudgetExceeded(RuntimeError):
     """An orbit walk to or from the reference interval needed more than
-    cfg.max_iter steps of f (points too close to a fixed point)."""
+    MAX_ITER steps of f (points too close to a fixed point)."""
 
 
 _TINY = 1e-15
@@ -212,7 +213,7 @@ class SzekeresField(VectorField1D):
     there by a C^1 cubic spline, next to a trapezoid table of tau.  Every
     other interior point is served by one inbound orbit walk into that
     interval (``X``, ``tau``) and, for flows, one outbound walk from it
-    (``tau_inv``, ``flow_log_deriv``); a walk longer than cfg.max_iter steps
+    (``tau_inv``, ``flow_log_deriv``); a walk longer than MAX_ITER steps
     raises ``TransportBudgetExceeded``.  X vanishes at 0 and 1.
     """
 
@@ -258,11 +259,11 @@ class SzekeresField(VectorField1D):
                 return 1, tail(0)
             lo, hi = 0, 1
             while tail(hi) >= TAIL_TOL:
-                if hi == cfg.max_iter:
+                if hi == MAX_ITER:
                     raise TailNotReached(
                         f"tail bound {tail(hi):.3e} above tail_tol="
                         f"{TAIL_TOL:.1e} after {hi} terms")
-                lo, hi = hi, min(2 * hi, cfg.max_iter)
+                lo, hi = hi, min(2 * hi, MAX_ITER)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 if tail(mid) < TAIL_TOL:
@@ -344,10 +345,10 @@ class SzekeresField(VectorField1D):
         acc = None if logchain is None else np.zeros(v.shape)
         n = 0
         while idx.size:
-            if n == self.cfg.max_iter:
+            if n == MAX_ITER:
                 raise TransportBudgetExceeded(
-                    f"{idx.size} point(s) need more than max_iter="
-                    f"{self.cfg.max_iter} orbit steps (nearest the ends: "
+                    f"{idx.size} point(s) need more than MAX_ITER="
+                    f"{MAX_ITER} orbit steps (nearest the ends: "
                     f"{float(v[np.argmin(np.minimum(v, 1.0 - v))])!r})")
             fwd = d > 0
             new = np.empty_like(v)
@@ -571,8 +572,7 @@ def szekeres_field(f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG) -> 
     return SzekeresField(f, cfg)
 
 
-def flow_group_residual(X: VectorField1D, s: float, t: float,
-                        cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
+def flow_group_residual(X: VectorField1D, s: float, t: float) -> float:
     """d_1(f^{s+t}, f^s o f^t) measured on a probe grid."""
     if s == 0.0 and t == 0.0:
         return 0.0

@@ -144,6 +144,46 @@ class TestRunCommand:
             run_command(load_spec({"cmd": "drift",
                                    "params": {"f_index": f_index}}))
 
+    def test_flow_map_against_its_time_one_map(self):
+        # the time-1 map of the Moebius field is the Moebius map itself
+        report = run_command(load_spec({"cmd": "metrics", "params": {
+            "f": {"kind": "flow", "a": 2, "t": 1},
+            "g": {"kind": "moebius", "a": 2}}}))
+        assert report["exit_code"] == 0
+        assert report["report"]["d"] <= 1e-12
+
+    @pytest.mark.parametrize("field", [
+        {"family": "parabolic_right"},
+        {"family": "parabolic_both", "lam": 0.5}])
+    def test_flow_of_an_analytic_family(self, field):
+        report = run_command(load_spec({"cmd": "flow",
+                                        "params": {"field": field}}))
+        assert report["exit_code"] == 0
+        assert report["report"]["group_residual"] <= 1e-12
+
+    def test_rotation_number_of_a_rigid_rotation(self):
+        report = run_command(load_spec({"cmd": "rot", "params": {
+            "f": {"kind": "rotation", "alpha": 0.3}}}))
+        assert report["report"]["value"] == pytest.approx(0.3, abs=1e-12)
+
+    def test_vinf_schedule(self):
+        report = run_command(load_spec({"cmd": "vinf",
+                                        "params": {"schedule": [1, 2, 4]}}))
+        assert [row[0] for row in report["series"]["var_over_n"]["rows"]] == [1, 2, 4]
+
+    def test_szekeres_oracle_for_any_moebius_expression(self):
+        # a composition of Moebius maps is the Moebius map of the product
+        report = run_command(load_spec({"cmd": "szekeres", "params": {
+            "f": {"kind": "compose", "maps": [{"kind": "moebius", "a": 2},
+                                              {"kind": "moebius", "a": 1.5}]},
+            "samples": 9}}))
+        assert report["report"]["oracle_sup_gap"] <= 1e-6
+
+    def test_defaults_are_never_shared(self):
+        a = load_spec({"cmd": "interp"})
+        a.params["phi"]["base"]["kind"] = "moebius"
+        assert load_spec({"cmd": "interp"}).params["phi"]["base"] == {"kind": "identity"}
+
     def test_determinism(self):
         doc = {"cmd": "metrics", "params": {"r": "1+bv"}}
         a = json.dumps(run_command(load_spec(doc)), sort_keys=True)
@@ -278,6 +318,55 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)["report"]
         assert report["parabolic_set"] == [[0.0, 1.0]]
         assert report["components"] == []
+
+
+# (command, params, dotted path of the refused value): values of the wrong
+# type are refused where the spec is read, never coerced or truncated
+_WRONG_TYPES = [
+    ("sergeraert", {"k": 3.9}, "params.k"),
+    ("szekeres", {"samples": 2.7}, "params.samples"),
+    ("staircase", {"depth": 8.5}, "params.depth"),
+    ("hyperbolic", {"N": 10.9}, "params.N"),
+    ("staircase", {"n": 2.5}, "params.n"),
+    ("vinf", {"schedule": [1, 2.9]}, "params.schedule[1]"),
+    ("metrics", {"f": {"kind": "moebius", "a": True}}, "params.f.a"),
+    ("metrics", {"f": {"kind": "moebius", "a": "2"}}, "params.f.a"),
+    ("flow", {"t": True}, "params.t"),
+    ("deform", {"t": "abc"}, "params.t"),
+    ("herman", {"ns": [True]}, "params.ns[0]"),
+    ("metrics", {"r": 3}, "params.r"),
+    ("gmconj", {"ns": 5}, "params.ns"),
+    ("staircase", {"M": "1/2"}, "params.M"),
+    ("classify", {"action": {"generators": [{"kind": "identity"}],
+                             "circle": "false"}}, "params.action.circle"),
+]
+# well-typed values that the library refuses
+_BAD_VALUES = [
+    ("metrics", {"f": {"kind": "moebius", "a": -1}}, "Moebius parameter"),
+    ("metrics", {"r": "3"}, "metric selector"),
+    ("gmconj", {"ns": [0]}, "n must be >= 1"),
+    ("drift", {"n": 0}, "n must be >= 1"),
+    ("metrics", {"f": {"kind": "bump", "amp": 5}}, "monotonicity"),
+]
+
+
+@pytest.mark.parametrize("cmd, params, path", _WRONG_TYPES)
+def test_wrong_type_is_a_spec_error(cmd, params, path, tmp_path, capsys):
+    spec_path = tmp_path / "run.json"
+    spec_path.write_text(json.dumps({"cmd": cmd, "params": params}))
+    assert main([cmd, "--spec", str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"spec error: field '{path}' must be")
+
+
+@pytest.mark.parametrize("cmd, params, message", _BAD_VALUES)
+def test_bad_value_keeps_its_library_error(cmd, params, message, tmp_path, capsys):
+    spec_path = tmp_path / "run.json"
+    spec_path.write_text(json.dumps({"cmd": cmd, "params": params}))
+    assert main([cmd, "--spec", str(spec_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [") and message in err
 
 
 class _ReadLog(dict):

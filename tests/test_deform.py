@@ -60,9 +60,9 @@ class TestHermanAverage:
     def test_word_budget_is_checked_before_rotation_numbers(self, monkeypatch):
         calls = []
 
-        def counting(g, cfg):
+        def counting(g):
             calls.append(g)
-            return rotation_number(g, cfg)
+            return rotation_number(g)
 
         monkeypatch.setattr(deform, "rotation_number", counting)
         g = conjugated_rotation(GOLDEN)
@@ -176,13 +176,6 @@ class TestRegularizeFlow:
         # the regularized field still has multiplier -ln 2 at the origin
         assert float(rep.field.DX(np.array(0.0))) == pytest.approx(-LN2,
                                                                    abs=1e-6)
-
-    def test_commuting_extra_map(self):
-        extra = FlowTime(moebius_field(2.0), 0.5)
-        rep = regularize_flow(moebius_field(2.0), extra=extra)
-        assert rep.extra_checks["ok"]
-        assert rep.extra_checks["var_conjugate"] == pytest.approx(
-            rep.extra_checks["var_original"], abs=1e-5)
 
     def test_bad_regularity_selector(self):
         with pytest.raises(ValueError):

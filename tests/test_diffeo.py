@@ -417,7 +417,18 @@ class TestGridMap:
         assert float(np.trapezoid(np.exp(f.logd), self._N)) == pytest.approx(1.0, abs=1e-15)
         x = np.linspace(0.0, 1.0, 33)[:-1]
         assert np.array_equal(c.log_deriv(x + 3.0), f.log_deriv(x))
-        assert np.array_equal(c.affine_deriv(x - 1.0), f.affine_deriv(x))
+        # off the seam node 0, where only the circle table has two neighbours
+        assert np.array_equal(c.affine_deriv(x[1:] - 1.0), f.affine_deriv(x[1:]))
+
+    def test_circle_affine_deriv_is_periodic(self):
+        # log Df = 0.3 cos(2 pi x) - c has derivative 0 at the seam; one-sided
+        # differences there read -0.0925 at x = 0 and +0.0925 at x = 1
+        c = GridMap.from_log_deriv(0.3 * np.cos(2.0 * math.pi * self._N), "circle")
+        x = np.array([0.0, 0.3, 1.0 - 1e-9, 1.0])
+        d = c.affine_deriv(x)
+        assert np.max(np.abs(c.affine_deriv(x + 1.0) - d)) <= 1e-12
+        assert np.max(np.abs(c.affine_deriv(x - 1.0) - d)) <= 1e-12
+        assert np.max(np.abs(c.affine_deriv(np.array([0.0, 1.0])))) <= 1e-12
 
     def test_only_an_interval_map_reflects(self):
         _check_inverse(GridMap.from_log_deriv(0.2 * self._N).reflect())

@@ -65,11 +65,6 @@ class TestToleranceConfig:
         with pytest.raises(ValueError):
             ToleranceConfig(grid_N=32)
 
-    def test_positive_tolerances(self):
-        # the iteration budget is the one bound a config sets besides grid_N
-        with pytest.raises(ValueError):
-            ToleranceConfig(max_iter=0)
-
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6),

@@ -159,10 +159,11 @@ class TestTruncationSearch:
         bound = sum(2 * math.ceil(math.log2(n)) + 3 for n in (X.n_terms, X._n_ref))
         assert len(calls) <= bound
 
-    def test_raises_at_the_budget(self):
+    def test_raises_at_the_budget(self, monkeypatch):
         # near-parabolic at 0: the majorant needs thousands of terms
+        monkeypatch.setattr(szekeres, "MAX_ITER", 64)
         with pytest.raises(TailNotReached, match="after 64 terms"):
-            SzekeresField(Moebius(1.001), ToleranceConfig(max_iter=64))
+            SzekeresField(Moebius(1.001))
 
     def test_sigma_takes_one_jet_per_term(self, leaf_counter):
         f = leaf_counter(Moebius(2.0))
@@ -190,15 +191,17 @@ class TestFieldDerivative:
 class TestTransportBudget:
     # Moebius(2) roughly doubles points near 0 under f^-1: 1e-30 is about
     # 100 steps from the reference interval, 1e-10 about 33
-    cfg = ToleranceConfig(max_iter=64)
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(szekeres, "MAX_ITER", 64)
 
-    def test_X_raises_instead_of_reading_the_table_end(self):
-        X = SzekeresField(Moebius(2.0), self.cfg)
+    def test_X_raises_instead_of_reading_the_table_end(self, small_budget):
+        X = SzekeresField(Moebius(2.0))
         with pytest.raises(TransportBudgetExceeded):
             X.X(np.array([1e-30, 0.5]))
 
-    def test_every_walk_raises_the_same_type(self):
-        X = SzekeresField(Moebius(2.0), self.cfg)
+    def test_every_walk_raises_the_same_type(self, small_budget):
+        X = SzekeresField(Moebius(2.0))
         with pytest.raises(TransportBudgetExceeded):
             X.tau(np.array([1e-30]))
         with pytest.raises(TransportBudgetExceeded):
@@ -210,7 +213,7 @@ class TestTransportBudget:
     def test_stalled_point_fails_at_its_first_step(self, leaf_counter):
         # within an ulp of 1 Moebius(2) rounds f(x) to x, so the inbound walk
         # can never arrive: it raises on its first step, not after the
-        # default max_iter = 65536 steps
+        # default MAX_ITER = 65536 steps
         f = leaf_counter(Moebius(2.0))
         ft = FlowTime(szekeres_field(f), 0.5)
         x = np.nextafter(1.0, 0.0)
@@ -222,8 +225,8 @@ class TestTransportBudget:
         # log_deriv reads the edge rate there and does not walk
         assert float(ft.log_deriv(x)) == pytest.approx(0.5 * LN2, rel=1e-9)
 
-    def test_within_budget(self):
-        X = SzekeresField(Moebius(2.0), self.cfg)
+    def test_within_budget(self, small_budget):
+        X = SzekeresField(Moebius(2.0))
         assert float(X.X(np.array(1e-10))) == pytest.approx(-LN2 * 1e-10,
                                                             rel=1e-6)
 
