@@ -245,6 +245,7 @@ _CIRCLE_MAPS = {
 # an action is a preset or a list of generators
 _TWO_COMPONENT = {"preset": "two_component"}
 _GENERATORS = {"generators": [_MOEBIUS], "circle": False}
+_CIRCLE_GENERATORS = {"generators": [_CIRCLE_MAPS["rotation"]], "circle": True}
 
 
 def _read_kind(obj, kinds: dict, path: str) -> dict:
@@ -291,24 +292,22 @@ def _build_field(obj, path: str):
     return _field(_read(obj, _FIELD, path), path)
 
 
-def _conjugated_rotation(alpha: float, amp: float, freq: int,
-                         cfg: ToleranceConfig):
-    """h R_alpha h^-1 with h(x) = x + amp sin(2 pi freq x) / (2 pi freq)."""
+def _build_circle_map(obj, path: str, cfg: ToleranceConfig):
+    p = _read_kind(obj, _CIRCLE_MAPS, path)
+    if p["kind"] == "rotation":
+        return Rotation(p["alpha"])
+    # h R_alpha h^-1 with h(x) = x + amp sin(2 pi freq x) / (2 pi freq)
+    amp, freq = p["amp"], p["freq"]
     if abs(amp) >= 1.0:
-        raise SpecError("conjugated rotation needs |amp| < 1")
+        raise SpecError(f"field '{path}.amp' must be in (-1, 1), got {amp}")
+    if freq == 0:
+        raise SpecError(f"field '{path}.freq' must be a non-zero integer, got 0")
     x = np.linspace(0.0, 1.0, cfg.grid_N + 1)
     w = 2.0 * math.pi * freq
     disp = amp * np.sin(w * x) / w
     logd = np.log1p(amp * np.cos(w * x))
     h = GridMap(x + disp, logd, "circle")
-    return compose(h, compose(Rotation(alpha), inverse(h)))
-
-
-def _build_circle_map(obj, path: str, cfg: ToleranceConfig):
-    p = _read_kind(obj, _CIRCLE_MAPS, path)
-    if p["kind"] == "rotation":
-        return Rotation(p["alpha"])
-    return _conjugated_rotation(p["alpha"], p["amp"], p["freq"], cfg)
+    return compose(h, compose(Rotation(p["alpha"]), inverse(h)))
 
 
 def _build_action(obj, path: str, cfg: ToleranceConfig) -> ActionTuple:
@@ -326,13 +325,24 @@ def _build_action(obj, path: str, cfg: ToleranceConfig) -> ActionTuple:
             return ActionTuple(generators=(_build_circle_map(
                 _CIRCLE_MAPS["conjugated_rotation"], path, cfg),))
         raise SpecError(f"unknown field '{path}.preset' value {name!r}")
-    p = _read(obj, _GENERATORS, path)
+    circle = isinstance(obj, dict) and obj.get("circle") is True
+    p = _read(obj, _CIRCLE_GENERATORS if circle else _GENERATORS, path)
     built = []
     for i, g in enumerate(p["generators"]):
         sub = f"{path}.generators[{i}]"
         built.append(_build_circle_map(g, sub, cfg) if p["circle"]
                      else _build_interval_map(g, sub))
     return ActionTuple(generators=tuple(built))
+
+
+def _read_action(spec: ExperimentSpec, cfg: ToleranceConfig, kind=None):
+    """The action of params.action, refused unless it is of the given kind
+    (either kind when None)."""
+    act = _build_action(spec.params["action"], "params.action", cfg)
+    if kind not in (None, act.kind):
+        article = "an" if kind == "interval" else "a"
+        raise SpecError(f"field 'params.action' must be {article} {kind} action")
+    return act
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +453,7 @@ def _cmd_mather(spec: ExperimentSpec, cfg: ToleranceConfig):
 
 
 def _cmd_drift(spec: ExperimentSpec, cfg: ToleranceConfig):
-    act = _build_action(spec.params["action"], "params.action", cfg)
-    if act.kind != "interval":
-        raise SpecError("field 'params.action' must be an interval action")
+    act = _read_action(spec, cfg, "interval")
     f_index = spec.params["f_index"]
     if not 0 <= f_index < act.d:
         raise SpecError(f"field 'params.f_index' must be in [0, {act.d}), "
@@ -456,9 +464,7 @@ def _cmd_drift(spec: ExperimentSpec, cfg: ToleranceConfig):
 
 
 def _cmd_herman(spec: ExperimentSpec, cfg: ToleranceConfig):
-    act = _build_action(spec.params["action"], "params.action", cfg)
-    if act.kind != "circle":
-        raise SpecError("field 'params.action' must be a circle action")
+    act = _read_action(spec, cfg, "circle")
     rows = [[n, max(herman_average(act, n, cfg).rotation_distances)]
             for n in spec.params["ns"]]
     report = {"ns": [r[0] for r in rows],
@@ -470,7 +476,7 @@ def _cmd_herman(spec: ExperimentSpec, cfg: ToleranceConfig):
 
 
 def _cmd_gmconj(spec: ExperimentSpec, cfg: ToleranceConfig):
-    act = _build_action(spec.params["action"], "params.action", cfg)
+    act = _read_action(spec, cfg)
     rows = []
     violations = []
     last = None
@@ -491,9 +497,7 @@ def _cmd_gmconj(spec: ExperimentSpec, cfg: ToleranceConfig):
 
 
 def _cmd_interp(spec: ExperimentSpec, cfg: ToleranceConfig):
-    act = _build_action(spec.params["action"], "params.action", cfg)
-    if act.kind != "interval":
-        raise SpecError("field 'params.action' must be an interval action")
+    act = _read_action(spec, cfg, "interval")
     phi = _build_interval_map(spec.params["phi"], "params.phi")
     rho1 = ActionTuple(generators=tuple(
         compose(phi, compose(g, inverse(phi))) for g in act.generators))
@@ -517,12 +521,12 @@ def _cmd_regularize(spec: ExperimentSpec, cfg: ToleranceConfig):
 def _cmd_classify(spec: ExperimentSpec, cfg: ToleranceConfig):
     # _sanitize writes a fixed interval of the parabolic set as a pair and
     # a Component as its repr fields
-    act = _build_action(spec.params["action"], "params.action", cfg)
+    act = _read_action(spec, cfg, "interval")
     return classify_action(act, cfg), {}, []
 
 
 def _cmd_deform(spec: ExperimentSpec, cfg: ToleranceConfig):
-    act = _build_action(spec.params["action"], "params.action", cfg)
+    act = _read_action(spec, cfg, "interval")
     t = spec.params["t"]
     action, cert = deform_action(act, t, r=spec.params["r"], cfg=cfg)
     violations = _violations(cert["holds"], "deformation_certificate", json.dumps(

@@ -103,34 +103,25 @@ class ComponentwiseDiffeo(IntervalDiffeo):
             if np.any(m):
                 yield m, a, b, c, np.clip((x[m] - a) / (b - a), 0.0, 1.0)
 
-    def value(self, x):
-        x = self._check_domain(x)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+    def _value(self, x):
         val = x.copy()
         for m, a, b, c, u in self._pieces(x):
-            val[m] = a + (b - a) * c.value(u)
-        return val[0] if scalar else val
+            val[m] = a + (b - a) * c._value(u)
+        return val
 
-    def jet(self, x):
-        x = self._check_domain(x)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+    def _jet(self, x):
         val = x.copy()
         ld = np.zeros_like(x)
         for m, a, b, c, u in self._pieces(x):
-            y, ld[m] = c.jet(u)
+            y, ld[m] = c._jet(u)
             val[m] = a + (b - a) * y
-        return (val[0], ld[0]) if scalar else (val, ld)
+        return val, ld
 
-    def affine_deriv(self, x):
-        x = self._check_domain(x)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+    def _affine_deriv(self, x):
         aff = np.zeros_like(x)
         for m, a, b, c, u in self._pieces(x):
-            aff[m] = c.affine_deriv(u) / (b - a)
-        return aff[0] if scalar else aff
+            aff[m] = c._affine_deriv(u) / (b - a)
+        return aff
 
     def inverse_map(self):
         return ComponentwiseDiffeo(self.intervals, [inverse(c) for c in self.charts])
@@ -212,12 +203,16 @@ class GeometricMeanReport:
     n: int
     vars_conjugate: tuple    # var(log D(phi f_i phi^-1)) per generator
     var_bounds: tuple        # var(log Df_i^n)/n per generator
-    slacks: tuple            # bound + tol - var; < 0 falsifies the bound
+    slacks: tuple            # bound + _GM_BOUND_TOL - var; < 0 falsifies it
+
+
+# how far var(log D(phi f phi^-1)) may exceed its bound var(log Df^n)/n
+_GM_BOUND_TOL = 1e-6
 
 
 def geometric_mean_conjugacy(t: ActionTuple, n: int = 8,
-                             cfg: ToleranceConfig = DEFAULT_CONFIG,
-                             tol: float = 1e-6) -> GeometricMeanReport:
+                             cfg: ToleranceConfig = DEFAULT_CONFIG
+                             ) -> GeometricMeanReport:
     """Conjugacy phi_n with D(phi_n) = normalized geometric mean of the word
     derivatives over the box; shrinks var(log D) of each generator to at most
     var(log Df_i^n)/n."""
@@ -252,7 +247,7 @@ def geometric_mean_conjugacy(t: ActionTuple, n: int = 8,
             if k == 1:
                 var_u = variation(mean_log_deriv(y) + acc - psi, periodic=circle)
         bound = variation(acc, periodic=circle) / n
-        slack = bound + tol - var_u
+        slack = bound + _GM_BOUND_TOL - var_u
         vars_c.append(var_u)
         bounds.append(bound)
         slacks.append(slack)
@@ -293,15 +288,18 @@ class InterpolationStep:
 
 # the largest d_1 residual of phi as a conjugacy from rho0 to rho1
 _CONJUGACY_TOL = 1e-2
+# how far d*_r(rho_t, id) may exceed the larger endpoint distance
+_INTERP_BOUND_TOL = 1e-3
 
 
 def interpolation_path(rho0: ActionTuple, rho1: ActionTuple, phi, t: float,
-                       r: str = "1+ac", cfg: ToleranceConfig = DEFAULT_CONFIG,
-                       tol: float = 1e-3) -> InterpolationStep:
+                       r: str = "1+ac", cfg: ToleranceConfig = DEFAULT_CONFIG
+                       ) -> InterpolationStep:
     """The action phi_t rho0 phi_t^-1 with log D(phi_t) = t log D(phi) - c_t.
 
     Requires rho1 = phi rho0 phi^-1 within _CONJUGACY_TOL; the certificate
-    checks d*_r(rho_t, id) <= max(d*_r(rho0, id), d*_r(rho1, id)) + tol."""
+    checks d*_r(rho_t, id) <= max(d*_r(rho0, id), d*_r(rho1, id))
+    + _INTERP_BOUND_TOL."""
     if r not in ("1+ac", "2"):
         raise ValueError("r must be '1+ac' or '2'")
     if not (0.0 <= t <= 1.0):
@@ -347,7 +345,7 @@ def interpolation_path(rho0: ActionTuple, rho1: ActionTuple, phi, t: float,
         "d_star_t": dt,
         "d_star_endpoints": (d0, d1),
         "bound": bound,
-        "holds": bool(dt <= bound + tol),
+        "holds": bool(dt <= bound + _INTERP_BOUND_TOL),
         "lipschitz_L": L,
     }
     if r == "2":
@@ -374,7 +372,7 @@ class _RegularizedField(VectorField1D):
         self.f1 = f1
 
     def X(self, y):
-        u = self.phinv.value(np.asarray(y, dtype=float))
+        u = self.phinv.value(y)
         return self.phi.deriv(u) * self.base.X(u)
 
     def edge_rates(self):
@@ -382,18 +380,18 @@ class _RegularizedField(VectorField1D):
 
     def flow(self, y, t):
         # the same path as flow_log_deriv, so their flows agree bit for bit
-        u = self.phinv.value(np.asarray(y, dtype=float))
+        u = self.phinv.value(y)
         return self.phi.value(self.base.flow(u, t))
 
     def flow_log_deriv(self, y, t):
         # the flow is phi o f^t o phi^-1, so by the chain rule
         # log Df~^t(y) = log Dphi(f^t u) + log Df^t(u) - log Dphi(u)
-        u = self.phinv.value(np.asarray(y, dtype=float))
+        u = self.phinv.value(y)
         v, ld = self.base.flow_log_deriv(u, t)
         return self.phi.value(v), self.phi.log_deriv(v) + ld - self.phi.log_deriv(u)
 
     def DX(self, y):
-        u = self.phinv.value(np.asarray(y, dtype=float))
+        u = self.phinv.value(y)
         return self.f1.log_deriv(u)
 
     def __repr__(self):
@@ -420,8 +418,7 @@ class _SmoothConjugacy(IntervalDiffeo):
         self._val = PchipInterpolator(dense, vals)
         self._dval = self._val.derivative()
 
-    def value(self, x):
-        x = self._check_domain(x)
+    def _value(self, x):
         return np.clip(self._val(x), 0.0, 1.0)
 
     def inverse_value(self, y):
@@ -429,12 +426,10 @@ class _SmoothConjugacy(IntervalDiffeo):
         # itself (its derivative is not exactly exp(log_deriv))
         return _table_inverse(y, self._dense, self._vals, self._val, self._dval)
 
-    def log_deriv(self, x):
-        x = self._check_domain(x)
+    def _log_deriv(self, x):
         return self._ld(x)
 
-    def affine_deriv(self, x):
-        x = self._check_domain(x)
+    def _affine_deriv(self, x):
         return self._dld(x)
 
     def __repr__(self):
@@ -694,6 +689,8 @@ def classify_action(t: ActionTuple,
 _MAX_COMPONENTS = 16
 # the largest box size n tried for a cyclic component's geometric mean
 _CYCLIC_N_CAP = 32
+# how far d*_r(rho_t, id) may exceed 2 d*_r(rho_0, id) along the path
+_PATH_BOUND_TOL = 1e-3
 
 
 class DeformationPath:
@@ -788,15 +785,15 @@ class DeformationPath:
         return out
 
     # -- certificates -------------------------------------------------------
-    def certificate(self, ts=None, tol: float = 1e-3) -> dict:
+    def certificate(self, ts=None) -> dict:
         """Check the path at the sorted distinct parameters ts (default
         0, 0.1, ..., 1).
 
         Each row holds d*_r(rho_t, id), the largest over generators, which
-        must stay within ``bound`` = 2 d*_r(rho_0, id) + tol; the commutator
-        residual of rho_t, which must stay within 10 times the source's plus
-        ABS_TOL; and the increment max_i d_r(rho_t(i), rho_prev(i)) from
-        the previous row (0 on the first).  Each generator is sampled on the
+        must stay within ``bound`` = 2 d*_r(rho_0, id) + _PATH_BOUND_TOL; the
+        commutator residual of rho_t, which must stay within 10 times the
+        source's plus ABS_TOL; and the increment max_i d_r(rho_t(i),
+        rho_prev(i)) from the previous row (0 on the first).  Each generator is sampled on the
         metric grid once per row, and that sample serves both its d* and
         the next row's increment."""
         if ts is None:
@@ -826,7 +823,8 @@ class DeformationPath:
             res_t = commutator_residual(act, cfg)
             step = (max(sampled_distance(a, b, r) for a, b in zip(cur, prev))
                     if prev is not None else 0.0)
-            ok = (d_t <= bound + tol) and (res_t <= 10.0 * res_src + ABS_TOL)
+            ok = ((d_t <= bound + _PATH_BOUND_TOL)
+                  and (res_t <= 10.0 * res_src + ABS_TOL))
             all_ok = all_ok and ok
             rows.append({"t": t, "d_star": d_t, "commutation": res_t,
                          "increment": step, "ok": bool(ok)})

@@ -21,7 +21,6 @@ and the starred variants drop the |f-g|_inf term.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,11 +130,6 @@ def _refined_max(fn, xs, vals):
 # the map protocol
 
 
-# F(0) of each circle map inverted by bisection, read once per map and kept
-# off the instance: _same_map compares instance attributes
-_LIFT0 = weakref.WeakKeyDictionary()
-
-
 class Diffeo:
     """Root of every map: an increasing diffeomorphism of [0,1] fixing the
     endpoints (kind "interval"), or a circle map given by its degree-one
@@ -144,26 +138,55 @@ class Diffeo:
     value(x) is f(x), resp. F(x), and log_deriv(x) is log Df(x), resp.
     log DF(x).  The kind decides only the domain check, the bracket of the
     generic bisection inverse and where a GridMap reads its log-derivative
-    table; composites take it from their factors."""
+    table; composites take it from their factors.
+
+    The public point methods value, log_deriv, jet and affine_deriv are
+    defined here only: each checks its points once (on [0, 1] for an
+    interval map), hands them to a kernel as one 1-d array, and returns the
+    result in the shape of x (a scalar for a scalar).  A map defines the
+    kernels _value, _jet or _log_deriv (or both), and _affine_deriv, on such
+    checked 1-d arrays, and calls the kernels of its factors, so a point is
+    checked once however deep the expression."""
 
     kind = "interval"
 
-    # -- required interface -------------------------------------------------
+    # -- public entries -----------------------------------------------------
+    def _points(self, x):
+        x = np.asarray(x, dtype=float)
+        return unit_points(x, 1e-12) if self.kind == "interval" else x
+
     def value(self, x):
-        raise NotImplementedError
+        x = self._points(x)
+        return self._value(x.ravel()).reshape(x.shape)[()]
 
     def log_deriv(self, x):
-        """log Df(x); a map defines this, or jet, or both."""
-        return self.jet(x)[1]
+        x = self._points(x)
+        return self._log_deriv(x.ravel()).reshape(x.shape)[()]
 
     def jet(self, x):
-        """(f(x), log Df(x)) together.  Maps whose two evaluations share
-        work (an orbit, an inversion, a chart) override this; the results
-        equal those of value and log_deriv bit for bit."""
-        return self.value(x), self.log_deriv(x)
+        """(f(x), log Df(x)) together, equal bit for bit to value and
+        log_deriv."""
+        x = self._points(x)
+        y, ld = self._jet(x.ravel())
+        return y.reshape(x.shape)[()], ld.reshape(x.shape)[()]
 
     def affine_deriv(self, x):
         """D log Df = D^2 f / Df (the affine-derivative cocycle)."""
+        x = self._points(x)
+        return self._affine_deriv(x.ravel()).reshape(x.shape)[()]
+
+    # -- kernels, on checked 1-d arrays -------------------------------------
+    def _value(self, x):
+        raise NotImplementedError
+
+    def _log_deriv(self, x):
+        return self._jet(x)[1]
+
+    def _jet(self, x):
+        # maps whose value and log-derivative share work override this
+        return self._value(x), self._log_deriv(x)
+
+    def _affine_deriv(self, x):
         raise NotImplementedError(
             f"{type(self).__name__} has no differentiable log-derivative"
         )
@@ -172,16 +195,14 @@ class Diffeo:
         return InverseMap(self)
 
     def inverse_value(self, y):
-        """f^{-1}(y) by bisection on value; maps with a table override
-        this.  An interval map's root lies in [0, 1].  The displacement of
-        a degree-one lift varies by less than 1 over the circle, so a circle
-        map's root lies within 1 of y - F(0)."""
+        """f^{-1}(y) by bisection on _value, for a 1-d array y; maps with a
+        table override this.  An interval map's root lies in [0, 1].  The
+        displacement of a degree-one lift varies by less than 1 over the
+        circle, so a circle map's root lies within 1 of y - F(0)."""
         if self.kind == "interval":
-            return bisect_monotone(self.value, y, 0.0, 1.0)
-        c = _LIFT0.get(self)
-        if c is None:
-            c = _LIFT0[self] = float(np.asarray(self.value(np.zeros(1)))[0])
-        return bisect_monotone(self.value, y, y - c - 2.0, y - c + 2.0)
+            return bisect_monotone(self._value, y, 0.0, 1.0)
+        c = float(self._value(np.zeros(1))[0])
+        return bisect_monotone(self._value, y, y - c - 2.0, y - c + 2.0)
 
     # -- conveniences -------------------------------------------------------
     def __call__(self, x):
@@ -189,11 +210,6 @@ class Diffeo:
 
     def deriv(self, x):
         return np.exp(self.log_deriv(x))
-
-    def _check_domain(self, x):
-        if self.kind == "interval":
-            return unit_points(x, 1e-12)
-        return np.asarray(x, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +237,14 @@ class Moebius(IntervalDiffeo):
             raise ValueError("Moebius parameter must be positive")
         self.a = float(a)
 
-    def value(self, x):
-        x = self._check_domain(x)
+    def _value(self, x):
         return x / (self.a + (1.0 - self.a) * x)
 
-    def log_deriv(self, x):
-        x = self._check_domain(x)
-        return math.log(self.a) - 2.0 * np.log(self.a + (1.0 - self.a) * x)
-
-    def jet(self, x):
-        x = self._check_domain(x)
+    def _jet(self, x):
         den = self.a + (1.0 - self.a) * x
         return x / den, math.log(self.a) - 2.0 * np.log(den)
 
-    def affine_deriv(self, x):
-        x = self._check_domain(x)
+    def _affine_deriv(self, x):
         return -2.0 * (1.0 - self.a) / (self.a + (1.0 - self.a) * x)
 
     def inverse_map(self):
@@ -284,29 +293,26 @@ class Composition(Diffeo):
                 stack.append(m)
         self.maps = tuple(stack)
 
-    def value(self, x):
-        y = self._check_domain(x)
+    def _value(self, x):
         for m in reversed(self.maps):
-            y = m.value(y)
-        return y
+            x = m._value(x)
+        return x
 
-    def jet(self, x):
-        y = self._check_domain(x)
-        acc = np.zeros_like(y)
+    def _jet(self, x):
+        acc = np.zeros_like(x)
         for m in reversed(self.maps):
-            y, ld = m.jet(y)
+            x, ld = m._jet(x)
             acc = acc + ld
-        return y, acc
+        return x, acc
 
-    def affine_deriv(self, x):
+    def _affine_deriv(self, x):
         # c(f o g) = c(g) + (c(f) o g) * Dg, accumulated inner-to-outer
-        y = self._check_domain(x)
-        acc = np.zeros_like(y)
-        chain = np.ones_like(y)
+        acc = np.zeros_like(x)
+        chain = np.ones_like(x)
         for m in reversed(self.maps):
-            acc = acc + m.affine_deriv(y) * chain
-            chain = chain * m.deriv(y)
-            y = m.value(y)
+            acc = acc + m._affine_deriv(x) * chain
+            chain = chain * np.exp(m._log_deriv(x))
+            x = m._value(x)
         return acc
 
     def inverse_map(self):
@@ -329,22 +335,24 @@ class InverseMap(Diffeo):
         self.f = f
         self.kind = f.kind
 
-    def value(self, x):
-        return self.f.inverse_value(self._check_domain(x))
+    # perfbench/tracing.py times the public entry by name, as
+    # InverseMap.value and as CircleInverse.lift
+    value = lift = Diffeo.value
 
-    lift = value  # wrapped by perfbench/tracing.py as CircleInverse.lift
+    def _value(self, x):
+        return self.f.inverse_value(x)
 
     def inverse_value(self, y):
         # (f^-1)^-1 = f: evaluate f itself rather than bisect on f^-1
-        return self.f.value(y)
+        return self.f._value(y)
 
-    def jet(self, x):
-        y = self.value(x)
-        return y, -self.f.log_deriv(y)
+    def _jet(self, x):
+        y = self._value(x)
+        return y, -self.f._log_deriv(y)
 
-    def affine_deriv(self, x):
-        y = self.value(x)
-        return -self.f.affine_deriv(y) / self.f.deriv(y)
+    def _affine_deriv(self, x):
+        y = self._value(x)
+        return -self.f._affine_deriv(y) / np.exp(self.f._log_deriv(y))
 
     def inverse_map(self):
         return self.f
@@ -383,18 +391,15 @@ class ChartMap(IntervalDiffeo):
         d = y - self.a if self.a < self.b else self.a - y
         return np.clip(d / abs(self.b - self.a), 0.0, 1.0)
 
-    def value(self, u):
-        u = self._check_domain(u)
-        return self._down(self.f.value(self._up(u)))
+    def _value(self, u):
+        return self._down(self.f._value(self._up(u)))
 
-    def jet(self, u):
-        u = self._check_domain(u)
-        y, ld = self.f.jet(self._up(u))
+    def _jet(self, u):
+        y, ld = self.f._jet(self._up(u))
         return self._down(y), ld
 
-    def affine_deriv(self, u):
-        u = self._check_domain(u)
-        return (self.b - self.a) * self.f.affine_deriv(self._up(u))
+    def _affine_deriv(self, u):
+        return (self.b - self.a) * self.f._affine_deriv(self._up(u))
 
     def inverse_map(self):
         return ChartMap(self.f.inverse_map(), self.a, self.b)
@@ -470,13 +475,11 @@ class GridMap(Diffeo):
 
     def _read(self, table, x):
         """A node table read linearly at x, reduced mod 1 on the circle."""
-        x = self._check_domain(x)
         if self.kind == "circle":
             x = np.mod(x, 1.0)
         return np.interp(x, self.nodes, table)
 
-    def value(self, x):
-        x = self._check_domain(x)
+    def _value(self, x):
         k = np.floor(x)
         return k + np.interp(x - k, self.nodes, self.values)
 
@@ -487,10 +490,10 @@ class GridMap(Diffeo):
         k = np.floor(y - self.values[0])
         return k + np.interp(y - k, self.values, self.nodes)
 
-    def log_deriv(self, x):
+    def _log_deriv(self, x):
         return self._read(self.logd, x)
 
-    def affine_deriv(self, x):
+    def _affine_deriv(self, x):
         # finite differencing of the stored log-derivative samples
         h = 1.0 / (len(self.nodes) - 1)
         d = np.gradient(self.logd, h)
@@ -617,23 +620,20 @@ class BumpPerturbation(IntervalDiffeo):
             d = d + b.amplitude * _flat_bump_d2(b._u(x), *_ETA) / b.width
         return d
 
-    def value(self, x):
-        x = self._check_domain(x)
-        return self.base.value(self._b(x))
+    def _value(self, x):
+        return self.base._value(self._b(x))
 
     def inverse_value(self, y):
-        return self._b_inv(self.base.inverse_map().value(y))
+        return self._b_inv(self.base.inverse_map()._value(y))
 
-    def jet(self, x):
-        x = self._check_domain(x)
-        y, ld = self.base.jet(self._b(x))
+    def _jet(self, x):
+        y, ld = self.base._jet(self._b(x))
         return y, ld + np.log(self._db(x))
 
-    def affine_deriv(self, x):
-        x = self._check_domain(x)
+    def _affine_deriv(self, x):
         bx = self._b(x)
         db = self._db(x)
-        return self._d2b(x) / db + self.base.affine_deriv(bx) * db
+        return self._d2b(x) / db + self.base._affine_deriv(bx) * db
 
     def reflect(self):
         # the bump profile is symmetric under u -> 1-u, so each displacement
@@ -824,8 +824,7 @@ class CircleDiffeo(Diffeo):
         """Lift evaluated for x in [0, 1]."""
         raise NotImplementedError
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
+    def _value(self, x):
         k = np.floor(x)
         return k + self.lift_frac(x - k)
 
@@ -835,13 +834,13 @@ class Rotation(CircleDiffeo):
         self.alpha = float(alpha)
 
     def lift_frac(self, x):
-        return np.asarray(x, dtype=float) + self.alpha
+        return x + self.alpha
 
-    def log_deriv(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def _log_deriv(self, x):
+        return np.zeros_like(x)
 
-    def affine_deriv(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def _affine_deriv(self, x):
+        return np.zeros_like(x)
 
     def inverse_map(self):
         return Rotation(-self.alpha)

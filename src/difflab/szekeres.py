@@ -316,15 +316,13 @@ class SzekeresField(VectorField1D):
 
     def X(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         out = np.zeros_like(x)
         # only interior points: the fixed points 0 and 1 never reach the
         # reference interval
         interior = (x > 0.0) & (x < 1.0)
         y, _, logchain = self._walk_in(x[interior], with_log=True)
         out[interior] = self._X_ref(y) * np.exp(-logchain)
-        return out[0] if scalar else out
+        return out[()]
 
     def _X_ref(self, y):
         # a walk stops within 1e-15 of the interval: read the nearer table
@@ -438,18 +436,17 @@ class SzekeresField(VectorField1D):
         x = np.asarray(x, dtype=float)
         if not np.all((x > 0.0) & (x < 1.0)):
             raise DomainError("tau is infinite outside the open interval (0, 1)")
-        scalar = x.ndim == 0
-        y, k, _ = self._walk_in(np.atleast_1d(x))
+        # the walks read 1-d arrays
+        y, k, _ = self._walk_in(x.ravel())
         t = np.interp(y, self._ref_x, self._ref_tau) - k
-        return float(t[0]) if scalar else t
+        return t.reshape(x.shape)[()]
 
     def tau_inv(self, s):
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
         # f^j for j > 0 moves toward 0, matching increasing tau
-        j, z = self._split_time(np.atleast_1d(s))
+        j, z = self._split_time(s.ravel())
         y, _ = self._walk_out(z, j)
-        return float(y[0]) if scalar else y
+        return y.reshape(s.shape)[()]
 
     def flow_log_deriv(self, x, t):
         # one walk in gives tau(x) and log Df^k(x), one walk out from the
@@ -506,47 +503,38 @@ class FlowTime(IntervalDiffeo):
         self.field = field
         self.t = float(t)
 
-    def value(self, x):
-        x = self._check_domain(x)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = x.astype(float).copy()
+    # perfbench/tracing.py times these two public entries by name on FlowTime
+    value = IntervalDiffeo.value
+    log_deriv = IntervalDiffeo.log_deriv
+
+    def _value(self, x):
+        out = x.copy()
         interior = (x > 0.0) & (x < 1.0)
         if self.t != 0.0 and np.any(interior):
             out[interior] = self.field.flow(x[interior], self.t)
-        return out[0] if scalar else out
+        return out
 
-    def log_deriv(self, x):
+    def _log_deriv(self, x):
         # never flows the points within _EDGE_EPS of an end: a walk from
         # there may not reach the reference interval in budget
-        x = self._check_domain(x)
-        scalar = x.ndim == 0
-        _, ld = _flow_jet(self.field, np.atleast_1d(x), self.t)
-        return ld[0] if scalar else ld
+        return _flow_jet(self.field, x, self.t)[1]
 
-    def jet(self, x):
-        x = self._check_domain(x)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+    def _jet(self, x):
         val, ld = _flow_jet(self.field, x, self.t)
-        # the rest of the interior, flowed as ``value`` does
+        # the rest of the interior, flowed as ``_value`` does
         near = (x > 0.0) & (x < 1.0) & ((x <= _EDGE_EPS) | (x >= 1.0 - _EDGE_EPS))
         if self.t != 0.0 and np.any(near):
             val[near] = self.field.flow(x[near], self.t)
-        return (val[0], ld[0]) if scalar else (val, ld)
+        return val, ld
 
-    def affine_deriv(self, x):
+    def _affine_deriv(self, x):
         # D log Df^t = (DX o f^t - DX) / X  away from the endpoints; a field
         # without a closed-form DX raises NotImplementedError
-        x = self._check_domain(x)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         eps = 1e-9
         # at the ends, the one-sided limit via a nearby interior probe
         x = np.where((x > eps) & (x < 1.0 - eps), x, np.clip(x, 2 * eps, 1.0 - 2 * eps))
         y = self.field.flow(x, self.t) if self.t != 0.0 else x
-        out = (self.field.DX(y) - self.field.DX(x)) / self.field.X(x)
-        return out[0] if scalar else out
+        return (self.field.DX(y) - self.field.DX(x)) / self.field.X(x)
 
     def inverse_map(self):
         return FlowTime(self.field, -self.t)

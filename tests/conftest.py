@@ -7,9 +7,11 @@ from difflab.cli import _build_action
 
 
 class LeafCounter(IntervalDiffeo):
-    """Wraps a map and counts the calls of value, log_deriv, jet and deriv
-    on it and on every inverse taken from it, in one shared tally;
-    affine_deriv passes through uncounted."""
+    """Wraps a map and counts the evaluations of its value and
+    log-derivative kernels (_value, _log_deriv, _jet; deriv reaches
+    _log_deriv) on it and on every inverse taken from it, in one shared
+    tally, whether it is called at the root or as a factor; _affine_deriv
+    passes through uncounted."""
 
     def __init__(self, f, tally=None):
         self.f = f
@@ -19,26 +21,22 @@ class LeafCounter(IntervalDiffeo):
     def calls(self) -> int:
         return self.tally[0]
 
-    def value(self, x):
+    def _value(self, x):
         self.tally[0] += 1
-        return self.f.value(x)
+        return self.f._value(x)
 
-    def log_deriv(self, x):
+    def _log_deriv(self, x):
         self.tally[0] += 1
-        return self.f.log_deriv(x)
+        return self.f._log_deriv(x)
 
-    def jet(self, x):
-        # one evaluation of the wrapped map, as for value and log_deriv
+    def _jet(self, x):
+        # one evaluation of the wrapped map, as for _value and _log_deriv
         self.tally[0] += 1
-        return self.f.jet(x)
+        return self.f._jet(x)
 
-    def deriv(self, x):
-        self.tally[0] += 1
-        return self.f.deriv(x)
-
-    def affine_deriv(self, x):
+    def _affine_deriv(self, x):
         # uncounted: the cocycle values ride along with the counted jets
-        return self.f.affine_deriv(x)
+        return self.f._affine_deriv(x)
 
     def inverse_map(self):
         return LeafCounter(self.f.inverse_map(), self.tally)

@@ -291,9 +291,7 @@ class TestMain:
 
     def test_falsified_gm_bound_exits_2(self, capsys, monkeypatch):
         # a negative slack is reported as a violation, not raised
-        real = cli.geometric_mean_conjugacy
-        monkeypatch.setattr(cli, "geometric_mean_conjugacy",
-                            lambda act, n, cfg: real(act, n=n, cfg=cfg, tol=-1.0))
+        monkeypatch.setattr(difflab.deform, "_GM_BOUND_TOL", -1.0)
         assert main(["gmconj"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert {v["check"] for v in report["violations"]} == {"gm_conjugacy_bound"}
@@ -339,6 +337,13 @@ _WRONG_TYPES = [
     ("staircase", {"M": "1/2"}, "params.M"),
     ("classify", {"action": {"generators": [{"kind": "identity"}],
                              "circle": "false"}}, "params.action.circle"),
+    # well-typed values that the spec reader refuses all the same
+    ("rot", {"f": {"kind": "conjugated_rotation", "freq": 0}}, "params.f.freq"),
+    ("rot", {"f": {"kind": "conjugated_rotation", "amp": 1.0}}, "params.f.amp"),
+    ("herman", {"action": {"preset": "two_component"}}, "params.action"),
+    ("drift", {"action": {"preset": "circle_pair"}}, "params.action"),
+    ("classify", {"action": {"preset": "circle_pair"}}, "params.action"),
+    ("deform", {"action": {"circle": True}}, "params.action"),
 ]
 # well-typed values that the library refuses
 _BAD_VALUES = [
@@ -358,6 +363,18 @@ def test_wrong_type_is_a_spec_error(cmd, params, path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"spec error: field '{path}' must be")
+
+
+def test_circle_list_takes_the_rotation_defaults(tmp_path, capsys):
+    spec_path = tmp_path / "run.json"
+    spec_path.write_text(json.dumps(
+        {"cmd": "herman", "params": {"action": {"circle": True}, "ns": [4]}}))
+    assert main(["herman", "--spec", str(spec_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["ns"] == [4]
+    act = cli._build_action({"circle": True}, "action", difflab.DEFAULT_CONFIG)
+    (g,) = act.generators
+    assert isinstance(g, difflab.Rotation)
+    assert g.alpha == cli._CIRCLE_MAPS["rotation"]["alpha"]
 
 
 @pytest.mark.parametrize("cmd, params, message", _BAD_VALUES)

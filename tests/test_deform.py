@@ -108,11 +108,12 @@ class TestGeometricMeanConjugacy:
             geometric_mean_conjugacy(ActionTuple(generators=(Moebius(2.0),)),
                                      n=0)
 
-    def test_falsified_bound_is_reported(self):
+    def test_falsified_bound_is_reported(self, monkeypatch):
         # var(log D conj) equals its bound here, so a tolerance of -1 falsifies
         # it: the report says so through its slacks and raises nothing
+        monkeypatch.setattr(deform, "_GM_BOUND_TOL", -1.0)
         rep = geometric_mean_conjugacy(ActionTuple(generators=(Moebius(2.0),)),
-                                       n=8, tol=-1.0)
+                                       n=8)
         assert all(s < 0.0 for s in rep.slacks)
 
     def test_circle_generator_within_its_bound(self, circle_pair):

@@ -1,7 +1,9 @@
 """Tests for interval/circle diffeomorphisms: group operations, metrics,
 rotation numbers, commutators, and fixed-point analysis."""
 
+import importlib.util
 import math
+import os
 import random
 
 import numpy as np
@@ -28,6 +30,7 @@ from difflab import (
     bisect_monotone,
     commutator_residual,
     compose,
+    example_two_component_action,
     fixed_point_analysis,
     identity,
     inverse,
@@ -36,6 +39,7 @@ from difflab import (
     moebius_field,
     rotation_number,
 )
+from difflab import diffeo
 from difflab.deform import ComponentwiseDiffeo, _SmoothConjugacy
 from difflab.diffeo import (
     ChartMap,
@@ -45,6 +49,7 @@ from difflab.diffeo import (
     _lift_step,
     _walk_words,
 )
+from difflab.gridfn import unit_points
 from difflab.szekeres import szekeres_field
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -469,18 +474,6 @@ class TestInverses:
         assert np.max(np.abs(Diffeo.inverse_value(h, x)
                              - h.inverse_value(x))) <= 1e-13
 
-    def test_circle_solve_reads_lift_at_zero_once(self):
-        # inverse(f) would invert factor by factor: bisect on f itself
-        f = compose(Rotation(0.1), conjugated_rotation(0.0).maps[0])
-        calls = []
-        value = f.value
-        f.value = lambda x: (calls.append(np.size(x)), value(x))[1]
-        finv = InverseMap(f)
-        x = np.linspace(-1.5, 1.5, 31)
-        finv.value(x)
-        finv.value(x)
-        assert calls.count(1) == 1
-
     def test_double_inverse_is_exact(self):
         # (f^-1)^-1 evaluates f itself, not a bisection through a bisection
         # (10.8 s for these 101 points when each level bisected)
@@ -553,16 +546,16 @@ class TestDomainCheck:
 
     def test_input_returned_uncopied(self):
         x = np.linspace(0.0, 1.0, 17)
-        assert Moebius(2.0)._check_domain(x) is x
+        assert unit_points(x, 1e-12) is x
 
     def test_rounding_excursion_clipped(self):
         x = np.array([-1e-13, 0.5, 1.0 + 1e-13])
-        y = Moebius(2.0)._check_domain(x)
+        y = unit_points(x, 1e-12)
         assert list(y) == [0.0, 0.5, 1.0]
         assert x[0] == -1e-13
 
     def test_nan_passes(self):
-        y = Moebius(2.0)._check_domain(np.array([np.nan, 0.5]))
+        y = unit_points(np.array([np.nan, 0.5]), 1e-12)
         assert np.isnan(y[0]) and y[1] == 0.5
 
     def test_nan_does_not_hide_outside_points(self):
@@ -573,6 +566,50 @@ class TestDomainCheck:
         g = GridFunction(_X)
         assert g.nodes is g.nodes
         assert not g.nodes.flags.writeable
+
+
+@pytest.mark.parametrize("make", [
+    # built directly: compose would fold the Moebius factors into one map
+    lambda: Composition([Moebius(2.0), Moebius(3.0), Moebius(0.7)]),
+    lambda: example_two_component_action().generators[0],
+], ids=["moebius_composition", "two_component_generator"])
+@pytest.mark.parametrize("method", ["value", "jet", "affine_deriv"])
+def test_public_call_checks_its_points_once(make, method, monkeypatch):
+    # the factors are reached through their kernels, which check nothing
+    f = make()
+    calls = []
+    real = diffeo.unit_points
+    monkeypatch.setattr(diffeo, "unit_points",
+                        lambda *args: calls.append(1) or real(*args))
+    getattr(f, method)(np.linspace(0.0, 1.0, 17))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x", [0.3, [0.3], [[0.2, 0.3], [0.4, 0.5]]])
+def test_public_call_keeps_the_shape_of_x(x):
+    f = Composition([Moebius(2.0), InverseMap(Moebius(3.0))])
+    for out in (f.value(x), *f.jet(x), f.log_deriv(x), f.affine_deriv(x)):
+        assert np.shape(out) == np.shape(x)
+    assert type(f.value(0.3)) is np.float64
+
+
+def test_tracer_wraps_the_public_entries():
+    # perfbench/tracing.py reads InverseMap.value, CircleInverse.lift,
+    # FlowTime.value and FlowTime.log_deriv from the class namespaces
+    import difflab.cli  # noqa: F401  (the tracer wraps every module)
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer().installed() as tracer:
+        InverseMap(Moebius(2.0)).value(0.3)
+        FlowTime(moebius_field(2.0), 1.0).log_deriv(0.3)
+    counters = tracer.counters()
+    assert counters["diffeo.InverseMap.value.n"] == 1
+    assert counters["szekeres.FlowTime.log_deriv.n"] == 1
+    assert vars(InverseMap)["value"] is Diffeo.value
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,14 @@ class TestAnalyticField:
         xs = np.linspace(0.01, 0.99, 99)
         assert np.max(np.abs(Y.tau_inv(Y.tau(xs)) - xs)) < 1e-12
 
+    def test_bridge_tau_in_closed_form(self):
+        # tau = -(logit x - logit 1/2) / lam, and tau^-1 is the logistic map
+        Y = AnalyticField("bridge", 0.8)
+        xs = np.linspace(0.01, 0.99, 99)
+        logit = np.log(xs / (1.0 - xs))
+        assert np.max(np.abs(Y.tau(xs) + logit / 0.8)) < 1e-12
+        assert np.max(np.abs(Y.tau_inv(Y.tau(xs)) - xs)) < 1e-12
+
 
 class TestFlowTime:
     def test_half_time_oracle(self):
