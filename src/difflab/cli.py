@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .gridfn import DEFAULT_CONFIG, ToleranceConfig
+from .gridfn import ABS_TOL, DEFAULT_CONFIG, ToleranceConfig
 from .diffeo import (
     ActionTuple,
     Bump,
@@ -393,8 +393,11 @@ def _violations(ok, check: str, detail: str) -> list:
 
 def _cmd_szekeres(spec: ExperimentSpec, cfg: ToleranceConfig):
     f = _build_interval_map(spec.params["f"], "params.f")
+    if spec.params["samples"] < 3:
+        raise SpecError("field 'params.samples' must be an integer >= 3, "
+                        f"got {spec.params['samples']}")
     X = szekeres_field(f, cfg)
-    xs = np.linspace(0.0, 1.0, max(spec.params["samples"], 3))
+    xs = np.linspace(0.0, 1.0, spec.params["samples"])
     vals = X.X(xs)
     report = {"diagnostics": X.diagnostics(),
               "edge_rates": list(X.edge_rates())}
@@ -467,9 +470,11 @@ def _cmd_herman(spec: ExperimentSpec, cfg: ToleranceConfig):
     act = _read_action(spec, cfg, "circle")
     rows = [[n, max(herman_average(act, n, cfg).rotation_distances)]
             for n in spec.params["ns"]]
+    # a distance at or below ABS_TOL is rounding noise: converged
     report = {"ns": [r[0] for r in rows],
               "distances": [r[1] for r in rows],
-              "monotone": all(a > b for (_, a), (_, b) in zip(rows, rows[1:]))}
+              "monotone": all(b < a or b <= ABS_TOL
+                              for (_, a), (_, b) in zip(rows, rows[1:]))}
     series = {"herman": _series(["n", "distance"], rows, "n",
                                 "sup distance to rotation")}
     return report, series, []
@@ -554,8 +559,10 @@ def _cmd_bvdemo(spec: ExperimentSpec, cfg: ToleranceConfig):
     for m in range(1, min(n, tree.depth - 1) + 1):
         rep = bv_group_demo(tree, m)
         rows.append([m, rep.d1_phi, rep.d1pbv_left])
+    if not rows or rows[-1][0] != n:
+        rep = bv_group_demo(tree, n)
     series = {"bvdemo": _series(["n", "d1_phi", "d1pbv_left"], rows, "n", "distance")}
-    return bv_group_demo(tree, n), series, []
+    return rep, series, []
 
 
 def _cmd_hyperbolic(spec: ExperimentSpec, cfg: ToleranceConfig):

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .diffeo import _flat_bump, _flat_bump_d1, _flat_bump_d2, bisect_monotone
+from .diffeo import _flat_bump, bisect_monotone
 from .gridfn import variation
 
 __all__ = [
@@ -267,9 +267,11 @@ def staircase_phi(tree: CantorTree, n: int) -> List[QuarticPiece]:
     return pieces
 
 
-def _phi_eval(pieces: List[QuarticPiece], x: np.ndarray) -> np.ndarray:
-    """Vectorized float evaluation of phi (identity off the pieces)."""
+def _phi_jet(pieces: List[QuarticPiece], x: np.ndarray):
+    """Vectorized float evaluation of (phi, log Dphi), phi the identity off
+    the pieces."""
     y = np.array(x, dtype=float)
+    ld = np.zeros_like(x, dtype=float)
     for p in pieces:
         a, b = float(p.a), float(p.b)
         k = float(p.k)
@@ -277,19 +279,8 @@ def _phi_eval(pieces: List[QuarticPiece], x: np.ndarray) -> np.ndarray:
         if np.any(mask):
             xm = x[mask]
             y[mask] = xm + k * (xm - a) ** 2 * (xm - b) ** 2
-    return y
-
-
-def _phi_log_deriv(pieces: List[QuarticPiece], x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x, dtype=float)
-    for p in pieces:
-        a, b = float(p.a), float(p.b)
-        k = float(p.k)
-        mask = (x >= a) & (x <= b)
-        if np.any(mask):
-            xm = x[mask]
-            out[mask] = np.log1p(2 * k * (xm - a) * (xm - b) * (2 * xm - a - b))
-    return out
+            ld[mask] = np.log1p(2 * k * (xm - a) * (xm - b) * (2 * xm - a - b))
+    return y, ld
 
 
 @dataclass
@@ -485,8 +476,7 @@ def bv_group_demo(tree: CantorTree, n: int) -> BvDemoReport:
     eps = 1e-12
     pts = np.unique(np.clip(
         np.concatenate([pts, pts - eps, pts + eps]), 0.0, 1.0))
-    phix = _phi_eval(pieces, pts)
-    ld = _phi_log_deriv(pieces, pts)
+    phix, ld = _phi_jet(pieces, pts)
     w = _step_eval(xs, vals, np.clip(phix, 0.0, 1.0)) - _step_eval(xs, vals, pts) + ld
     var_w = variation(w)
     sup_f = float(np.max(np.abs(f_eval(np.clip(phix, 0.0, 1.0)) - f_eval(pts))))
@@ -743,7 +733,7 @@ class SergeraertReport:
 
 def _phi_local(t: float, u: np.ndarray) -> np.ndarray:
     """phi in unit coordinates of its fundamental interval: u + t*delta(u)."""
-    return u + t * _flat_bump(u, *_DELTA)
+    return u + t * _flat_bump(u, *_DELTA)[0]
 
 
 def _phi_local_inv(t: float, y: np.ndarray) -> np.ndarray:
@@ -791,11 +781,11 @@ def sergeraert_check(k: int) -> SergeraertReport:
     probes = np.linspace(0.0, 2.0, 4097)
 
     def full_map(x):
-        return x - 1.0 + t * _flat_bump(x - 1.0, *_DELTA)
+        return x - 1.0 + t * _flat_bump(x - 1.0, *_DELTA)[0]
 
     def half_map(x):
         return np.where(x < 1.5, x - 0.5,
-                        x - 0.5 + t * _flat_bump(x - 1.0, *_DELTA))
+                        x - 0.5 + t * _flat_bump(x - 1.0, *_DELTA)[0])
 
     resid_half = float(np.max(np.abs(half_map(half_map(probes)) - full_map(probes))))
     # split evaluation: (base, displacement) pairs
@@ -803,9 +793,9 @@ def sergeraert_check(k: int) -> SergeraertReport:
     disp = np.zeros_like(probes)
     for _ in range(2):
         disp = disp + np.where(base >= 1.5,
-                               t * _flat_bump(base - 1.0 + disp, *_DELTA), 0.0)
+                               t * _flat_bump(base - 1.0 + disp, *_DELTA)[0], 0.0)
         base = base - 0.5
-    disp_full = t * _flat_bump(probes - 1.0, *_DELTA)
+    disp_full = t * _flat_bump(probes - 1.0, *_DELTA)[0]
     resid_split = float(np.max(np.abs(disp - disp_full)))
     below = (1.5 + t) == 1.5  # displacement unrepresentable next to the base
     # ---- (i) orbit cancellation across one full turn, in unit
@@ -822,24 +812,26 @@ def sergeraert_check(k: int) -> SergeraertReport:
     # the chunk sums add pairwise, as numpy sums a 2^20-long array
     chunks = (0.5 + np.arange(i, i + 2 ** 16 + 1) * 2.0 ** -21
               for i in range(0, 2 ** 20, 2 ** 16))
-    parts = np.array([(variation(np.log1p(t * _flat_bump_d1(u, *_DELTA))),
-                       np.trapezoid(np.abs(_flat_bump_d2(u, *_DELTA)), u))
-                      for u in chunks])
+    parts = []
+    for u in chunks:
+        _, d1, d2 = _flat_bump(u, *_DELTA, 2)
+        parts.append((variation(np.log1p(t * d1)), np.trapezoid(np.abs(d2), u)))
+    parts = np.array(parts)
     while len(parts) > 1:
         parts = parts[::2] + parts[1::2]
     var_measured, c_half = float(parts[0, 0]), float(parts[0, 1])
     # independent quadrature of |t D^2 delta / (1 + t D delta)| du, split
     # at the sign changes of D^2 delta
     def integrand(uu):
-        return np.abs(t * _flat_bump_d2(uu, *_DELTA)
-                      / (1.0 + t * _flat_bump_d1(uu, *_DELTA)))
+        _, d1, d2 = _flat_bump(uu, *_DELTA, 2)
+        return np.abs(t * d2 / (1.0 + t * d1))
 
     scan = np.linspace(0.5 + 1e-9, 1.0 - 1e-9, 20001)
-    d2 = _flat_bump_d2(scan, *_DELTA)
+    d2 = _flat_bump(scan, *_DELTA, 2)[2]
     sign = np.sign(d2)
     cells = np.flatnonzero(sign[:-1] * sign[1:] < 0)
     s = sign[cells + 1]  # each bracket an increasing crossing of s D^2 delta
-    roots = bisect_monotone(lambda x: s * _flat_bump_d2(x, *_DELTA),
+    roots = bisect_monotone(lambda x: s * _flat_bump(x, *_DELTA, 2)[2],
                             np.zeros(cells.size),
                             scan[cells], scan[cells + 1])
     roots = sorted([0.5, 1.0] + roots.tolist())
@@ -877,8 +869,7 @@ def sergeraert_check(k: int) -> SergeraertReport:
         jump1 = max(jump1, abs(dl - dr) / max(scale, 1e-300))
         jump2 = max(jump2, abs(d2l - d2r) / max(scale / w, 1e-300))
     ends = np.array([0.5 + 1e-3, 1.0 - 1e-3])
-    flat = float(max(np.max(np.abs(d(ends, *_DELTA)))
-                     for d in (_flat_bump, _flat_bump_d1, _flat_bump_d2)))
+    flat = float(max(np.max(np.abs(d)) for d in _flat_bump(ends, *_DELTA, 2)))
     return SergeraertReport(
         k=k,
         orbit_residual=resid_orbit,

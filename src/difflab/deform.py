@@ -424,7 +424,8 @@ class _SmoothConjugacy(IntervalDiffeo):
     def inverse_value(self, y):
         # the dense table read backwards, polished by Newton on the PCHIP
         # itself (its derivative is not exactly exp(log_deriv))
-        return _table_inverse(y, self._dense, self._vals, self._val, self._dval)
+        return _table_inverse(y, self._dense, self._vals,
+                              lambda v: (self._val(v), self._dval(v)))
 
     def _log_deriv(self, x):
         return self._ld(x)
@@ -626,7 +627,7 @@ def classify_action(t: ActionTuple,
                             "the component; times measured at the anchor only")
         ref = next(i for i, s in enumerate(signs) if s in (-1, +1))
         contraction = charts[ref] if signs[ref] == -1 else inverse(charts[ref])
-        X = SzekeresField(contraction, cfg, anchor=0.5)
+        X = SzekeresField(contraction, cfg)
 
         anchors = (0.35, 0.5, 0.65)
         alphas = []
@@ -732,19 +733,15 @@ class DeformationPath:
                 h = c.generator
                 vinf = asymptotic_variation(h, schedule=(1, 2, 4, 8, 16))
                 target = 2.0 * max(vinf.limit, 1e-12)
-                chosen = None
+                # the first box size n = 2, 4, ... that meets the target, or the cap
                 nn = 2
-                while nn <= _CYCLIC_N_CAP:
+                while True:
                     gm = geometric_mean_conjugacy(ActionTuple((h,)), n=nn, cfg=cfg)
-                    if gm.vars_conjugate[0] <= target:
-                        chosen = gm
+                    if gm.vars_conjugate[0] <= target or 2 * nn > _CYCLIC_N_CAP:
                         break
                     nn *= 2
-                if chosen is None:
-                    chosen = gm
-                h_conj = compose(chosen.conjugacy,
-                                 compose(h, inverse(chosen.conjugacy)))
-                self.plans.append(("cyclic", c, chosen.conjugacy, h_conj))
+                self.plans.append(("cyclic", c, gm.conjugacy,
+                                   _conjugate(gm.conjugacy, h)))
 
     # -- evaluation ---------------------------------------------------------
     def at(self, t: float) -> ActionTuple:
@@ -904,12 +901,12 @@ def normalize_finite_order(g: CircleDiffeo, n: int, psi=None,
         psi = identity()
 
     # preconditions, on the orbit g^k(0), k = 0..n, with log Dg^k(0)
-    zero = np.array(0.0)
+    zero = np.zeros(1)
     orbit = list(_walk_words([_jet_step(g)], n + 1, (zero, zero)))
-    orbit_err = max(abs(float(y) - k / n) for k, (y, _) in enumerate(orbit))
+    orbit_err = max(abs(float(y[0]) - k / n) for k, (y, _) in enumerate(orbit))
     if orbit_err > _BOUNDARY_TOL:
         raise ValueError(f"orbit of 0 is not {{k/n}} (error {orbit_err:.3e})")
-    ld_gn = float(orbit[n][1])
+    ld_gn = float(orbit[n][1][0])
     if abs(ld_gn) > _BOUNDARY_TOL:
         raise ValueError(f"g^n is not parabolic at 0 (log Dg^n(0) = {ld_gn:.3e})")
     if abs(float(psi.log_deriv(np.array(0.0)))) > _BOUNDARY_TOL:
@@ -942,8 +939,8 @@ def normalize_finite_order(g: CircleDiffeo, n: int, psi=None,
     # log Dpsi(0) + log Dg^k(0) from the right
     psi0 = float(psi.log_deriv(np.array(0.0)))
     psi1 = float(psi.log_deriv(np.array(1.0)))
-    inner = _walk_words([_jet_step(g)], n - 1, (np.array(1.0 / n), zero))
-    mism = [abs((psi1 + float(ld_l)) - (psi0 + float(ld_r)))
+    inner = _walk_words([_jet_step(g)], n - 1, (np.array([1.0 / n]), zero))
+    mism = [abs((psi1 + float(ld_l[0])) - (psi0 + float(ld_r[0])))
             for (_, ld_l), (_, ld_r) in zip(inner, orbit[1:n])]
 
     # phi^-1 g phi = R_{1/n} away from the last cell, checked without

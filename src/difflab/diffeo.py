@@ -91,8 +91,9 @@ def bisect_monotone(fn, target, lo, hi, iters: int = 80):
     return 0.5 * (lo + hi)
 
 
-def _table_inverse(y, xs, ys, fn, dfn):
-    """Inverse at y of an increasing map tabulated as ys = fn(xs).
+def _table_inverse(y, xs, ys, jet):
+    """Inverse at y of an increasing map fn tabulated as ys = fn(xs), with
+    jet(x) = (fn(x), Dfn(x)).
 
     The table read backwards gives the cell holding the root and a linear
     seed; three Newton steps on fn, each clipped to that cell, polish it."""
@@ -100,7 +101,8 @@ def _table_inverse(y, xs, ys, fn, dfn):
     lo, hi = xs[i], xs[i + 1]
     x = np.interp(y, ys, xs)
     for _ in range(3):
-        x = np.clip(x - (fn(x) - y) / dfn(x), lo, hi)
+        v, dv = jet(x)
+        x = np.clip(x - (v - y) / dv, lo, hi)
     return x
 
 
@@ -513,44 +515,29 @@ class GridMap(Diffeo):
 # -- flat bump profiles exp(c - 1/((u - a)(b - u))) on (a, b) --------------
 
 
-def _flat_bump(u, a, b, c):
-    """C-infinity bump exp(c - 1/((u - a)(b - u))) on (a, b), flat-zero
-    outside."""
+def _flat_bump(u, a, b, c, order=0):
+    """C-infinity bump eta = exp(c - 1/p), p = (u - a)(b - u), on (a, b),
+    flat-zero outside: the list [eta, eta', ..., eta^(order)], order <= 2,
+    from one mask and one exponential."""
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = (u > a) & (u < b)
-    ui = u[inside]
-    out[inside] = np.exp(c - 1.0 / ((ui - a) * (b - ui)))
-    return out
-
-
-def _flat_bump_d1(u, a, b, c):
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
+    out = [np.zeros_like(u) for _ in range(order + 1)]
     inside = (u > a) & (u < b)
     ui = u[inside]
     p = (ui - a) * (b - ui)
-    pp = a + b - 2.0 * ui
-    out[inside] = np.exp(c - 1.0 / p) * (pp / p**2)
-    return out
-
-
-def _flat_bump_d2(u, a, b, c):
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = (u > a) & (u < b)
-    ui = u[inside]
-    p = (ui - a) * (b - ui)
-    pp = a + b - 2.0 * ui
-    sp = pp / p**2
-    spp = (-2.0 * p - 2.0 * pp**2) / p**3
-    out[inside] = np.exp(c - 1.0 / p) * (sp**2 + spp)
+    e = np.exp(c - 1.0 / p)
+    out[0][inside] = e
+    if order >= 1:
+        pp = a + b - 2.0 * ui
+        sp = pp / p**2
+        out[1][inside] = e * sp
+        if order == 2:
+            out[2][inside] = e * (sp**2 + (-2.0 * p - 2.0 * pp**2) / p**3)
     return out
 
 
 # the displacement bump's profile: max 1 at u = 1/2 of its support (0, 1)
 _ETA = (0.0, 1.0, 4.0)
-_ETA_D1_MAX = float(np.max(np.abs(_flat_bump_d1(np.linspace(0, 1, 20001), *_ETA))))
+_ETA_D1_MAX = float(np.max(np.abs(_flat_bump(np.linspace(0, 1, 20001), *_ETA, 1)[1])))
 
 
 @dataclass(frozen=True)
@@ -592,48 +579,43 @@ class BumpPerturbation(IntervalDiffeo):
         self._tables = []
         for b in self.bumps:
             us = np.linspace(*b.support, 1025)
-            self._tables.append((us, self._b(us)))
+            self._tables.append((us, self._b(us)[0]))
 
-    def _b(self, x):
-        y = np.asarray(x, dtype=float)
+    def _b(self, x, order=0):
+        """[b, Db, D^2 b](x) up to the given order, one profile per bump."""
+        x = np.asarray(x, dtype=float)
+        out = [x, np.ones_like(x), np.zeros_like(x)][:order + 1]
         for b in self.bumps:
-            y = y + b.amplitude * b.width * _flat_bump(b._u(x), *_ETA)
-        return y
+            eta = _flat_bump(b._u(x), *_ETA, order)
+            out[0] = out[0] + b.amplitude * b.width * eta[0]
+            if order >= 1:
+                out[1] = out[1] + b.amplitude * eta[1]
+            if order == 2:
+                out[2] = out[2] + b.amplitude * eta[2] / b.width
+        return out
 
     def _b_inv(self, z):
         x = np.array(z, dtype=float)
         for us, bs in self._tables:
             m = (x > us[0]) & (x < us[-1])
             if np.any(m):
-                x[m] = _table_inverse(x[m], us, bs, self._b, self._db)
+                x[m] = _table_inverse(x[m], us, bs, lambda v: self._b(v, 1))
         return x
 
-    def _db(self, x):
-        d = np.ones_like(np.asarray(x, dtype=float))
-        for b in self.bumps:
-            d = d + b.amplitude * _flat_bump_d1(b._u(x), *_ETA)
-        return d
-
-    def _d2b(self, x):
-        d = np.zeros_like(np.asarray(x, dtype=float))
-        for b in self.bumps:
-            d = d + b.amplitude * _flat_bump_d2(b._u(x), *_ETA) / b.width
-        return d
-
     def _value(self, x):
-        return self.base._value(self._b(x))
+        return self.base._value(self._b(x)[0])
 
     def inverse_value(self, y):
         return self._b_inv(self.base.inverse_map()._value(y))
 
     def _jet(self, x):
-        y, ld = self.base._jet(self._b(x))
-        return y, ld + np.log(self._db(x))
+        bx, db = self._b(x, 1)
+        y, ld = self.base._jet(bx)
+        return y, ld + np.log(db)
 
     def _affine_deriv(self, x):
-        bx = self._b(x)
-        db = self._db(x)
-        return self._d2b(x) / db + self.base._affine_deriv(bx) * db
+        bx, db, d2b = self._b(x, 2)
+        return d2b / db + self.base._affine_deriv(bx) * db
 
     def reflect(self):
         # the bump profile is symmetric under u -> 1-u, so each displacement
@@ -706,7 +688,7 @@ def _jet_step(g):
 
     def step(state):
         y, ld = state
-        gy, ld_g = g.jet(y)
+        gy, ld_g = g._jet(y)
         return gy, ld + ld_g
 
     return step
@@ -780,7 +762,7 @@ def sampled_distance(a: GridSample, b: GridSample, r="1",
     x = a.x
     u = a.log_deriv - b.log_deriv
     if r == "1":
-        dist = _refined_max(lambda t: f.log_deriv(t) - g.log_deriv(t), x, u)
+        dist = _refined_max(lambda t: f._log_deriv(t) - g._log_deriv(t), x, u)
     elif r in ("1+bv", "1+ac"):
         # var of the sampled difference = L1 norm of the interpolant's
         # derivative; identical formulas, different preconditions
@@ -788,13 +770,13 @@ def sampled_distance(a: GridSample, b: GridSample, r="1",
     else:  # r == "2"
         try:
             dv = f.affine_deriv(x) - g.affine_deriv(x)
-            aff_fn = lambda t: f.affine_deriv(t) - g.affine_deriv(t)
+            aff_fn = lambda t: f._affine_deriv(t) - g._affine_deriv(t)
             dist = _refined_max(aff_fn, x, dv)
         except NotImplementedError:
             dv = np.gradient(u, 1.0 / (len(x) - 1))
             dist = float(np.max(np.abs(dv)))
     if not starred:
-        value_fn = lambda t: f.value(t) - g.value(t)
+        value_fn = lambda t: f._value(t) - g._value(t)
         dist += _refined_max(value_fn, x, a.value - b.value)
     return float(dist)
 
@@ -1091,7 +1073,7 @@ def fixed_point_analysis(t: ActionTuple, cfg: ToleranceConfig = DEFAULT_CONFIG) 
         sign = np.sign(disp)
         cells = np.flatnonzero(sign[:-1] * sign[1:] < 0)
         s = sign[cells + 1]
-        roots = bisect_monotone(lambda p: s * (g.value(p) - p), np.zeros(cells.size),
+        roots = bisect_monotone(lambda p: s * (g._value(p) - p), np.zeros(cells.size),
                                 x[cells], x[cells + 1])
         touch = np.flatnonzero((sign[:-1] != 0) & (sign[1:] == 0) & ~flat[1:]) + 1
         candidates.update(roots.tolist())

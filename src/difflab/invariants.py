@@ -61,10 +61,9 @@ def _orbit_sample_points(f, n_max: int, base: int, circle: bool) -> np.ndarray:
     pts = [x0]
     y = x0.copy()
     for _ in range(min(n_max, 64)):
-        y = np.mod(f.value(y), 1.0) if circle else f.value(y)
+        y = np.mod(f._value(y), 1.0) if circle else f._value(y)
         pts.append(y)
-    allpts = np.unique(np.concatenate(pts))
-    return allpts
+    return np.unique(np.concatenate(pts))
 
 
 def asymptotic_variation(f, schedule=DEFAULT_SCHEDULE) -> VarEstimate:
@@ -149,12 +148,12 @@ def mather_invariant(f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
         inverted = True
     _check_no_interior_fixed_point(f)
 
-    X = SzekeresField(f, cfg, anchor=0.5)
+    X = SzekeresField(f, cfg)
     # r o f^{-1} o r, r(x) = 1 - x: the contraction seen from the other
     # end, built structurally so that closed-form reflections keep full
     # relative precision in the tails
     g = f.inverse_map().reflect()
-    Xg = SzekeresField(g, cfg, anchor=0.5)
+    Xg = SzekeresField(g, cfg)
     k = m + n
 
     # sweep p over the fundamental interval [f(x0), x0], x0 = f^{-n}(1/2)
@@ -171,7 +170,7 @@ def mather_invariant(f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
     p_t = X.tau_inv(tgrid)                       # psi0(t), in [f(1/2), 1/2]
     z = p_t.copy()
     for _ in range(m):
-        z = f.value(z)
+        z = f._value(z)
     M = -Xg.tau(1.0 - z) - m
     seam = float(abs((M[-1] - M[0]) - 1.0))
     disp = M - tgrid
@@ -253,8 +252,8 @@ def coboundary_drift(t: ActionTuple, f_index: int = 0, n: int = 32,
         # word state (value, log-derivative, cocycle), all sampled at x
         def step(state):
             y, ld, c = state
-            c = c + gens[i].affine_deriv(y) * np.exp(ld)
-            y, ld_i = gens[i].jet(y)
+            c = c + gens[i]._affine_deriv(y) * np.exp(ld)
+            y, ld_i = gens[i]._jet(y)
             return y, ld + ld_i, c
         return step
 

@@ -33,6 +33,7 @@ from .gridfn import (
     TAIL_TOL,
     DomainError,
     ToleranceConfig,
+    unit_points,
     variation,
 )
 from .diffeo import IntervalDiffeo, bisect_monotone
@@ -218,10 +219,9 @@ class SzekeresField(VectorField1D):
     """
 
     def __init__(self, f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
-                 anchor: float | None = None):
+                 anchor: float = 0.5):
         xs = np.linspace(0.0, 1.0, 513)[1:-1]
-        fx = f.value(xs)
-        if not np.all(fx < xs):
+        if not np.all(f._value(xs) < xs):
             raise NotAContraction("szekeres_field needs f(x) < x on (0,1)")
         self.f = f
         self.finv = f.inverse_map()
@@ -247,12 +247,12 @@ class SzekeresField(VectorField1D):
                 # the proof's majorant var(log Df; [0, f^i(a)]) on 513 probes
                 if i not in tails:
                     if fast is not None and i:
-                        z = float(fast(i).value(np.array(a)))
+                        z = float(fast(i)._value(np.array([a]))[0])
                     else:
                         while len(orbit) <= i:
-                            orbit.append(float(f.value(np.array(orbit[-1]))))
+                            orbit.append(float(f._value(np.array([orbit[-1]]))[0]))
                         z = orbit[i]
-                    tails[i] = variation(f.log_deriv(np.linspace(0.0, z, 513)))
+                    tails[i] = variation(f._log_deriv(np.linspace(0.0, z, 513)))
                 return tails[i]
 
             if tail(0) < TAIL_TOL:
@@ -275,8 +275,6 @@ class SzekeresField(VectorField1D):
         self.n_terms, self.tail_bound = _certify(1.0 - 1.0 / cfg.grid_N)
 
         # reference fundamental interval around the anchor
-        if anchor is None:
-            anchor = 0.5
         self.anchor = float(anchor)
         fa = float(f.value(np.array(self.anchor)))
         ref_x = np.linspace(fa, self.anchor, _REF_NODES)
@@ -299,20 +297,20 @@ class SzekeresField(VectorField1D):
 
     # -- series -------------------------------------------------------------
     def sigma(self, x, terms: int | None = None):
-        """Sigma(x) by direct summation of theta o f^k; each term takes
-        f^(k+2)(x) and log Df(f^(k+1)(x)) from one ``jet``."""
-        y = np.asarray(x, dtype=float)
+        """Sigma(x) by direct summation of theta o f^k, for a 1-d array x
+        checked once on entry; each term takes f^(k+2)(x) and
+        log Df(f^(k+1)(x)) from one kernel ``_jet``."""
+        y = unit_points(x, 1e-12)
         acc = np.zeros_like(y)
-        y1, ld = self.f.jet(y)
+        y1, ld = self.f._jet(y)
         for _ in range(self.n_terms if terms is None else terms):
-            y2, ld1 = self.f.jet(y1)
+            y2, ld1 = self.f._jet(y1)
             acc = acc + _theta(y, y1, y2, ld)
             y, y1, ld = y1, y2, ld1
         return acc
 
     def _X_series(self, x, terms: int | None = None):
-        x = np.asarray(x, dtype=float)
-        return self.c0 * (self.f.value(x) - x) * np.exp(self.sigma(x, terms))
+        return self.c0 * (self.f._value(x) - x) * np.exp(self.sigma(x, terms))
 
     def X(self, x):
         x = np.asarray(x, dtype=float)
@@ -337,7 +335,7 @@ class SzekeresField(VectorField1D):
         back to y on arrival, with its signed count d n into k and its
         log Df^(d n) into logchain (when given).  Both directions advance
         together; a step of f takes its value and log-derivative from one
-        ``jet`` call, a step of f^-1 reads log Df at the point it reached."""
+        ``_jet`` call, a step of f^-1 reads log Df at the point it reached."""
         f = self.f
         v = y[idx]
         acc = None if logchain is None else np.zeros(v.shape)
@@ -355,13 +353,13 @@ class SzekeresField(VectorField1D):
             ld = None if acc is None else np.empty_like(v)
             if np.any(fwd):
                 if ld is None:
-                    new[fwd] = f.value(v[fwd])
+                    new[fwd] = f._value(v[fwd])
                 else:
-                    new[fwd], ld[fwd] = f.jet(v[fwd])
+                    new[fwd], ld[fwd] = f._jet(v[fwd])
             if not np.all(fwd):
-                new[~fwd] = self.finv.value(v[~fwd])
+                new[~fwd] = self.finv._value(v[~fwd])
                 if ld is not None:
-                    ld[~fwd] = f.log_deriv(new[~fwd])
+                    ld[~fwd] = f._log_deriv(new[~fwd])
             if acc is not None:
                 acc += d * ld
             v = new
@@ -428,8 +426,8 @@ class SzekeresField(VectorField1D):
         # the flow's log-multipliers at the ends equal those of f; probe a
         # hair inside so charts that share an endpoint with a neighbor are
         # read from the correct side
-        return (float(self.f.log_deriv(np.array(1e-12))),
-                float(self.f.log_deriv(np.array(1.0 - 1e-12))))
+        lo, hi = self.f._log_deriv(np.array([1e-12, 1.0 - 1e-12]))
+        return float(lo), float(hi)
 
     # -- time change via the reference interval -----------------------------
     def tau(self, x):
@@ -451,8 +449,9 @@ class SzekeresField(VectorField1D):
     def flow_log_deriv(self, x, t):
         # one walk in gives tau(x) and log Df^k(x), one walk out from the
         # reference point of tau(x) + t gives f^t(x) and log Df^j there:
-        # log Df^t(x) = log X(f^t x) - log X(x), both read off the table
-        y0, k, log_in = self._walk_in(x, with_log=True)
+        # log Df^t(x) = log X(f^t x) - log X(x), both read off the table.
+        # The walks read f's kernels, so x is checked here (X and tau see (0, 1))
+        y0, k, log_in = self._walk_in(unit_points(x, 1e-12), with_log=True)
         j, z = self._split_time(np.interp(y0, self._ref_x, self._ref_tau) - k + t)
         y, log_out = self._walk_out(z, j, with_log=True)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -344,6 +344,8 @@ _WRONG_TYPES = [
     ("drift", {"action": {"preset": "circle_pair"}}, "params.action"),
     ("classify", {"action": {"preset": "circle_pair"}}, "params.action"),
     ("deform", {"action": {"circle": True}}, "params.action"),
+    ("szekeres", {"samples": 2}, "params.samples"),
+    ("szekeres", {"samples": -5}, "params.samples"),
 ]
 # well-typed values that the library refuses
 _BAD_VALUES = [
@@ -375,6 +377,29 @@ def test_circle_list_takes_the_rotation_defaults(tmp_path, capsys):
     (g,) = act.generators
     assert isinstance(g, difflab.Rotation)
     assert g.alpha == cli._CIRCLE_MAPS["rotation"]["alpha"]
+
+
+@pytest.mark.parametrize("params, monotone", [
+    # the rigid rotation's distances are rounding noise, at most ABS_TOL
+    ({"action": {"circle": True}}, True),
+    ({"ns": [64, 16]}, False),
+], ids=["rigid_rotation", "growing_distance"])
+def test_herman_monotone_reads_converged_distances(params, monotone, tmp_path, capsys):
+    spec_path = tmp_path / "run.json"
+    spec_path.write_text(json.dumps({"cmd": "herman", "params": params}))
+    assert main(["herman", "--spec", str(spec_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["monotone"] is monotone
+
+
+def test_bvdemo_reuses_its_last_row(monkeypatch, capsys):
+    # rows m = 1..3 at the default n = 3: the report is the row-3 result
+    calls = []
+    real = cli.bv_group_demo
+    monkeypatch.setattr(cli, "bv_group_demo",
+                        lambda tree, n: calls.append(n) or real(tree, n))
+    assert main(["bvdemo"]) == 0
+    assert calls == [1, 2, 3]
+    assert json.loads(capsys.readouterr().out)["report"]["n"] == 3
 
 
 @pytest.mark.parametrize("cmd, params, message", _BAD_VALUES)

@@ -26,7 +26,7 @@ from difflab.counterexamples import (
     _psi_from_profile,
     _triangle_profile,
 )
-from difflab.diffeo import _flat_bump_d1, _flat_bump_d2
+from difflab.diffeo import _flat_bump
 from difflab.gridfn import variation
 
 
@@ -217,8 +217,9 @@ class TestSergeraert:
         assert peak < 16 * 2 ** 20  # one full-grid float array is 8 MiB
         t = 2.0 ** (9 - 27)
         ug = np.linspace(0.5, 1.0, 2 ** 20 + 1)
-        var_full = variation(np.log1p(t * _flat_bump_d1(ug, *_DELTA)))
-        c_full = float(np.trapezoid(np.abs(_flat_bump_d2(ug, *_DELTA)), ug))
+        _, d1, d2 = _flat_bump(ug, *_DELTA, 2)
+        var_full = variation(np.log1p(t * d1))
+        c_full = float(np.trapezoid(np.abs(d2), ug))
         assert rep.var_measured == pytest.approx(var_full, rel=1e-13, abs=0.0)
         assert rep.c_l1_half == pytest.approx(c_full, rel=1e-13, abs=0.0)
 
@@ -235,7 +236,7 @@ class TestSergeraert:
         monkeypatch.setattr(counterexamples, "bisect_monotone", recording)
         sergeraert_check(3)
         (lo, hi, roots), = [c[1:] for c in calls if not np.any(c[0])]
-        d2 = lambda x: float(_flat_bump_d2(np.array([x]), *_DELTA)[0])
+        d2 = lambda x: float(_flat_bump(np.array([x]), *_DELTA, 2)[2][0])
         # both crossing directions
         assert {np.sign(d2(a)) for a in lo} == {-1.0, 1.0}
         ref = [brentq(d2, a, b, xtol=1e-14) for a, b in zip(lo, hi)]

@@ -39,7 +39,7 @@ from difflab import (
     moebius_field,
     rotation_number,
 )
-from difflab import diffeo
+from difflab import diffeo, szekeres
 from difflab.deform import ComponentwiseDiffeo, _SmoothConjugacy
 from difflab.diffeo import (
     ChartMap,
@@ -50,7 +50,8 @@ from difflab.diffeo import (
     _walk_words,
 )
 from difflab.gridfn import unit_points
-from difflab.szekeres import szekeres_field
+from difflab.invariants import asymptotic_variation, coboundary_drift
+from difflab.szekeres import SzekeresField, szekeres_field
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -583,6 +584,23 @@ def test_public_call_checks_its_points_once(make, method, monkeypatch):
                         lambda *args: calls.append(1) or real(*args))
     getattr(f, method)(np.linspace(0.0, 1.0, 17))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("run, most", [
+    (lambda: SzekeresField(Moebius(2.0)), 3),
+    (lambda: asymptotic_variation(Moebius(2.0)), 2),
+    (lambda: coboundary_drift(example_two_component_action(), n=8), 3),
+], ids=["szekeres_field", "asymptotic_variation", "coboundary_drift"])
+def test_walks_step_through_kernels(run, most, monkeypatch):
+    # orbit walks, series terms and bisections never re-check the points
+    # they make; only the points that enter the library are checked
+    calls = []
+    real = diffeo.unit_points
+    for module in (diffeo, szekeres):
+        monkeypatch.setattr(module, "unit_points",
+                            lambda *args: calls.append(1) or real(*args))
+    run()
+    assert len(calls) <= most
 
 
 @pytest.mark.parametrize("x", [0.3, [0.3], [[0.2, 0.3], [0.4, 0.5]]])

@@ -250,6 +250,14 @@ class TestFlowLogDeriv:
         assert np.max(np.abs(y - X.flow(xs, ts))) < 1e-12
         assert np.max(np.abs(ld - np.log(X.X(y) / X.X(xs)))) < 1e-10
 
+    def test_field_doors_check_their_points(self):
+        # the walks step through kernels, so the field checks its input
+        X = SzekeresField(Moebius(2.0))
+        with pytest.raises(DomainError):
+            X.flow_log_deriv(np.array([1.5]), 0.5)
+        with pytest.raises(DomainError):
+            X.sigma(np.array([1.5]))
+
     def test_one_walk_in_and_one_out(self, leaf_counter):
         # four walks (tau, tau^-1, X at both ends) took 95 leaf calls here
         f = leaf_counter(Moebius(2.0))
