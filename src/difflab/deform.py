@@ -141,6 +141,16 @@ class ComponentwiseDiffeo(IntervalDiffeo):
         return f"ComponentwiseDiffeo({list(self.intervals)!r}, {list(self.charts)!r})"
 
 
+def _chart(g, a: float, b: float):
+    """g on its invariant interval [a, b], read in the chart u -> a + (b - a) u:
+    the chart g holds for [a, b] itself when g is a ComponentwiseDiffeo with
+    exactly that interval (the same map, without the masks and clips of
+    the two chart changes), else ChartMap(g, a, b)."""
+    if isinstance(g, ComponentwiseDiffeo) and (a, b) in g.intervals:
+        return g.charts[g.intervals.index((a, b))]
+    return ChartMap(g, a, b)
+
+
 # ---------------------------------------------------------------------------
 # Herman box averaging (circle)
 
@@ -446,25 +456,26 @@ class RegularizedFlow:
 
 # Simpson intervals in s of the averaging integral
 _S_STEPS = 64
-# Simpson nodes per batched flow evaluation.  The batch's temporaries set the
-# peak memory of regularize_flow: at grid_N = 4096 on a bumped Moebius map,
-# 8 nodes peaked at 90 MB, 16 at 93 MB and all 64 at 125 MB
+# Simpson nodes per batched flow evaluation.  The walk out of the batch's
+# nodes times points sets the peak memory of regularize_flow: at grid_N =
+# 4096 on a bumped Moebius map, 8 nodes and 16 peaked at 90 MB (the
+# process held 81 MB before the call) and all 64 at 106 MB
 _S_CHUNK = 8
 
 
 def _mean_log_deriv(X: VectorField1D, xg: np.ndarray, s_steps: int) -> np.ndarray:
     """int_0^1 log Df^s ds on the points xg by composite Simpson in s with
     s_steps intervals (log Df^0 = 0, so s = 0 drops out).  The nodes are
-    evaluated _S_CHUNK at a time, in one flow evaluation per chunk, and
-    summed row by row in node order."""
+    evaluated _S_CHUNK at a time: one flow evaluation per chunk takes the
+    chunk's times as a column of shape (_S_CHUNK, 1) against the points
+    and gives one row per node, and the rows are summed in node order."""
     svals = np.linspace(0.0, 1.0, s_steps + 1)[1:]
     weights = np.where(np.arange(1, s_steps + 1) % 2 == 1, 4.0, 2.0)
     weights[-1] = 1.0
     acc = np.zeros_like(xg)
     for c in range(0, s_steps, _S_CHUNK):
-        s = svals[c:c + _S_CHUNK]
-        _, rows = _flow_jet(X, np.tile(xg, s.size), np.repeat(s, xg.size))
-        for w, row in zip(weights[c:c + _S_CHUNK], rows.reshape(s.size, xg.size)):
+        _, rows = _flow_jet(X, xg, svals[c:c + _S_CHUNK, None])
+        for w, row in zip(weights[c:c + _S_CHUNK], rows):
             acc += w * row
     return acc / (3.0 * s_steps)
 
@@ -480,8 +491,9 @@ def regularize_flow(X: VectorField1D, r: str = "1+ac",
 
     The s-integral is composite Simpson on _S_STEPS intervals, evaluated a
     chunk of _S_CHUNK nodes at a time: one ``flow_log_deriv`` call per
-    chunk takes every grid point's orbit once into the field's reference
-    interval and once out, for all the chunk's times together."""
+    chunk walks each grid point once into the field's reference interval,
+    for all the chunk's times together, and out once per time, so over
+    the whole average each point walks in _S_STEPS / _S_CHUNK times."""
     if r not in ("1+ac", "2"):
         raise ValueError("r must be '1+ac' or '2'")
     f1 = FlowTime(X, 1.0)
@@ -604,7 +616,7 @@ def classify_action(t: ActionTuple,
     comps = []
     probes = np.linspace(0.0, 1.0, 259)[1:-1]
     for a, b in rep.components:
-        charts = tuple(ChartMap(g, a, b) for g in t.generators)
+        charts = tuple(_chart(g, a, b) for g in t.generators)
         disps = [c.value(probes) - probes for c in charts]
         signs = []
         for d in disps:
@@ -629,18 +641,16 @@ def classify_action(t: ActionTuple,
         contraction = charts[ref] if signs[ref] == -1 else inverse(charts[ref])
         X = SzekeresField(contraction, cfg)
 
-        anchors = (0.35, 0.5, 0.65)
+        # alpha = tau(c(p)) - tau(p), the median over three anchors p
+        anchors = np.array([0.35, 0.5, 0.65])
+        tau_anchors = X.tau(anchors)
         alphas = []
         for c, s in zip(charts, signs):
             if s == 0:
                 alphas.append(0.0)
                 continue
-            vals = []
-            for p in anchors:
-                q = float(c.value(np.array(p)))
-                vals.append(float(X.tau(np.array(q))) - float(X.tau(np.array(p))))
-            vals = sorted(vals)
-            alpha = vals[len(vals) // 2]
+            vals = sorted(map(float, X.tau(c.value(anchors)) - tau_anchors))
+            alpha = vals[1]
             if max(vals) - min(vals) > 1e-5:
                 warnings.append(
                     f"translation time spread {max(vals) - min(vals):.2e} "

@@ -100,11 +100,13 @@ class VectorField1D:
         raise NotImplementedError
 
     def flow(self, x, t):
-        """f^t(x) for interior x; t is a scalar or one time per point."""
+        """f^t(x) for interior x of shape (n,); t is a scalar, one time per
+        point, or a column of m times of shape (m, 1), which gives (m, n)."""
         return self.tau_inv(self.tau(x) + t)
 
     def flow_log_deriv(self, x, t):
-        """(f^t(x), log Df^t(x)) for interior x; t as in ``flow``.
+        """(f^t(x), log Df^t(x)) for interior x; t as in ``flow``.  For
+        times of shape (m, 1), row i equals the call at t[i] bit for bit.
 
         log Df^t = log(X o f^t / X); fields that reach both values in one
         pass override this.  Non-finite entries are left to the caller."""
@@ -450,10 +452,14 @@ class SzekeresField(VectorField1D):
         # one walk in gives tau(x) and log Df^k(x), one walk out from the
         # reference point of tau(x) + t gives f^t(x) and log Df^j there:
         # log Df^t(x) = log X(f^t x) - log X(x), both read off the table.
-        # The walks read f's kernels, so x is checked here (X and tau see (0, 1))
+        # Times of shape (m, 1) share the walk in and walk the m n points
+        # out.  The walks read f's kernels, so x is checked here (X and tau
+        # see (0, 1))
         y0, k, log_in = self._walk_in(unit_points(x, 1e-12), with_log=True)
-        j, z = self._split_time(np.interp(y0, self._ref_x, self._ref_tau) - k + t)
+        s = np.interp(y0, self._ref_x, self._ref_tau) - k + t
+        j, z = self._split_time(s.ravel())
         y, log_out = self._walk_out(z, j, with_log=True)
+        y, log_out, z = (a.reshape(s.shape) for a in (y, log_out, z))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.log(self._X_ref(z) / self._X_ref(y0))
         return y, ratio + log_out + log_in
@@ -471,28 +477,34 @@ class SzekeresField(VectorField1D):
 
 
 def _flow_jet(field: VectorField1D, x: np.ndarray, t):
-    """(f^t(x), log Df^t(x)) for 1-D x in [0, 1], t a scalar or one time
-    per point, with f^t(x) = x where x is within _EDGE_EPS of an end.
+    """(f^t(x), log Df^t(x)) for 1-D x in [0, 1] of shape (n,) and t a
+    scalar, or a column of m times of shape (m, 1) giving (m, n) arrays
+    whose row i equals the call at t[i] bit for bit.  f^t(x) = x where x
+    is within _EDGE_EPS of an end, and on the rows of time 0.
 
-    Points further inside take both from one ``flow_log_deriv`` call.  At
-    the ends the log-derivative is t * DX(endpoint), and so it is for the
-    points within _EDGE_EPS of an end and for interior points whose ratio
-    is not finite (the field underflows inside the endpoint linearization
-    zone)."""
-    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
-    val = x.astype(float)
-    ld = np.zeros_like(val)
+    Points further inside take both from one ``flow_log_deriv`` call for
+    all the moving rows.  At the ends the log-derivative is
+    t * DX(endpoint), and so it is for the points within _EDGE_EPS of an
+    end and for interior points whose ratio is not finite (the field
+    underflows inside the endpoint linearization zone)."""
+    t = np.asarray(t, dtype=float)
+    # one row per time
+    tc = t.reshape(-1, 1)
+    val = np.repeat(x[None, :], len(tc), axis=0)
+    ld = np.zeros(val.shape)
     edge0, edge1 = field.edge_rates()
     interior = (x > _EDGE_EPS) & (x < 1.0 - _EDGE_EPS)
-    xi, ti = x[interior], t[interior]
-    if np.any(ti != 0.0):
-        val[interior], ratio = field.flow_log_deriv(xi, ti)
+    # the cells that flow, in the row-major order of the (rows, interior) block
+    moving = (tc != 0.0) & interior
+    if moving.any():
+        xi, ti = x[interior], tc[tc[:, 0] != 0.0]
+        v, ratio = field.flow_log_deriv(xi, ti)
         fallback = np.where(xi < 0.5, ti * edge0, ti * edge1)
-        ld[interior] = np.where(np.isfinite(ratio), ratio, fallback)
-    left, right = x <= _EDGE_EPS, x >= 1.0 - _EDGE_EPS
-    ld[left] = t[left] * edge0
-    ld[right] = t[right] * edge1
-    return val, ld
+        val[moving] = v.ravel()
+        ld[moving] = np.where(np.isfinite(ratio), ratio, fallback).ravel()
+    ld[:, x <= _EDGE_EPS] = tc * edge0
+    ld[:, x >= 1.0 - _EDGE_EPS] = tc * edge1
+    return (val, ld) if t.ndim else (val[0], ld[0])
 
 
 class FlowTime(IntervalDiffeo):

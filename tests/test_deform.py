@@ -38,6 +38,8 @@ from difflab import (
 )
 from difflab import deform
 from difflab.deform import _mean_log_deriv
+from difflab.diffeo import ChartMap
+from difflab.szekeres import SzekeresField
 
 LN2 = math.log(2.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -209,13 +211,43 @@ class TestRegularizeFlow:
         assert np.max(np.abs(_mean_log_deriv(X, xg, s_steps) - acc)) < 1e-12
 
     def test_leaf_calls(self, leaf_counter):
-        # 64 separate flow evaluations walked every orbit four times each:
-        # 9519 leaf calls
+        # one walk in and one out per chunk of _S_CHUNK Simpson nodes, plus
+        # the checks, measured 756 leaf calls; 64 separate flow evaluations
+        # walked every orbit four times each: 9519
         f = leaf_counter(Moebius(2.0))
         X = szekeres_field(f)
         before = f.calls
         regularize_flow(X)
-        assert f.calls - before <= 1000
+        assert f.calls - before <= 756
+
+    def test_simpson_average_walks_each_point_in_once_per_chunk(self, monkeypatch):
+        # each chunk's flow evaluation walks the 4095 interior grid points
+        # in once for all its nodes: 8 * 4095 = 32,760 points, where one
+        # walk-in per node took 64 * 4095 = 262,080
+        X = szekeres_field(BumpPerturbation(Moebius(2.0), [Bump(0.45, 0.2, 0.08)]))
+        walked, averaging = [], [False]
+        walk_in, mean = SzekeresField._walk_in, deform._mean_log_deriv
+
+        def counted_walk_in(self, x, with_log=False):
+            if averaging[0]:
+                walked.append(np.array(x))
+            return walk_in(self, x, with_log)
+
+        def flagged_mean(*args):
+            averaging[0] = True
+            try:
+                return mean(*args)
+            finally:
+                averaging[0] = False
+
+        monkeypatch.setattr(SzekeresField, "_walk_in", counted_walk_in)
+        monkeypatch.setattr(deform, "_mean_log_deriv", flagged_mean)
+        regularize_flow(X)
+        interior = np.linspace(0.0, 1.0, 4097)[1:-1]
+        assert len(walked) == deform._S_STEPS // deform._S_CHUNK == 8
+        for pts in walked:
+            assert np.array_equal(pts, interior)
+        assert sum(pts.size for pts in walked) == 32760
 
     def test_flowable_chart_of_example_action(self):
         # the Szekeres field of the chart is read from a C^1 table; a
@@ -287,6 +319,35 @@ class TestClassifyAction:
         dec = classify_action(ActionTuple(generators=(identity(), identity())))
         assert dec.components == ()
         assert dec.fixed_report.global_fixed_intervals == ((0.0, 1.0),)
+
+    def test_componentwise_charts_are_read_directly(self):
+        # each component's chart is the FlowTime the generator holds for it
+        act = example_two_component_action()
+        dec = classify_action(act)
+        assert len(dec.components) == 2
+        for comp in dec.components:
+            for g, ch in zip(act.generators, comp.charts):
+                assert ch is g.charts[g.intervals.index(comp.interval)]
+                assert isinstance(ch, FlowTime)
+
+    def test_other_generators_get_a_chart_map(self):
+        f = Moebius(2.0)
+        (comp,) = classify_action(ActionTuple(generators=(f, iterate(f, 2)))).components
+        assert all(isinstance(ch, ChartMap) for ch in comp.charts)
+        g = example_two_component_action().generators[0]
+        assert isinstance(deform._chart(g, 0.0, 0.25), ChartMap)
+
+    def test_chart_shortcut_agrees_with_chart_map(self):
+        # inside the chart; at the end 1/2 that the components share, the
+        # ChartMap reads the neighbor's log-derivative (the later interval
+        # wins there), the shortcut the component's own
+        probes = np.linspace(0.0, 1.0, 513)[1:-1]
+        for g in example_two_component_action().generators:
+            for a, b in g.intervals:
+                y, ld = deform._chart(g, a, b).jet(probes)
+                y_ref, ld_ref = ChartMap(g, a, b).jet(probes)
+                assert np.max(np.abs(y - y_ref)) <= 1e-12
+                assert np.max(np.abs(ld - ld_ref)) <= 1e-12
 
     def test_non_commuting_rejected(self):
         from difflab import Bump, BumpPerturbation

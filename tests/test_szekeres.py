@@ -24,6 +24,7 @@ from difflab import (
     identity,
     metric,
     moebius_field,
+    regularize_flow,
     szekeres_bv_check,
     szekeres_field,
 )
@@ -249,6 +250,39 @@ class TestFlowLogDeriv:
         y, ld = X.flow_log_deriv(xs, ts)
         assert np.max(np.abs(y - X.flow(xs, ts))) < 1e-12
         assert np.max(np.abs(ld - np.log(X.X(y) / X.X(xs)))) < 1e-10
+
+    @pytest.mark.parametrize("make", [
+        lambda: SzekeresField(_bumped()),
+        lambda: AnalyticField("bridge", 0.7),
+        lambda: AnalyticField("parabolic_right", 0.8),
+        lambda: regularize_flow(szekeres_field(Moebius(2.0))).field,
+    ])
+    def test_time_column_rows_equal_single_calls(self, make):
+        # times of shape (m, 1) against points of shape (n,) give (m, n),
+        # row i bit for bit the call at t[i]
+        X = make()
+        xs = np.linspace(0.002, 0.998, 199)
+        s = np.array([-1.5, -0.25, 0.0, 1.0 / 64, 0.5, 1.0, 2.5])
+        y, ld = X.flow_log_deriv(xs, s[:, None])
+        assert y.shape == ld.shape == (s.size, xs.size)
+        for i, si in enumerate(s):
+            yi, ldi = X.flow_log_deriv(xs, si)
+            assert np.array_equal(y[i], yi)
+            assert np.array_equal(ld[i], ldi)
+
+    def test_flow_jet_time_column_rows_equal_single_calls(self):
+        # end points, points within _EDGE_EPS of an end and a row of time 0
+        X = SzekeresField(_bumped())
+        xs = np.concatenate([[0.0, 1e-14], np.linspace(0.01, 0.99, 99),
+                             [1.0 - 1e-14, 1.0]])
+        s = np.array([-0.75, 0.0, 0.125, 0.5, 1.0])
+        val, ld = szekeres._flow_jet(X, xs, s[:, None])
+        assert val.shape == ld.shape == (s.size, xs.size)
+        for i, si in enumerate(s):
+            vi, ldi = szekeres._flow_jet(X, xs, si)
+            assert np.array_equal(val[i], vi)
+            assert np.array_equal(ld[i], ldi)
+        assert np.array_equal(val[1], xs) and not np.any(ld[1])
 
     def test_field_doors_check_their_points(self):
         # the walks step through kernels, so the field checks its input
