@@ -23,7 +23,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gridfn import ABS_TOL, DEFAULT_CONFIG, ToleranceConfig, variation
+from .gridfn import (
+    ABS_TOL,
+    DEFAULT_CONFIG,
+    CubicTable,
+    ToleranceConfig,
+    pchip_slopes,
+    variation,
+)
 from .diffeo import (
     ActionTuple,
     ChartMap,
@@ -409,39 +416,41 @@ class _RegularizedField(VectorField1D):
 
 
 class _SmoothConjugacy(IntervalDiffeo):
-    """Interval diffeomorphism built from log-derivative samples with a C^1
-    monotone (PCHIP) interpolant, so that finite differences of conjugated
-    fields do not see the slope kinks of piecewise-linear grids."""
+    """Interval diffeomorphism built from log-derivative samples.  Two
+    monotone (PCHIP) ``CubicTable``s serve it: one of log Dphi on the
+    sample nodes, and one of phi on a dense grid, where phi is the
+    trapezoid integral of exp(log Dphi) normalized to end at 1.  Both are
+    C^1, so finite differences of conjugated fields do not see the slope
+    kinks of piecewise-linear grids, and each gives its derivative from the
+    same cell coefficients as its value."""
 
     def __init__(self, nodes: np.ndarray, logd: np.ndarray):
-        from scipy.interpolate import PchipInterpolator
-        ld = PchipInterpolator(nodes, np.asarray(logd, dtype=float))
+        ld = CubicTable(nodes, logd, pchip_slopes(nodes, logd))
         dense = np.linspace(0.0, 1.0, (1 << 16) + 1)
         dv = np.exp(ld(dense))
         vals = np.concatenate(([0.0], np.cumsum((dv[1:] + dv[:-1]) * 0.5 * np.diff(dense))))
         c = math.log(vals[-1])
         vals /= vals[-1]
-        self._ld = PchipInterpolator(nodes, np.asarray(logd, dtype=float) - c)
-        self._dld = self._ld.derivative()
+        # log Dphi = logd - c: shift the table's constant coefficients
+        ld.coef[3] -= c
+        self._ld = ld
         self._dense = dense
         self._vals = vals
-        self._val = PchipInterpolator(dense, vals)
-        self._dval = self._val.derivative()
+        self._val = CubicTable(dense, vals, pchip_slopes(dense, vals))
 
     def _value(self, x):
         return np.clip(self._val(x), 0.0, 1.0)
 
     def inverse_value(self, y):
-        # the dense table read backwards, polished by Newton on the PCHIP
-        # itself (its derivative is not exactly exp(log_deriv))
-        return _table_inverse(y, self._dense, self._vals,
-                              lambda v: (self._val(v), self._dval(v)))
+        # the dense table read backwards, polished by Newton on its cubic
+        # itself (whose derivative is not exactly exp(log_deriv))
+        return _table_inverse(y, self._dense, self._vals, self._val.jet)
 
     def _log_deriv(self, x):
         return self._ld(x)
 
     def _affine_deriv(self, x):
-        return self._dld(x)
+        return self._ld.jet(x)[1]
 
     def __repr__(self):
         return "_SmoothConjugacy()"

@@ -4,6 +4,12 @@ A GridFunction stores samples at uniform nodes x_i = i/N (N a power of two).
 Evaluation between nodes is piecewise-linear -- a documented contract, chosen
 so that total variation and quadrature of the *interpolant* are exactly
 computable from the node values.
+
+Where a table must be smooth, because finite differences of what is read
+from it would otherwise see the kinks of a piecewise-linear one, a
+CubicTable holds a C^1 piecewise cubic in Hermite form instead, with node
+slopes from one of two rules: ``pchip_slopes`` (monotone data stay
+monotone) or ``not_a_knot_slopes`` (the C^2 interpolating spline).
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ __all__ = [
     "MonotonicityError",
     "ToleranceConfig",
     "GridFunction",
+    "CubicTable",
+    "pchip_slopes",
+    "not_a_knot_slopes",
     "variation",
 ]
 
@@ -118,3 +127,116 @@ def variation(values, periodic: bool = False) -> float:
     if periodic:
         var += float(abs(v[-1] - v[0]))
     return var
+
+
+class CubicTable:
+    """The piecewise cubic on increasing nodes x that takes the value y_i
+    and the slope d_i at each node x_i (cubic Hermite form), stored as the
+    power-form coefficients of each cell [x_i, x_(i+1)] in s = u - x_i,
+    highest power first: ``coef[3]`` holds the constants y_i.
+
+    A point u is read on the cell x_i <= u < x_(i+1), the last node on the
+    last cell; points outside the nodes extend the end cells' cubics.  Both
+    the value and the first derivative are summed in rising powers of s,
+    not by Horner's rule: in this order a table reads, bit for bit, what
+    the reference piecewise-polynomial evaluator reads from the same
+    coefficients."""
+
+    def __init__(self, x, y, d):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        d = np.asarray(d, dtype=float)
+        dx = np.diff(x)
+        m = np.diff(y) / dx
+        t = (d[:-1] + d[1:] - 2.0 * m) / dx
+        self.x = x
+        self.coef = np.stack((t / dx, (m - d[:-1]) / dx - t, d[:-1], y[:-1]))
+
+    def _cells(self, u):
+        """The cell coefficients of each point u, and its offset s."""
+        u = np.asarray(u, dtype=float)
+        i = np.clip(np.searchsorted(self.x, u, side="right") - 1,
+                    0, self.x.size - 2)
+        return np.take(self.coef, i, axis=1), u - np.take(self.x, i)
+
+    def __call__(self, u):
+        c, s = self._cells(u)
+        s2 = s * s
+        return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
+
+    def jet(self, u):
+        """(value, first derivative) at u, from one cell lookup."""
+        c, s = self._cells(u)
+        s2 = s * s
+        return (c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s),
+                c[2] + c[1] * s * 2 + c[0] * s2 * 3)
+
+
+def pchip_slopes(x, y) -> np.ndarray:
+    """Node slopes of the monotone cubic (PCHIP) through (x, y): at an
+    interior node the weighted harmonic mean of the two neighboring secant
+    slopes (Fritsch-Butland weights) when both are nonzero and of one sign,
+    else 0; at the ends the shape-preserving three-point formula (Moler,
+    *Numerical Computing with MATLAB*, 3.6).  On monotone data the Hermite
+    cubic with these slopes is monotone.  Needs at least three nodes."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    ok = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+    d[1:-1][ok] = 1.0 / ((w1[ok] / m[:-1][ok] + w2[ok] / m[1:][ok])
+                         / (w1[ok] + w2[ok]))
+    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end(h0, h1, m0, m1):
+    # one-sided three-point slope, cut to 0 when it turns against the
+    # secant and to 3 m0 when it overshoots a change of direction
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def not_a_knot_slopes(x, y) -> np.ndarray:
+    """Node slopes of the C^2 cubic spline through (x, y) whose third
+    derivative is also continuous at the second and the next-to-last node
+    (the not-a-knot end condition).  The tridiagonal system for them is
+    solved by one Thomas sweep on Python floats.  Needs at least four
+    nodes."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    # row i: lo[i] d[i-1] + di[i] d[i] + up[i] d[i+1] = r[i]
+    lo = np.empty_like(x)
+    di = np.empty_like(x)
+    up = np.empty_like(x)
+    r = np.empty_like(x)
+    lo[1:-1] = h[1:]
+    di[1:-1] = 2.0 * (h[:-1] + h[1:])
+    up[1:-1] = h[:-1]
+    r[1:-1] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+    w = x[2] - x[0]
+    di[0], up[0] = h[1], w
+    r[0] = ((h[0] + 2.0 * w) * h[1] * m[0] + h[0] ** 2 * m[1]) / w
+    w = x[-1] - x[-3]
+    lo[-1], di[-1] = w, h[-2]
+    r[-1] = (h[-1] ** 2 * m[-2] + (2.0 * w + h[-1]) * h[-2] * m[-1]) / w
+    lo, di, up, r = lo.tolist(), di.tolist(), up.tolist(), r.tolist()
+    n = len(r)
+    for i in range(1, n):
+        q = lo[i] / di[i - 1]
+        di[i] -= q * up[i - 1]
+        r[i] -= q * r[i - 1]
+    r[-1] /= di[-1]
+    for i in range(n - 2, -1, -1):
+        r[i] = (r[i] - up[i] * r[i + 1]) / di[i]
+    return np.array(r)

@@ -31,8 +31,10 @@ from .gridfn import (
     DEFAULT_CONFIG,
     MAX_ITER,
     TAIL_TOL,
+    CubicTable,
     DomainError,
     ToleranceConfig,
+    not_a_knot_slopes,
     unit_points,
     variation,
 )
@@ -213,11 +215,12 @@ class SzekeresField(VectorField1D):
 
     The series is summed once, at construction, on the nodes of the
     reference fundamental interval [f(anchor), anchor], and interpolated
-    there by a C^1 cubic spline, next to a trapezoid table of tau.  Every
-    other interior point is served by one inbound orbit walk into that
-    interval (``X``, ``tau``) and, for flows, one outbound walk from it
-    (``tau_inv``, ``flow_log_deriv``); a walk longer than MAX_ITER steps
-    raises ``TransportBudgetExceeded``.  X vanishes at 0 and 1.
+    there by the C^2 not-a-knot cubic spline (a ``CubicTable``), next to a
+    trapezoid table of tau.  Every other interior point is served by one
+    inbound orbit walk into that interval (``X``, ``tau``) and, for flows,
+    one outbound walk from it (``tau_inv``, ``flow_log_deriv``); a walk
+    longer than MAX_ITER steps raises ``TransportBudgetExceeded``.  X
+    vanishes at 0 and 1.
     """
 
     def __init__(self, f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
@@ -286,10 +289,10 @@ class SzekeresField(VectorField1D):
         # at the repelling end does not force thousands of series terms here
         self._n_ref, _ = _certify(self.anchor)
         self._ref_X = self._X_series(ref_x, terms=self._n_ref)
-        # a C^1 table: a piecewise-linear one puts kinks into the finite
+        # a C^2 table: a piecewise-linear one puts kinks into the finite
         # differences of transported fields
-        from scipy.interpolate import CubicSpline
-        self._ref_spline = CubicSpline(ref_x, self._ref_X)
+        self._ref_table = CubicTable(ref_x, self._ref_X,
+                                     not_a_knot_slopes(ref_x, self._ref_X))
         inv = 1.0 / self._ref_X
         dx = ref_x[1] - ref_x[0]
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * dx)])
@@ -327,7 +330,7 @@ class SzekeresField(VectorField1D):
     def _X_ref(self, y):
         # a walk stops within 1e-15 of the interval: read the nearer table
         # end, never extrapolate
-        return self._ref_spline(np.clip(y, self._ref_x[0], self._ref_x[-1]))
+        return self._ref_table(np.clip(y, self._ref_x[0], self._ref_x[-1]))
 
     # -- orbit walks ------------------------------------------------------------
     def _walk(self, y, idx, d, arrived, k=None, logchain=None):

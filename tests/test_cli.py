@@ -470,11 +470,14 @@ def test_every_command_on_its_defaults(cmd, tmp_path, monkeypatch):
     assert compare(refs[cmd], report, rel_tol, abs_tol) == []
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported where a spline is built, never at import: a
-    # module-level scipy import more than doubles the start-up of every run
+def test_commands_load_no_scipy():
+    # scipy is a test dependency only: importing difflab and running every
+    # command on its default spec loads no scipy module
     src = os.path.dirname(os.path.dirname(os.path.abspath(difflab.__file__)))
-    code = ("import sys, difflab, difflab.cli; "
+    code = ("import sys, difflab\n"
+            "from difflab import cli\n"
+            "for cmd in cli.COMMANDS:\n"
+            "    cli.run_command(cli.load_spec({'cmd': cmd}))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,

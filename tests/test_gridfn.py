@@ -1,13 +1,16 @@
-"""Tests for the grid substrate: grid-sampled functions, the variation
-helper and the tolerance policy."""
+"""Tests for the grid substrate: grid-sampled functions, the cubic table,
+the variation helper and the tolerance policy."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from difflab import GridFunction, ToleranceConfig
-from difflab.gridfn import variation
+from difflab.gridfn import CubicTable, not_a_knot_slopes, pchip_slopes, variation
+
+EPS = np.finfo(float).eps
 
 
 def samples(fn, N=4096):
@@ -34,6 +37,84 @@ class TestGridFunction:
         g = GridFunction(np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
         # midpoint of the first cell interpolates linearly
         assert g(0.125) == pytest.approx(0.5)
+
+
+@st.composite
+def node_data(draw, values=st.floats(-1.0, 1.0, allow_subnormal=False)):
+    """Increasing nodes, their gaps within a factor of 4 of one another,
+    and one drawn value per node."""
+    n = draw(st.integers(4, 40))
+    unit = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    gaps = draw(st.lists(st.floats(1.0, 4.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-10.0, 10.0)) + unit * np.cumsum([0.0] + gaps)
+    return x, np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+
+def cell_probes(x, per_cell=5):
+    """per_cell points on each cell [x_i, x_(i+1)], both ends included;
+    row i holds cell i."""
+    q = np.linspace(0.0, 1.0, per_cell)
+    return x[:-1, None] + np.diff(x)[:, None] * q
+
+
+def close(got, want, ulps):
+    # within `ulps` roundoff units of the reference's own magnitude
+    return np.max(np.abs(got - want)) <= ulps * EPS * np.max(np.abs(want))
+
+
+class TestCubicTable:
+    """The table with each slope rule against the scipy interpolator that
+    defines the rule, on drawn nodes; values and first derivatives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(node_data())
+    def test_pchip_matches_scipy(self, data):
+        x, y = data
+        u = cell_probes(x)
+        ref = PchipInterpolator(x, y)
+        v, d = CubicTable(x, y, pchip_slopes(x, y)).jet(u)
+        assert close(v, ref(u), 4)
+        assert close(d, ref(u, 1), 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(node_data())
+    def test_not_a_knot_matches_scipy(self, data):
+        # scipy solves the same tridiagonal system by banded LU, which
+        # pivots where a gap exceeds about twice its neighbor; the two
+        # solutions then round differently (up to 11 units over 40,000
+        # random draws, 0 with gaps within a factor of 2)
+        x, y = data
+        u = cell_probes(x)
+        ref = CubicSpline(x, y)
+        v, d = CubicTable(x, y, not_a_knot_slopes(x, y)).jet(u)
+        assert close(v, ref(u), 32)
+        assert close(d, ref(u, 1), 32)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=3, max_size=39),
+           st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    def test_not_a_knot_reproduces_a_cubic(self, gaps, coeffs):
+        # integer nodes and coefficients and quarter-cell probes: the
+        # cubic's values and derivatives there are exact in floats, so all
+        # of the difference is the table's
+        x = np.cumsum([0.0] + gaps)
+        p = np.polynomial.Polynomial(coeffs)
+        u = cell_probes(x)
+        v, d = CubicTable(x, p(x), not_a_knot_slopes(x, p(x))).jet(u)
+        assert close(v, p(u), 32)
+        assert close(d, p.deriv()(u), 32)
+
+    @settings(max_examples=60, deadline=None)
+    @given(node_data(values=st.floats(0.0, 1.0, allow_subnormal=False)))
+    def test_pchip_keeps_monotone_data_monotone(self, data):
+        x, steps = data
+        y = np.cumsum(steps)  # nondecreasing, flat wherever a step is 0
+        v, d = CubicTable(x, y, pchip_slopes(x, y)).jet(cell_probes(x, 17))
+        tol = 4 * EPS * y[-1]
+        assert np.all(np.diff(v, axis=1) >= -tol)
+        assert np.all(v >= y[:-1, None] - tol)
+        assert np.all(v <= y[1:, None] + tol)
+        assert np.all(d >= -4 * EPS * np.max(np.abs(d)))
 
 
 class TestTotalVariation:
