@@ -8,8 +8,8 @@ computable from the node values.
 Where a table must be smooth, because finite differences of what is read
 from it would otherwise see the kinks of a piecewise-linear one, a
 CubicTable holds a C^1 piecewise cubic in Hermite form instead, with node
-slopes from one of two rules: ``pchip_slopes`` (monotone data stay
-monotone) or ``not_a_knot_slopes`` (the C^2 interpolating spline).
+slopes from the one rule ``not_a_knot_slopes`` (the C^2 interpolating
+spline).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "ToleranceConfig",
     "GridFunction",
     "CubicTable",
-    "pchip_slopes",
     "not_a_knot_slopes",
     "variation",
 ]
@@ -152,57 +151,28 @@ class CubicTable:
         self.x = x
         self.coef = np.stack((t / dx, (m - d[:-1]) / dx - t, d[:-1], y[:-1]))
 
-    def _cells(self, u):
-        """The cell coefficients of each point u, and its offset s."""
+    def cell(self, u):
+        """The cell index i of each point u, the coefficients of its cell
+        and its offset s = u - x_i."""
         u = np.asarray(u, dtype=float)
         i = np.clip(np.searchsorted(self.x, u, side="right") - 1,
                     0, self.x.size - 2)
-        return np.take(self.coef, i, axis=1), u - np.take(self.x, i)
+        return i, np.take(self.coef, i, axis=1), u - np.take(self.x, i)
 
-    def __call__(self, u):
-        c, s = self._cells(u)
+    @staticmethod
+    def cubic(c, s):
+        """The cubic with cell coefficients c at offsets s (broadcast)."""
         s2 = s * s
         return c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
 
+    def __call__(self, u):
+        _, c, s = self.cell(u)
+        return self.cubic(c, s)
+
     def jet(self, u):
         """(value, first derivative) at u, from one cell lookup."""
-        c, s = self._cells(u)
-        s2 = s * s
-        return (c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s),
-                c[2] + c[1] * s * 2 + c[0] * s2 * 3)
-
-
-def pchip_slopes(x, y) -> np.ndarray:
-    """Node slopes of the monotone cubic (PCHIP) through (x, y): at an
-    interior node the weighted harmonic mean of the two neighboring secant
-    slopes (Fritsch-Butland weights) when both are nonzero and of one sign,
-    else 0; at the ends the shape-preserving three-point formula (Moler,
-    *Numerical Computing with MATLAB*, 3.6).  On monotone data the Hermite
-    cubic with these slopes is monotone.  Needs at least three nodes."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = np.diff(x)
-    m = np.diff(y) / h
-    d = np.zeros_like(y)
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    ok = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
-    d[1:-1][ok] = 1.0 / ((w1[ok] / m[:-1][ok] + w2[ok] / m[1:][ok])
-                         / (w1[ok] + w2[ok]))
-    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
-    return d
-
-
-def _pchip_end(h0, h1, m0, m1):
-    # one-sided three-point slope, cut to 0 when it turns against the
-    # secant and to 3 m0 when it overshoots a change of direction
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+        _, c, s = self.cell(u)
+        return self.cubic(c, s), c[2] + c[1] * s * 2 + c[0] * (s * s) * 3
 
 
 def not_a_knot_slopes(x, y) -> np.ndarray:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
 from difflab import GridFunction, ToleranceConfig
-from difflab.gridfn import CubicTable, not_a_knot_slopes, pchip_slopes, variation
+from difflab.gridfn import CubicTable, not_a_knot_slopes, variation
 
 EPS = np.finfo(float).eps
 
@@ -40,13 +40,14 @@ class TestGridFunction:
 
 
 @st.composite
-def node_data(draw, values=st.floats(-1.0, 1.0, allow_subnormal=False)):
+def node_data(draw):
     """Increasing nodes, their gaps within a factor of 4 of one another,
     and one drawn value per node."""
     n = draw(st.integers(4, 40))
     unit = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     gaps = draw(st.lists(st.floats(1.0, 4.0), min_size=n - 1, max_size=n - 1))
     x = draw(st.floats(-10.0, 10.0)) + unit * np.cumsum([0.0] + gaps)
+    values = st.floats(-1.0, 1.0, allow_subnormal=False)
     return x, np.array(draw(st.lists(values, min_size=n, max_size=n)))
 
 
@@ -63,18 +64,8 @@ def close(got, want, ulps):
 
 
 class TestCubicTable:
-    """The table with each slope rule against the scipy interpolator that
-    defines the rule, on drawn nodes; values and first derivatives."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(node_data())
-    def test_pchip_matches_scipy(self, data):
-        x, y = data
-        u = cell_probes(x)
-        ref = PchipInterpolator(x, y)
-        v, d = CubicTable(x, y, pchip_slopes(x, y)).jet(u)
-        assert close(v, ref(u), 4)
-        assert close(d, ref(u, 1), 4)
+    """The table with the not-a-knot slope rule against scipy's
+    ``CubicSpline``, on drawn nodes; values and first derivatives."""
 
     @settings(max_examples=60, deadline=None)
     @given(node_data())
@@ -103,18 +94,6 @@ class TestCubicTable:
         v, d = CubicTable(x, p(x), not_a_knot_slopes(x, p(x))).jet(u)
         assert close(v, p(u), 32)
         assert close(d, p.deriv()(u), 32)
-
-    @settings(max_examples=60, deadline=None)
-    @given(node_data(values=st.floats(0.0, 1.0, allow_subnormal=False)))
-    def test_pchip_keeps_monotone_data_monotone(self, data):
-        x, steps = data
-        y = np.cumsum(steps)  # nondecreasing, flat wherever a step is 0
-        v, d = CubicTable(x, y, pchip_slopes(x, y)).jet(cell_probes(x, 17))
-        tol = 4 * EPS * y[-1]
-        assert np.all(np.diff(v, axis=1) >= -tol)
-        assert np.all(v >= y[:-1, None] - tol)
-        assert np.all(v <= y[1:, None] + tol)
-        assert np.all(d >= -4 * EPS * np.max(np.abs(d)))
 
 
 class TestTotalVariation:
