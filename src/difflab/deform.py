@@ -416,16 +416,6 @@ class _RegularizedField(VectorField1D):
         return f"_RegularizedField({self.base!r})"
 
 
-# the 7-point Gauss-Legendre rule on [0, 1], nodes as a column against a
-# row of cells (written out: importing numpy.polynomial costs 8 ms).  Where
-# log Dphi of a bumped Moebius map moves by 1 within a cell, 5 points missed
-# the cell's integral by 4e-11, 6 by 8e-13 and 7 by 5e-15
-_GL_T = np.array([0.025446043828620736, 0.12923440720030277, 0.2970774243113014, 0.5,
-                  0.7029225756886985, 0.8707655927996972, 0.9745539561713793])[:, None]
-_GL_W = (0.06474248308443485, 0.13985269574463832, 0.19091502525255946, 0.2089795918367347,
-         0.19091502525255946, 0.13985269574463832, 0.06474248308443485)
-
-
 class _SmoothConjugacy(IntervalDiffeo):
     """Interval diffeomorphism built from log-derivative samples: log Dphi
     is the not-a-knot ``CubicTable`` of the samples, and phi is its exact
@@ -434,15 +424,16 @@ class _SmoothConjugacy(IntervalDiffeo):
         phi(x) = phi(x_i) + int_{x_i}^x exp(log Dphi),
 
     normalized to end at 1.  The node values phi(x_i) are prefix sums of
-    one Gauss-Legendre rule over whole cells, and a read between nodes
-    applies the same rule to its partial cell, from the one cell lookup
-    that also gives log Dphi.  D(value) is then exp(log_deriv) to rounding;
-    log Dphi is C^2, so finite differences of conjugated fields see no
-    slope kinks."""
+    the one cell rule ``CubicTable.integral`` of exp over whole cells, and
+    a read between nodes applies the same rule to its partial cell, from
+    the one cell lookup that also gives log Dphi.  D(value) is then
+    exp(log_deriv) to rounding; log Dphi is C^2, so finite differences of
+    conjugated fields see no slope kinks."""
 
     def __init__(self, nodes: np.ndarray, logd: np.ndarray):
         ld = CubicTable(nodes, logd, not_a_knot_slopes(nodes, logd))
-        vals = np.concatenate(([0.0], np.cumsum(_primitive(ld.coef, np.diff(nodes)))))
+        cells = CubicTable.integral(np.exp, ld.coef, np.diff(nodes))
+        vals = np.concatenate(([0.0], np.cumsum(cells)))
         c = math.log(vals[-1])
         vals /= vals[-1]
         # log Dphi = logd - c: shift the table's constant coefficients
@@ -452,7 +443,7 @@ class _SmoothConjugacy(IntervalDiffeo):
 
     def _jet(self, x):
         i, c, s = self._ld.cell(x)
-        return (np.clip(self._vals[i] + _primitive(c, s), 0.0, 1.0),
+        return (np.clip(self._vals[i] + CubicTable.integral(np.exp, c, s), 0.0, 1.0),
                 CubicTable.cubic(c, s))
 
     def _value(self, x):
@@ -474,14 +465,6 @@ class _SmoothConjugacy(IntervalDiffeo):
 
     def __repr__(self):
         return "_SmoothConjugacy()"
-
-
-def _primitive(c, s):
-    """int_0^s exp(p) for the cubic p with cell coefficients c, by the
-    Gauss-Legendre rule on [0, s], summed node by node so that a point
-    reads the same bits in any batch (a matrix product would not)."""
-    e = np.exp(CubicTable.cubic(c, _GL_T * s))
-    return s * sum(w * row for w, row in zip(_GL_W, e))
 
 
 @dataclass
@@ -524,13 +507,13 @@ def regularize_flow(X: VectorField1D, r: str = "1+ac",
         log D(phi)(x) = int_0^1 log Df^s(x) ds - c,   phi(0) = 0,
 
     after which the field derivative equals log Df o phi^-1 and
-    var(DX~) = var(log Df).
+    var(DX~) = var(log Df).  The s-integral is composite Simpson on
+    _S_STEPS intervals, _S_CHUNK nodes per flow call (``_mean_log_deriv``).
 
-    The s-integral is composite Simpson on _S_STEPS intervals, evaluated a
-    chunk of _S_CHUNK nodes at a time: one ``flow_log_deriv`` call per
-    chunk walks each grid point once into the field's reference interval,
-    for all the chunk's times together, and out once per time, so over
-    the whole average each point walks in _S_STEPS / _S_CHUNK times."""
+    The flows f^s of X must be C^1 at both ends.  A Szekeres field is built
+    from the end 0; where its map's Mather invariant is not a rotation (var
+    log DM > 0), its fractional flows are not differentiable at 1
+    (Kopell-Mather), and log Dphi oscillates there between grid nodes."""
     if r not in ("1+ac", "2"):
         raise ValueError("r must be '1+ac' or '2'")
     f1 = FlowTime(X, 1.0)

@@ -15,8 +15,8 @@ log Df^k(x), so X(x) = X(y) / Df^k(x) (from X(f(x)) = X(x) Df(x)).  Flows are
 evaluated in the time-change coordinate tau = int du/X, in which the flow is
 the unit-speed translation, f^t = tau^{-1} o T_t o tau; tau(x) = tau(y) - k,
 so the improper integral near the endpoints is never formed.  The outbound
-walk applies f^j to a point of the interval read off the tau table, which
-gives tau^{-1}, and adds up log Df^j on the way.  One walk in and one out
+walk applies f^j to a point of the interval read off the tau^{-1} table (of
+the integral of 1/X) and adds up log Df^j on the way.  One walk in and one out
 therefore give both f^t(x) and log Df^t(x) = log X(f^t x) - log X(x).
 """
 
@@ -215,12 +215,12 @@ class SzekeresField(VectorField1D):
 
     The series is summed once, at construction, on the nodes of the
     reference fundamental interval [f(anchor), anchor], and interpolated
-    there by the C^2 not-a-knot cubic spline (a ``CubicTable``), next to a
-    trapezoid table of tau.  Every other interior point is served by one
-    inbound orbit walk into that interval (``X``, ``tau``) and, for flows,
-    one outbound walk from it (``tau_inv``, ``flow_log_deriv``); a walk
-    longer than MAX_ITER steps raises ``TransportBudgetExceeded``.  X
-    vanishes at 0 and 1.
+    there by the C^2 not-a-knot cubic spline (a ``CubicTable``); tau and
+    tau^-1 are Hermite tables of its integral of 1/X, with exact node
+    slopes.  Every other interior point is served by one inbound orbit walk
+    into that interval (``X``, ``tau``) and, for flows, one outbound walk
+    from it (``tau_inv``, ``flow_log_deriv``); a walk longer than MAX_ITER
+    steps raises ``TransportBudgetExceeded``.  X vanishes at 0 and 1.
     """
 
     def __init__(self, f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
@@ -288,17 +288,16 @@ class SzekeresField(VectorField1D):
         # far smaller than at 1 - 1/N; certify it separately so a slow tail
         # at the repelling end does not force thousands of series terms here
         self._n_ref, _ = _certify(self.anchor)
-        self._ref_X = self._X_series(ref_x, terms=self._n_ref)
+        xr = self._X_series(ref_x, terms=self._n_ref)
         # a C^2 table: a piecewise-linear one puts kinks into the finite
         # differences of transported fields
-        self._ref_table = CubicTable(ref_x, self._ref_X,
-                                     not_a_knot_slopes(ref_x, self._ref_X))
-        inv = 1.0 / self._ref_X
-        dx = ref_x[1] - ref_x[0]
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * dx)])
-        # tau(anchor) = 0, tau(f(anchor)) = +1 (cum is negative: X < 0)
-        self._ref_tau = cum - cum[-1]
-        self._period = float(self._ref_tau[0])  # = tau(f(anchor)), approx 1
+        self._X_table = CubicTable(ref_x, xr, not_a_knot_slopes(ref_x, xr))
+        cum = np.cumsum(CubicTable.integral(np.reciprocal, self._X_table.coef, np.diff(ref_x)))
+        # tau(anchor) = 0, tau(f(anchor)) = +1, tau decreases (cum < 0: X < 0)
+        tau = np.concatenate(([0.0], cum)) - cum[-1]
+        self._tau_table = CubicTable(ref_x, tau, 1.0 / xr)
+        self._tau_inv_table = CubicTable(tau[::-1], ref_x[::-1], xr[::-1])
+        self._period = float(tau[0])  # = tau(f(anchor)), approx 1
 
     # -- series -------------------------------------------------------------
     def sigma(self, x, terms: int | None = None):
@@ -324,13 +323,13 @@ class SzekeresField(VectorField1D):
         # reference interval
         interior = (x > 0.0) & (x < 1.0)
         y, _, logchain = self._walk_in(x[interior], with_log=True)
-        out[interior] = self._X_ref(y) * np.exp(-logchain)
+        out[interior] = self._read(self._X_table, y) * np.exp(-logchain)
         return out[()]
 
-    def _X_ref(self, y):
+    def _read(self, table, y):
         # a walk stops within 1e-15 of the interval: read the nearer table
         # end, never extrapolate
-        return self._ref_table(np.clip(y, self._ref_x[0], self._ref_x[-1]))
+        return table(np.clip(y, self._ref_x[0], self._ref_x[-1]))
 
     # -- orbit walks ------------------------------------------------------------
     def _walk(self, y, idx, d, arrived, k=None, logchain=None):
@@ -424,8 +423,8 @@ class SzekeresField(VectorField1D):
         """tau^-1 = f^j o (tau on the reference interval)^-1: the count j
         and the reference point for each time s."""
         j = np.floor(s / self._period).astype(int)
-        r = s - j * self._period
-        return j, np.interp(r, self._ref_tau[::-1], self._ref_x[::-1])
+        r = np.clip(s - j * self._period, 0.0, self._period)
+        return j, self._tau_inv_table(r)
 
     def edge_rates(self):
         # the flow's log-multipliers at the ends equal those of f; probe a
@@ -441,7 +440,7 @@ class SzekeresField(VectorField1D):
             raise DomainError("tau is infinite outside the open interval (0, 1)")
         # the walks read 1-d arrays
         y, k, _ = self._walk_in(x.ravel())
-        t = np.interp(y, self._ref_x, self._ref_tau) - k
+        t = self._read(self._tau_table, y) - k
         return t.reshape(x.shape)[()]
 
     def tau_inv(self, s):
@@ -459,17 +458,17 @@ class SzekeresField(VectorField1D):
         # out.  The walks read f's kernels, so x is checked here (X and tau
         # see (0, 1))
         y0, k, log_in = self._walk_in(unit_points(x, 1e-12), with_log=True)
-        s = np.interp(y0, self._ref_x, self._ref_tau) - k + t
+        s = self._read(self._tau_table, y0) - k + t
         j, z = self._split_time(s.ravel())
         y, log_out = self._walk_out(z, j, with_log=True)
         y, log_out, z = (a.reshape(s.shape) for a in (y, log_out, z))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.log(self._X_ref(z) / self._X_ref(y0))
+            ratio = np.log(self._read(self._X_table, z) / self._read(self._X_table, y0))
         return y, ratio + log_out + log_in
 
     def diagnostics(self):
-        return {"terms": self.n_terms, "tail_bound": self.tail_bound,
-                "anchor": self.anchor, "period_residual": abs(self._period - 1.0)}
+        return {"terms": self.n_terms, "tail_bound": self.tail_bound, "anchor": self.anchor,
+                "period_residual": abs(self._period - 1.0)}  # tau's error over one period
 
     def __repr__(self):
         return f"SzekeresField({self.f!r}, terms={self.n_terms})"

@@ -334,12 +334,19 @@ class TestClassifyAction:
         assert comp.tag == "cyclic"
         assert comp.exponents == (1, 0)
 
-    def test_cyclic_root_realized_by_no_generator(self):
-        # times 0.4 and 0.6 of one flow are h^2 and h^3 for h its time-0.2
-        # map, which neither generator is
+    @pytest.mark.parametrize("times, moebius", [
+        ((0.4, 0.6), False),
+        ((2.0, 3.0), False),
+        ((2.0, 3.0), True),
+    ], ids=["flow-0.4-0.6", "flow-2-3", "moebius-4-8"])
+    def test_cyclic_root_realized_by_no_generator(self, times, moebius):
+        # times 2s and 3s of one flow are h^2 and h^3 for h its time-s map,
+        # which neither generator is; Moebius(2^t) is the time-t map of
+        # moebius_field(2); each reads its times off a Szekeres table of the
+        # first generator
         X = moebius_field(2.0)
-        dec = classify_action(ActionTuple(generators=(FlowTime(X, 0.4),
-                                                      FlowTime(X, 0.6))))
+        gens = tuple(Moebius(2.0 ** t) if moebius else FlowTime(X, t) for t in times)
+        dec = classify_action(ActionTuple(generators=gens))
         (comp,) = dec.components
         assert comp.tag == "cyclic"
         assert comp.exponents == (2, 3)

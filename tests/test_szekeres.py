@@ -74,7 +74,33 @@ class TestSzekeresField:
         X = szekeres_field(f)
         xs = np.linspace(0.2, 0.8, 13)
         gaps = X.tau(f.value(xs)) - X.tau(xs)
-        assert np.max(np.abs(gaps - 1.0)) < 1e-6
+        assert np.max(np.abs(gaps - 1.0)) < 1e-9
+
+    def test_period_residual_is_the_series_truncation(self):
+        # tau integrates 1/X of the X table itself, so its error over one
+        # period is that of the truncated series, not of a quadrature
+        X = SzekeresField(Moebius(4.0))
+        assert X.diagnostics()["period_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("a", [2.0, 4.0])
+    def test_tau_in_closed_form(self, a):
+        # X = -ln(a) x (1 - x), so tau = -ln(x / (1 - x)) / ln a, which is 0
+        # at the anchor 1/2
+        X = SzekeresField(Moebius(a))
+        xs = np.linspace(X._ref_x[0], X._ref_x[-1], 2001)
+        exact = -np.log(xs / (1.0 - xs)) / math.log(a)
+        assert X.anchor == 0.5
+        assert np.max(np.abs(X.tau(xs) - exact)) < 5e-10
+
+    @pytest.mark.parametrize("f", [
+        Moebius(2.0),
+        BumpPerturbation(Moebius(2.0), [Bump(0.45, 0.2, 0.05)]),
+    ], ids=["moebius", "bumped"])
+    def test_tau_inv_inverts_tau(self, f):
+        # on the reference interval both are tables of one interpolant
+        X = szekeres_field(f)
+        xs = np.linspace(X._ref_x[0], X._ref_x[-1], 2001)
+        assert np.max(np.abs(X.tau_inv(X.tau(xs)) - xs)) <= 1e-15
 
     @pytest.mark.parametrize("f", [
         Moebius(2.0),
