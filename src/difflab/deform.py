@@ -8,11 +8,12 @@ a commuting interval tuple into per-component cyclic/flowable pieces, and the
 glued deformation path from an action to the trivial one, with numeric
 certificates at every sampled parameter.
 
-Every box of words g_1^{k_1}...g_d^{k_d}, 0 <= k_i < n (the Herman and
-geometric-mean averages), and every power's log-derivative log Df^n (the
-variation bound, the finite-order orbit checks) walks through the one kernel
-diffeo._walk_words: depth first, k_1 outermost, n - 1 steps per row;
-circle orbits walk the lift.
+Every box of words g_d^{k_d} o ... o g_1^{k_1} (g_1 first), 0 <= k_i < n
+(the Herman and geometric-mean averages), and every power's log-derivative
+log Df^n (the variation bound, the finite-order orbit checks) walks through
+the one kernel diffeo._walk_words: row starts depth first, k_1 outermost,
+then the g_d rows stacked in batches that take n - 1 steps each; circle
+orbits walk the lift.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .diffeo import (
     inverse,
     iterate,
     metric,
-    rotation_number,
     sampled_distance,
     _jet_step,
     _table_inverse,
@@ -199,7 +199,7 @@ def herman_average(t: ActionTuple, n: int,
         phi = GridMap(lift, logd, "circle")
         conjs = tuple(_conjugate(phi, g) for g in t.generators)
 
-    rhos = tuple(rotation_number(g).value for g in t.generators)
+    rhos = tuple(r.value for r in t.rotation_numbers)
     probes = np.linspace(0.0, 1.0, 1025)
     dists = []
     for g, rho in zip(conjs, rhos):

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -681,6 +683,7 @@ def iterate(f, n: int):
 
 
 _WORD_BUDGET = 10**6
+_WALK_POINTS = 1 << 14
 
 
 def _jet_step(g):
@@ -695,28 +698,50 @@ def _jet_step(g):
 
 
 def _walk_words(steps, n, state):
-    """The states of the n^d words g_1^{k_1}...g_d^{k_d}, 0 <= k_i < n, one
-    per word, walked from the state of the empty word; steps[i] takes the
-    state of a word w to that of g_i w.
+    """The states of the n^d words g_d^{k_d} o ... o g_1^{k_1} (g_1 applied
+    first), 0 <= k_i < n, walked from the state of the empty word; steps[i]
+    takes the state of a word w to that of g_i w.
 
-    The walk is depth first with k_1 outermost, so each row (k_i running
-    over 0..n-1, the exponents before it fixed) takes n - 1 steps of g_i,
-    and a walk of one generator yields the orbit w = g^k, k = 0..n-1.
+    The row starts, the words in g_1..g_{d-1}, are walked depth first with
+    k_1 outermost, n - 1 steps of g_i per row.  As many of them as fit in
+    _WALK_POINTS points are stacked and take the n - 1 steps of g_d together;
+    each word's state is yielded as a view of its row, k_d outermost in the
+    batch.  Steps are elementwise, so no state depends on the batching.  A
+    single row (d = 1: the orbit g^k, k = 0..n-1) walks the state itself.
     Circle orbits walk the lift.  The budget n^d <= 1e6 is checked here,
     before the first step."""
     if n ** len(steps) > _WORD_BUDGET:
         raise ValueError(f"word budget n^d <= {_WORD_BUDGET:.0e} exceeded")
+    *outer, last = steps
 
-    def rec(i, s):
-        if i == len(steps):
+    def starts(i, s):
+        if i == len(outer):
             yield s
             return
         for k in range(n):
-            yield from rec(i + 1, s)
+            yield from starts(i + 1, s)
             if k < n - 1:
-                s = steps[i](s)
+                s = outer[i](s)
 
-    return rec(0, state)
+    def walk_batch(s, rows):
+        for k in range(n):
+            if rows == 1:
+                yield s
+            else:
+                w = len(s[0]) // rows
+                yield from (tuple(a[j * w:(j + 1) * w] for a in s) for j in range(rows))
+            if k < n - 1:
+                s = last(s)
+
+    def walk():
+        heads = starts(0, state)
+        for first in heads:
+            more = max(_WALK_POINTS // len(first[0]), 1) - 1 if outer and n > 1 else 0
+            batch = [first, *islice(heads, more)]
+            yield from walk_batch(tuple(map(np.concatenate, zip(*batch)))
+                                  if len(batch) > 1 else first, len(batch))
+
+    return walk()
 
 
 # ---------------------------------------------------------------------------
@@ -849,29 +874,29 @@ class RotationNumber:
     birkhoff_tail: float    # |rho_K - rho_{K/2}|, raw Birkhoff uncertainty
 
 
-def _lift_step(lift_grid: np.ndarray):
-    """y -> F(y) for the lift sampled as F(i/M), i = 0..M (M a power of
-    two), using F(y + m) = F(y) + m.
+def _lift_orbit(lift_grid: np.ndarray, K: int) -> np.ndarray:
+    """The orbit F^k(0), k = 0..K, of the lift sampled as F(i/M), i = 0..M
+    (M a power of two), using F(y + m) = F(y) + m.
 
-    This is ``m + np.interp(y - m, grid, lift_grid)`` bit for bit, done in
-    Python floats because a scalar np.interp call costs more than the
+    Each step is ``m + np.interp(y - m, grid, lift_grid)`` bit for bit, done
+    in Python floats because a scalar np.interp call costs more than the
     step: grid[i] = i / M exactly, so i = int(u * M) is the cell that
-    np.interp's binary search finds, and the slope and the value are its
-    own formula."""
+    np.interp's binary search finds, and the value is its own formula.  On a
+    node (also u == 1.0, rounded up from below) the slope term is exactly 0,
+    so np.interp's node branch needs no test; slope[M] is a pad."""
     M = len(lift_grid) - 1
-    gx = np.linspace(0.0, 1.0, M + 1).tolist()
     gy = lift_grid.tolist()
-
-    def step(y):
+    slope = (np.diff(lift_grid) * M).tolist() + [0.0]  # cell width 1/M exactly
+    orbit = np.zeros(K + 1)
+    out = memoryview(orbit)  # stores a float as fast as a list does
+    y = 0.0
+    for k in range(1, K + 1):
         m = math.floor(y)
         u = y - m
         i = int(u * M)
-        if u == gx[i]:  # also u == 1.0, rounded up from below
-            return m + gy[i]
-        slope = (gy[i + 1] - gy[i]) / (gx[i + 1] - gx[i])
-        return m + (slope * (u - gx[i]) + gy[i])
-
-    return step
+        y = m + (slope[i] * (u - i / M) + gy[i])
+        out[k] = y
+    return orbit
 
 
 def rotation_number(f: CircleDiffeo) -> RotationNumber:
@@ -885,31 +910,19 @@ def rotation_number(f: CircleDiffeo) -> RotationNumber:
     # instead of re-running per-point bisections inside composed inverses;
     # lift(x + m) = lift(x) + m reduces every step to the fundamental domain
     grid = np.linspace(0.0, 1.0, (1 << 15) + 1)
-    _step = _lift_step(np.asarray(f.value(grid), dtype=float))
-
-    y = 0.0
-    best_err = math.inf
-    best_rho = 0.0
-    half_rho = None
-    prev = 0.0
-    k_done = K
-    for k in range(1, K + 1):
-        y = _step(y)
-        dist = abs(y - round(y))
-        err = dist / k
-        if err < best_err:
-            best_err = err
-            best_rho = y / k
-        if k == K // 2:
-            half_rho = y / k
-        if abs(y - prev) < 1e-14:
-            # orbit of the lift converged: a fixed point, rotation number 0
-            return RotationNumber(0.0, 1e-14, True, k, abs(y / k - prev / max(k - 1, 1)))
-        prev = y
-    birkhoff_tail = abs(y / k_done - half_rho) if half_rho is not None else math.inf
-    value = best_rho % 1.0
-    converged = best_err < 1e-4
-    return RotationNumber(value, best_err, converged, k_done, birkhoff_tail)
+    y = _lift_orbit(np.asarray(f.value(grid), dtype=float), K)
+    k = np.arange(1, K + 1)
+    stalled = np.flatnonzero(np.abs(np.diff(y)) < 1e-14)
+    if stalled.size:
+        # orbit of the lift converged: a fixed point, rotation number 0
+        j = int(stalled[0]) + 1
+        return RotationNumber(0.0, 1e-14, True, j,
+                              float(abs(y[j] / j - y[j - 1] / max(j - 1, 1))))
+    err = np.abs(y[1:] - np.round(y[1:])) / k
+    best = int(np.argmin(err))  # the first minimum, as a strict < scan keeps
+    birkhoff_tail = abs(y[K] / K - y[K // 2] / (K // 2))
+    return RotationNumber(float(y[best + 1] / k[best]) % 1.0, float(err[best]),
+                          bool(err[best] < 1e-4), K, float(birkhoff_tail))
 
 
 # ---------------------------------------------------------------------------
@@ -938,6 +951,11 @@ class ActionTuple:
     @property
     def d(self):
         return len(self.generators)
+
+    @cached_property
+    def rotation_numbers(self) -> tuple:
+        """Each circle generator's RotationNumber, computed once per tuple."""
+        return tuple(rotation_number(g) for g in self.generators)
 
 
 def _same_part(p, q) -> bool:

@@ -7,9 +7,10 @@ exactly when the map embeds in a C^1 flow of the closed interval.  The drift
 of the affine-derivative cocycle c(f) = D^2f/Df in L^1 recovers V_inf.
 
 The orbits that accumulate log Df^n (V_inf, the Mather sweep, the drift) and
-the cocycle box average psi_n walk through the one kernel
-diffeo._walk_words: depth first, k_1 outermost, n - 1 steps per row,
-one word's state at a time; circle orbits walk the lift.
+the cocycle box average psi_n over the words g_d^{k_d} o ... o g_1^{k_1}
+walk through the one kernel diffeo._walk_words: row starts depth first,
+k_1 outermost, then the g_d rows stacked in batches that take n - 1 steps
+each; circle orbits walk the lift.
 """
 
 from __future__ import annotations

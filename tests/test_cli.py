@@ -483,3 +483,32 @@ def test_commands_load_no_scipy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+# work counts of the default specs, machine-independent guards on the
+# orbit walks' cost
+
+
+def test_default_drift_steps_the_last_generator_per_batch(monkeypatch):
+    # the 32 rows of the second generator walk in batches that fit in
+    # diffeo._WALK_POINTS (7 rows of 2,049 points), 31 jets per batch: 155
+    # calls, where a walk row by row made 32 * 31 = 992
+    spec = load_spec({"cmd": "drift"})
+    act = cli._read_action(spec, spec.config, "interval")
+    g = act.generators[1]
+    calls = []
+    jet = g._jet
+    monkeypatch.setattr(g, "_jet", lambda x: calls.append(x.size) or jet(x))
+    monkeypatch.setattr(cli, "_read_action", lambda *args: act)
+    run_command(spec)
+    assert len(calls) <= 160
+
+
+def test_default_herman_computes_the_rotation_number_once(monkeypatch):
+    # the three box sizes n = 4, 16, 64 share the action's rotation numbers
+    calls = []
+    rotation_number = difflab.diffeo.rotation_number
+    monkeypatch.setattr(difflab.diffeo, "rotation_number",
+                        lambda f: calls.append(f) or rotation_number(f))
+    run_command(load_spec({"cmd": "herman"}))
+    assert len(calls) == 1

@@ -37,7 +37,7 @@ from difflab import (
     rotation_number,
     szekeres_field,
 )
-from difflab import deform
+from difflab import deform, diffeo
 from difflab.deform import _mean_log_deriv
 from difflab.diffeo import ChartMap
 from difflab.szekeres import SzekeresField
@@ -68,7 +68,7 @@ class TestHermanAverage:
             calls.append(g)
             return rotation_number(g)
 
-        monkeypatch.setattr(deform, "rotation_number", counting)
+        monkeypatch.setattr(diffeo, "rotation_number", counting)
         g = conjugated_rotation(GOLDEN)
         with pytest.raises(ValueError, match="word budget"):
             herman_average(ActionTuple((g, g)), 1001)

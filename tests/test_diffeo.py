@@ -2,6 +2,7 @@
 rotation numbers, commutators, and fixed-point analysis."""
 
 import importlib.util
+import itertools
 import math
 import os
 import random
@@ -37,16 +38,17 @@ from difflab import (
     iterate,
     metric,
     moebius_field,
+    RotationNumber,
     rotation_number,
 )
-from difflab import diffeo, szekeres
+from difflab import cli, diffeo, szekeres
 from difflab.deform import ComponentwiseDiffeo, _SmoothConjugacy
 from difflab.diffeo import (
     ChartMap,
     Diffeo,
     _grid_backed,
     _jet_step,
-    _lift_step,
+    _lift_orbit,
     _walk_words,
 )
 from difflab.gridfn import unit_points
@@ -221,20 +223,59 @@ class TestRotationNumber:
                     np.log1p(0.2 * np.pi * np.sin(4 * np.pi * x)), "circle")
         assert rotation_number(f).value == pytest.approx(0.0, abs=1e-9)
 
-    def test_lift_step_is_np_interp(self):
-        # the Python-float step equals the scalar np.interp it replaces, on
-        # nodes, next to nodes, on negative lifts and where y - floor(y)
-        # rounds up to 1
+    def test_lift_orbit_is_iterated_np_interp(self):
+        # the Python-float orbit equals the scalar np.interp steps it
+        # replaces, bit for bit: on generic cells, on nodes (F(0) + k/4),
+        # next to nodes from above and below, on negative lifts, and where
+        # y = -1e-17 makes y - floor(y) round up to 1
         grid = np.linspace(0.0, 1.0, (1 << 10) + 1)
-        table = np.asarray(conjugated_rotation(GOLDEN).value(grid), dtype=float)
-        step = _lift_step(table)
-        rng = np.random.default_rng(7)
-        ys = np.concatenate([rng.uniform(-3.0, 3.0, 2000), grid,
-                             np.nextafter(grid, 2.0), grid - 2.0,
-                             [-1e-20, 2.0 - 1e-17]])
-        for y in ys.tolist():
-            m = math.floor(y)
-            assert step(y) == m + float(np.interp(y - m, grid, table))
+        tables = [conjugated_rotation(GOLDEN).value(grid),
+                  grid + 0.25,
+                  np.nextafter(grid + 0.25, 2.0),
+                  np.nextafter(grid + 0.25, -1.0),
+                  grid - 0.3 + 0.02 * np.sin(2 * np.pi * grid),
+                  grid - 1e-17]
+        K = 2000
+        for table in map(np.asarray, tables):
+            y, ref = 0.0, [0.0]
+            for _ in range(K):
+                m = math.floor(y)
+                y = m + float(np.interp(y - m, grid, table))
+                ref.append(y)
+            orbit = _lift_orbit(table, K)
+            assert np.array_equal(orbit.view(np.int64), np.array(ref).view(np.int64))
+
+    @pytest.mark.parametrize("name, expected", [
+        # the rotation numbers of the step-by-step scan this scoring
+        # replaced, field for field
+        ("stall_at_one", RotationNumber(0.0, 1e-14, True, 1, 0.0)),
+        ("rigid", RotationNumber(0.375, 0.0, True, 65536, 0.0)),
+        ("fixed_at_zero", RotationNumber(0.0, 1e-14, True, 1, 0.0)),
+        ("stall_at_82", RotationNumber(0.0, 1e-14, True, 82,
+                                       4.516711833634727e-05)),
+        ("rot_default", RotationNumber(0.6180339886907622,
+                                       2.6713974640998423e-10, True, 65536,
+                                       1.0430416698126166e-06)),
+    ])
+    def test_rotation_number_pinned(self, name, expected):
+        x = np.linspace(0.0, 1.0, 4097)
+        f = {
+            "stall_at_one": lambda: Rotation(0.0),
+            "rigid": lambda: Rotation(0.375),
+            "fixed_at_zero": lambda: GridMap(
+                x + 0.1 * np.sin(2 * np.pi * x) ** 2,
+                np.log1p(0.2 * np.pi * np.sin(4 * np.pi * x)), "circle"),
+            # an attracting fixed point at 0.3, reached geometrically
+            "stall_at_82": lambda: GridMap(
+                x - 0.05 * np.sin(2 * np.pi * (x - 0.3)),
+                np.log1p(-0.1 * np.pi * np.cos(2 * np.pi * (x - 0.3))), "circle"),
+            "rot_default": lambda: cli._build_circle_map(
+                cli._COMMANDS["rot"][1]["f"], "params.f", DEFAULT_CONFIG),
+        }[name]()
+        rn = rotation_number(f)
+        assert rn == expected
+        assert all(type(a) is type(b) for a, b in zip(vars(rn).values(),
+                                                       vars(expected).values()))
 
     def test_iterate_scaling(self):
         f = conjugated_rotation(GOLDEN)
@@ -736,25 +777,62 @@ _WALK_GENS = (
 )
 
 
+def _counted_steps(gens):
+    """Jet steps on states (w(x), log Dw(x), k_1, ..., k_d) that also count
+    the exponents, one integer array per generator, so that every walked
+    state names its word."""
+
+    def count(i, g):
+        jet = _jet_step(g)
+
+        def step(state):
+            y, ld, *ks = state
+            ks[i] = ks[i] + 1
+            return (*jet((y, ld)), *ks)
+
+        return step
+
+    return [count(i, g) for i, g in enumerate(gens)]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_walk_matches_listed_words(d):
-    # the maps do not commute, so the bits also pin the enumeration order
+def test_walk_matches_listed_words(d, monkeypatch):
+    # the maps do not commute, so the bits also pin the order g_1 first;
+    # batches of 1, 2 and 3 rows (a partial last batch) and of all rows
+    # give the same states
     x = np.linspace(0.0, 1.0, 33)
     gens = _WALK_GENS[:d]
-    walked = list(_walk_words([_jet_step(g) for g in gens], 4, (x, np.zeros_like(x))))
     listed = _listed_words(gens, 4, x)
-    assert len(walked) == len(listed) == 4 ** d
-    for (y, ld), (y_ref, ld_ref) in zip(walked, listed):
-        assert np.array_equal(y, y_ref) and np.array_equal(ld, ld_ref)
+    ks = [np.zeros(x.size, dtype=int)] * d
+    for rows_per_batch in (1, 2, 3, 4 ** (d - 1)):
+        monkeypatch.setattr(diffeo, "_WALK_POINTS", rows_per_batch * x.size)
+        walked = {}
+        for y, ld, *k in _walk_words(_counted_steps(gens), 4, (x, np.zeros_like(x), *ks)):
+            assert all(np.all(ki == ki[0]) for ki in k)
+            walked[tuple(int(ki[0]) for ki in k)] = (y, ld)
+        assert len(walked) == len(listed) == 4 ** d
+        for key, (y_ref, ld_ref) in zip(itertools.product(range(4), repeat=d), listed):
+            y, ld = walked[key]
+            assert np.array_equal(y, y_ref) and np.array_equal(ld, ld_ref)
 
 
-def test_walk_takes_n_minus_one_jets_per_row(leaf_counter):
-    gens = [leaf_counter(g) for g in _WALK_GENS]
+def test_walk_of_one_row_walks_the_state_itself():
+    # d = 1: the empty word's state is the very state passed in, not a copy
     x = np.linspace(0.0, 1.0, 9)
-    for _ in _walk_words([_jet_step(g) for g in gens], 5, (x, np.zeros_like(x))):
-        pass
-    # generator i walks n^i rows of n - 1 steps
-    assert [g.calls for g in gens] == [4, 5 * 4, 25 * 4]
+    state = (x, np.zeros_like(x))
+    assert next(_walk_words([_jet_step(_WALK_GENS[0])], 4, state)) is state
+
+
+def test_walk_takes_n_minus_one_jets_per_row(leaf_counter, monkeypatch):
+    x = np.linspace(0.0, 1.0, 9)
+    # n - 1 = 4 steps per row at levels 1 and 2 (n^0 and n^1 rows), and 4
+    # per batch of the n^2 = 25 rows of the last generator
+    for rows_per_batch, batches in [(1, 25), (2, 13), (25, 1)]:
+        monkeypatch.setattr(diffeo, "_WALK_POINTS", rows_per_batch * x.size)
+        gens = [leaf_counter(g) for g in _WALK_GENS]
+        for _ in _walk_words([_jet_step(g) for g in gens], 5, (x, np.zeros_like(x))):
+            pass
+        assert [g.calls for g in gens] == [4, 5 * 4, batches * 4]
 
 
 def test_walk_checks_the_budget_before_any_step():

@@ -127,12 +127,13 @@ class TestCoboundaryDrift:
         assert rep["lower_bound_holds"]
 
     def test_box_walk_stops_at_the_last_word(self, leaf_counter):
-        # one jet per step and n - 1 steps per word row; a step past the
-        # n-th word of each row cost 33 of 1056 steps at n = 32, d = 2
+        # one jet per step and n - 1 steps per row and batch; a step past
+        # the n-th word of each row cost 33 of 1056 steps at n = 32, d = 2.
+        # The 4 rows of g (2,049 points each) fit in one batch
         f = leaf_counter(Moebius(2.0))
         g = leaf_counter(Moebius(3.0))
         coboundary_drift(ActionTuple(generators=(f, g)), n=4)
-        assert g.calls == 4 * 3
+        assert g.calls == 3
         # f: one row of 3 steps, then value and deriv at x and the
         # max(8n, 512) = 512 steps of the drift orbit
         assert f.calls == 3 + 2 + 512
