@@ -9,7 +9,8 @@ Where a table must be smooth, because finite differences of what is read
 from it would otherwise see the kinks of a piecewise-linear one, a
 CubicTable holds a C^1 piecewise cubic in Hermite form instead, with exact
 node slopes where they are known, else ``not_a_knot_slopes``; the one
-quadrature rule, ``CubicTable.integral``, integrates g(p) for a cell's cubic p.
+quadrature rule, ``gauss_legendre``, integrates per cell (g(p) for a cell's
+cubic p in ``CubicTable.integral``).
 """
 
 from __future__ import annotations
@@ -128,14 +129,21 @@ def variation(values, periodic: bool = False) -> float:
     return var
 
 
-# the 7-point Gauss-Legendre rule on [0, 1], nodes as a column against a
-# row of cells (written out: importing numpy.polynomial costs 8 ms).  Where
-# log Dphi of a bumped Moebius map moves by 1 within a cell, 5 points missed
-# the cell's integral of exp by 4e-11, 6 by 8e-13 and 7 by 5e-15
-_GL_T = np.array([0.025446043828620736, 0.12923440720030277, 0.2970774243113014, 0.5,
-                  0.7029225756886985, 0.8707655927996972, 0.9745539561713793])[:, None]
+# the 7-point Gauss-Legendre rule on [0, 1] (written out: importing
+# numpy.polynomial costs 8 ms).  Where log Dphi of a bumped Moebius map moves
+# by 1 within a cell, 5 points missed the cell's integral of exp by 4e-11, 6
+# by 8e-13 and 7 by 5e-15
+_GL_T = (0.025446043828620736, 0.12923440720030277, 0.2970774243113014, 0.5,
+         0.7029225756886985, 0.8707655927996972, 0.9745539561713793)
 _GL_W = (0.06474248308443485, 0.13985269574463832, 0.19091502525255946, 0.2089795918367347,
          0.19091502525255946, 0.13985269574463832, 0.06474248308443485)
+
+
+def gauss_legendre(g, s):
+    """int_0^s g for each cell width s by the 7-point rule, calling g on one
+    row of nodes at a time and summing node by node, so that a cell reads
+    the same bits in any batch (a matrix product would not)."""
+    return s * sum(w * g(t * s) for t, w in zip(_GL_T, _GL_W))
 
 
 class CubicTable:
@@ -186,11 +194,8 @@ class CubicTable:
 
     @staticmethod
     def integral(g, c, s):
-        """int_0^s g(p) for the cubic p with cell coefficients c and a ufunc g,
-        by the Gauss-Legendre rule on [0, s], summed node by node so that a
-        point reads the same bits in any batch (a matrix product would not)."""
-        e = g(CubicTable.cubic(c, _GL_T * s))
-        return s * sum(w * row for w, row in zip(_GL_W, e))
+        """int_0^s g(p) for the cubic p with cell coefficients c and a ufunc g."""
+        return gauss_legendre(lambda u: g(CubicTable.cubic(c, u)), s)
 
 
 def not_a_knot_slopes(x, y) -> np.ndarray:

@@ -102,13 +102,12 @@ class VectorField1D:
         raise NotImplementedError
 
     def flow(self, x, t):
-        """f^t(x) for interior x of shape (n,); t is a scalar, one time per
-        point, or a column of m times of shape (m, 1), which gives (m, n)."""
+        """f^t(x) for interior x of shape (n,); t is a scalar or one time
+        per point."""
         return self.tau_inv(self.tau(x) + t)
 
     def flow_log_deriv(self, x, t):
-        """(f^t(x), log Df^t(x)) for interior x; t as in ``flow``.  For
-        times of shape (m, 1), row i equals the call at t[i] bit for bit.
+        """(f^t(x), log Df^t(x)) for interior x; t as in ``flow``.
 
         log Df^t = log(X o f^t / X); fields that reach both values in one
         pass override this.  Non-finite entries are left to the caller."""
@@ -454,14 +453,11 @@ class SzekeresField(VectorField1D):
         # one walk in gives tau(x) and log Df^k(x), one walk out from the
         # reference point of tau(x) + t gives f^t(x) and log Df^j there:
         # log Df^t(x) = log X(f^t x) - log X(x), both read off the table.
-        # Times of shape (m, 1) share the walk in and walk the m n points
-        # out.  The walks read f's kernels, so x is checked here (X and tau
-        # see (0, 1))
+        # The walks read f's kernels, so x is checked here (X and tau see
+        # (0, 1))
         y0, k, log_in = self._walk_in(unit_points(x, 1e-12), with_log=True)
-        s = self._read(self._tau_table, y0) - k + t
-        j, z = self._split_time(s.ravel())
+        j, z = self._split_time(self._read(self._tau_table, y0) - k + t)
         y, log_out = self._walk_out(z, j, with_log=True)
-        y, log_out, z = (a.reshape(s.shape) for a in (y, log_out, z))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.log(self._read(self._X_table, z) / self._read(self._X_table, y0))
         return y, ratio + log_out + log_in
@@ -478,35 +474,24 @@ class SzekeresField(VectorField1D):
 # flow-time maps
 
 
-def _flow_jet(field: VectorField1D, x: np.ndarray, t):
-    """(f^t(x), log Df^t(x)) for 1-D x in [0, 1] of shape (n,) and t a
-    scalar, or a column of m times of shape (m, 1) giving (m, n) arrays
-    whose row i equals the call at t[i] bit for bit.  f^t(x) = x where x
-    is within _EDGE_EPS of an end, and on the rows of time 0.
-
-    Points further inside take both from one ``flow_log_deriv`` call for
-    all the moving rows.  At the ends the log-derivative is
-    t * DX(endpoint), and so it is for the points within _EDGE_EPS of an
-    end and for interior points whose ratio is not finite (the field
-    underflows inside the endpoint linearization zone)."""
-    t = np.asarray(t, dtype=float)
-    # one row per time
-    tc = t.reshape(-1, 1)
-    val = np.repeat(x[None, :], len(tc), axis=0)
-    ld = np.zeros(val.shape)
+def _flow_jet(field: VectorField1D, x: np.ndarray, t: float):
+    """(f^t(x), log Df^t(x)) for 1-D x in [0, 1] and a scalar time t, the
+    points further than _EDGE_EPS inside from one ``flow_log_deriv`` call.
+    The rest stay put (all points at time 0), and their log-derivative is
+    t * DX(endpoint), as for interior points whose ratio is not finite (the
+    field underflows inside the endpoint linearization zone)."""
+    val = x.copy()
+    ld = np.zeros(x.shape)
     edge0, edge1 = field.edge_rates()
     interior = (x > _EDGE_EPS) & (x < 1.0 - _EDGE_EPS)
-    # the cells that flow, in the row-major order of the (rows, interior) block
-    moving = (tc != 0.0) & interior
-    if moving.any():
-        xi, ti = x[interior], tc[tc[:, 0] != 0.0]
-        v, ratio = field.flow_log_deriv(xi, ti)
-        fallback = np.where(xi < 0.5, ti * edge0, ti * edge1)
-        val[moving] = v.ravel()
-        ld[moving] = np.where(np.isfinite(ratio), ratio, fallback).ravel()
-    ld[:, x <= _EDGE_EPS] = tc * edge0
-    ld[:, x >= 1.0 - _EDGE_EPS] = tc * edge1
-    return (val, ld) if t.ndim else (val[0], ld[0])
+    if t != 0.0 and interior.any():
+        xi = x[interior]
+        val[interior], ratio = field.flow_log_deriv(xi, t)
+        ld[interior] = np.where(np.isfinite(ratio), ratio,
+                                np.where(xi < 0.5, t * edge0, t * edge1))
+    ld[x <= _EDGE_EPS] = t * edge0
+    ld[x >= 1.0 - _EDGE_EPS] = t * edge1
+    return val, ld
 
 
 class FlowTime(IntervalDiffeo):

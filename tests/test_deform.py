@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import spence
 
 from difflab import (
     ActionTuple,
@@ -38,7 +39,8 @@ from difflab import (
     szekeres_field,
 )
 from difflab import deform, diffeo
-from difflab.deform import _mean_log_deriv
+from difflab.deform import _flow_average
+from difflab.gridfn import gauss_legendre
 from difflab.diffeo import ChartMap
 from difflab.szekeres import SzekeresField
 
@@ -173,6 +175,29 @@ class TestInterpolationPath:
                    ("d_star_t", "bound", "d1_star_phi_t", "inflation_ratio"))
 
 
+def _bridge_average(x, lam):
+    """int_0^1 log Df^s(x) ds for the bridge field X = -lam x(1 - x), whose
+    flow has Df^s(x) = e^(-lam s) / (1 - x + x e^(-lam s))^2: with
+    c = x / (1 - x) and Li2(-u) = spence(1 + u),
+    int_0^1 log(1 + c e^(-lam s)) ds = (Li2(-c e^-lam) - Li2(-c)) / lam."""
+    c = x / (1.0 - x)
+    tail = (spence(1.0 + c * math.exp(-lam)) - spence(1.0 + c)) / lam
+    return -0.5 * lam - 2.0 * (np.log1p(-x) + tail)
+
+
+def _average_on_grid(X, n=4096):
+    """The interior grid nodes of regularize_flow and the flow average on
+    them, from the time-1 jet of the grid."""
+    xg = np.linspace(0.0, 1.0, n + 1)
+    fx, _ = FlowTime(X, 1.0).jet(xg)
+    return xg[1:-1], _flow_average(X, xg[1:-1], fx[1:-1])
+
+
+def _example_flowable_field():
+    decomp = classify_action(example_two_component_action())
+    return next(c for c in decomp.components if c.tag == "flowable").field
+
+
 class TestRegularizeFlow:
     def test_moebius_field(self):
         rep = regularize_flow(moebius_field(2.0))
@@ -200,56 +225,82 @@ class TestRegularizeFlow:
         assert np.max(np.abs(y - Xt.flow(xs, ts))) < 1e-12
         assert np.max(np.abs(ld - np.log(Xt.X(y) / Xt.X(xs)))) < 1e-10
 
-    def test_chunked_simpson_matches_per_time_loop(self):
-        X = szekeres_field(BumpPerturbation(Moebius(2.0),
-                                            [Bump(0.45, 0.2, 0.08)]))
-        xg = np.linspace(0.0, 1.0, 1025)
-        s_steps = 64
-        acc = np.zeros_like(xg)
-        for i, s in enumerate(np.linspace(0.0, 1.0, s_steps + 1)[1:], 1):
-            w = 1.0 if i == s_steps else (4.0 if i % 2 else 2.0)
-            acc += w * FlowTime(X, float(s)).log_deriv(xg)
-        acc /= 3.0 * s_steps
-        assert np.max(np.abs(_mean_log_deriv(X, xg, s_steps) - acc)) < 1e-12
+    @pytest.mark.parametrize("a", [2.0, 8.0])
+    def test_average_matches_bridge_closed_form(self, a):
+        # the segment integral against int_0^1 log Df^s ds in closed form;
+        # the largest gap sits at x = 1/4096 (9.3e-11 for a = 2)
+        x, avg = _average_on_grid(moebius_field(a))
+        assert np.max(np.abs(avg - _bridge_average(x, math.log(a)))) <= 1e-10
+
+    def test_average_of_example_flowable_field_matches_closed_form(self):
+        # the flowable chart carries the time-0.8 map of moebius_field(2),
+        # so its Szekeres field is the bridge of lam = 0.8 ln 2 up to its
+        # table; without the tau-length normalization the gap is 3.1e-8
+        # near the ends, with it 9.7e-10
+        x, avg = _average_on_grid(_example_flowable_field())
+        assert np.max(np.abs(avg - _bridge_average(x, 0.8 * LN2))) <= 2e-9
+
+    @pytest.mark.parametrize("make", [
+        lambda: moebius_field(2.0),
+        lambda: moebius_field(8.0),
+        _example_flowable_field,
+    ])
+    def test_whole_cells_match_split_cells_within_stated_error(self, make, monkeypatch):
+        X = make()
+        rep = regularize_flow(X)
+        assert rep.average_error == 1e-10
+        assert "average_error" not in rep.checks and "average_error" not in repr(rep)
+        x, whole = _average_on_grid(X)
+
+        def halves(g, s):
+            return gauss_legendre(g, s / 2) + gauss_legendre(lambda u: g(s / 2 + u), s / 2)
+
+        monkeypatch.setattr(deform, "gauss_legendre", halves)
+        _, split = _average_on_grid(X)
+        assert np.max(np.abs(whole - split)) <= rep.average_error
+
+    def test_average_walks_each_point_out_once(self, monkeypatch):
+        # the time-1 jet walks the 4095 interior grid points out once, and
+        # the average reads X one Gauss-Legendre row of the at most 8190
+        # merged points at a time, plus the grid: 64 Simpson times walked
+        # them out 64 times
+        X = szekeres_field(BumpPerturbation(Moebius(2.0), [Bump(0.45, 0.2, 0.08)]))
+        walked, reads, done = [], [], [False]
+        walk_out, read, average = SzekeresField._walk_out, SzekeresField.X, deform._flow_average
+
+        def counted_walk_out(self, y, j, with_log=False):
+            if not done[0]:
+                walked.append(int(np.count_nonzero(j)))
+            return walk_out(self, y, j, with_log)
+
+        def counted_read(self, x):
+            if not done[0]:
+                reads.append(np.size(x))
+            return read(self, x)
+
+        def flagged_average(*args):
+            try:
+                return average(*args)
+            finally:
+                done[0] = True
+
+        monkeypatch.setattr(SzekeresField, "_walk_out", counted_walk_out)
+        monkeypatch.setattr(SzekeresField, "X", counted_read)
+        monkeypatch.setattr(deform, "_flow_average", flagged_average)
+        regularize_flow(X)
+        assert sum(walked) <= 4095
+        assert len(reads) == 8 and max(reads) <= 2 * 4096
 
     def test_leaf_calls(self, leaf_counter):
-        # one walk in and one out per chunk of _S_CHUNK Simpson nodes, plus
-        # the checks, measured 756 leaf calls; 64 separate flow evaluations
-        # walked every orbit four times each: 9519
+        # one time-1 jet of the grid, eight reads of X for the segment
+        # average, plus the checks, measured 474 leaf calls; a Simpson
+        # average over 64 times in chunks of 8 took 756, and 64 separate
+        # flow evaluations, which walked every orbit four times each, 9519
         f = leaf_counter(Moebius(2.0))
         X = szekeres_field(f)
         before = f.calls
         regularize_flow(X)
-        assert f.calls - before <= 756
-
-    def test_simpson_average_walks_each_point_in_once_per_chunk(self, monkeypatch):
-        # each chunk's flow evaluation walks the 4095 interior grid points
-        # in once for all its nodes: 8 * 4095 = 32,760 points, where one
-        # walk-in per node took 64 * 4095 = 262,080
-        X = szekeres_field(BumpPerturbation(Moebius(2.0), [Bump(0.45, 0.2, 0.08)]))
-        walked, averaging = [], [False]
-        walk_in, mean = SzekeresField._walk_in, deform._mean_log_deriv
-
-        def counted_walk_in(self, x, with_log=False):
-            if averaging[0]:
-                walked.append(np.array(x))
-            return walk_in(self, x, with_log)
-
-        def flagged_mean(*args):
-            averaging[0] = True
-            try:
-                return mean(*args)
-            finally:
-                averaging[0] = False
-
-        monkeypatch.setattr(SzekeresField, "_walk_in", counted_walk_in)
-        monkeypatch.setattr(deform, "_mean_log_deriv", flagged_mean)
-        regularize_flow(X)
-        interior = np.linspace(0.0, 1.0, 4097)[1:-1]
-        assert len(walked) == deform._S_STEPS // deform._S_CHUNK == 8
-        for pts in walked:
-            assert np.array_equal(pts, interior)
-        assert sum(pts.size for pts in walked) == 32760
+        assert f.calls - before <= 474
 
     def test_bumped_moebius_identity_error(self):
         # log Dphi once came from a PCHIP table and phi from a second one on

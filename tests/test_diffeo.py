@@ -51,7 +51,7 @@ from difflab.diffeo import (
     _lift_orbit,
     _walk_words,
 )
-from difflab.gridfn import unit_points
+from difflab.gridfn import MAX_ITER, unit_points
 from difflab.invariants import asymptotic_variation, coboundary_drift
 from difflab.szekeres import SzekeresField, szekeres_field
 
@@ -243,7 +243,20 @@ class TestRotationNumber:
                 y = m + float(np.interp(y - m, grid, table))
                 ref.append(y)
             orbit = _lift_orbit(table, K)
-            assert np.array_equal(orbit.view(np.int64), np.array(ref).view(np.int64))
+            ref = np.array(ref[:orbit.size])
+            assert np.array_equal(orbit.view(np.int64), ref.view(np.int64))
+            # only a stalled orbit ends early (the last table stalls at once)
+            assert orbit.size == K + 1 or np.any(np.abs(np.diff(ref)) < 1e-14)
+
+    def test_stalled_orbit_stops_after_one_block(self):
+        # the identity lift stalls at the first step: the orbit ends with
+        # its first block, where the whole loop took MAX_ITER steps; an
+        # orbit that never stalls still takes them all
+        grid = np.linspace(0.0, 1.0, (1 << 10) + 1)
+        stalled = _lift_orbit(grid, MAX_ITER)
+        assert stalled.size == 1024 + 1
+        assert not np.any(stalled)
+        assert _lift_orbit(grid + 0.375, MAX_ITER).size == MAX_ITER + 1
 
     @pytest.mark.parametrize("name, expected", [
         # the rotation numbers of the step-by-step scan this scoring

@@ -283,32 +283,34 @@ class TestFlowLogDeriv:
         lambda: AnalyticField("parabolic_right", 0.8),
         lambda: regularize_flow(szekeres_field(Moebius(2.0))).field,
     ])
-    def test_time_column_rows_equal_single_calls(self, make):
-        # times of shape (m, 1) against points of shape (n,) give (m, n),
-        # row i bit for bit the call at t[i]
+    def test_scalar_time_equals_the_same_time_per_point(self, make):
+        # a scalar time and that time given to every point read the same
+        # bits, time 0 included
         X = make()
         xs = np.linspace(0.002, 0.998, 199)
-        s = np.array([-1.5, -0.25, 0.0, 1.0 / 64, 0.5, 1.0, 2.5])
-        y, ld = X.flow_log_deriv(xs, s[:, None])
-        assert y.shape == ld.shape == (s.size, xs.size)
-        for i, si in enumerate(s):
-            yi, ldi = X.flow_log_deriv(xs, si)
-            assert np.array_equal(y[i], yi)
-            assert np.array_equal(ld[i], ldi)
+        for si in (-1.5, -0.25, 0.0, 1.0 / 64, 0.5, 1.0, 2.5):
+            y, ld = X.flow_log_deriv(xs, si)
+            yi, ldi = X.flow_log_deriv(xs, np.full(xs.size, si))
+            assert y.shape == ld.shape == xs.shape
+            assert np.array_equal(y, yi)
+            assert np.array_equal(ld, ldi)
 
-    def test_flow_jet_time_column_rows_equal_single_calls(self):
-        # end points, points within _EDGE_EPS of an end and a row of time 0
+    def test_flow_jet_scalar_time_keeps_the_ends(self):
+        # end points and points within _EDGE_EPS of an end stay put with
+        # log-derivative t * DX(end); the rest is one flow_log_deriv call;
+        # time 0 is the identity
         X = SzekeresField(_bumped())
         xs = np.concatenate([[0.0, 1e-14], np.linspace(0.01, 0.99, 99),
                              [1.0 - 1e-14, 1.0]])
-        s = np.array([-0.75, 0.0, 0.125, 0.5, 1.0])
-        val, ld = szekeres._flow_jet(X, xs, s[:, None])
-        assert val.shape == ld.shape == (s.size, xs.size)
-        for i, si in enumerate(s):
-            vi, ldi = szekeres._flow_jet(X, xs, si)
-            assert np.array_equal(val[i], vi)
-            assert np.array_equal(ld[i], ldi)
-        assert np.array_equal(val[1], xs) and not np.any(ld[1])
+        e0, e1 = X.edge_rates()
+        for si in (-0.75, 0.125, 0.5, 1.0):
+            val, ld = szekeres._flow_jet(X, xs, si)
+            y, ratio = X.flow_log_deriv(xs[2:-2], si)
+            assert np.array_equal(val[2:-2], y) and np.array_equal(ld[2:-2], ratio)
+            assert np.array_equal(val[[0, 1, -2, -1]], xs[[0, 1, -2, -1]])
+            assert np.array_equal(ld[[0, 1, -2, -1]], [si * e0, si * e0, si * e1, si * e1])
+        val, ld = szekeres._flow_jet(X, xs, 0.0)
+        assert np.array_equal(val, xs) and not np.any(ld)
 
     def test_field_doors_check_their_points(self):
         # the walks step through kernels, so the field checks its input
