@@ -16,6 +16,7 @@ from .gridfn import (
 from .diffeo import (
     ActionTuple,
     Bump,
+    BumpDisplacement,
     BumpPerturbation,
     CircleDiffeo,
     Composition,

@@ -388,9 +388,11 @@ class _RegularizedField(VectorField1D):
         self.phinv = inverse(phi)
         self.f1 = f1
 
+    # each method checks y once, in phinv.value, and then reads phi and f1
+    # through their kernels
     def X(self, y):
         u = self.phinv.value(y)
-        return self.phi.deriv(u) * self.base.X(u)
+        return np.exp(self.phi._log_deriv(u)) * self.base.X(u)
 
     def edge_rates(self):
         return self.base.edge_rates()
@@ -398,19 +400,19 @@ class _RegularizedField(VectorField1D):
     def flow(self, y, t):
         # the same path as flow_log_deriv, so their flows agree bit for bit
         u = self.phinv.value(y)
-        return self.phi.value(self.base.flow(u, t))
+        return self.phi._value(self.base.flow(u, t))
 
     def flow_log_deriv(self, y, t):
         # the flow is phi o f^t o phi^-1, so by the chain rule
         # log Df~^t(y) = log Dphi(f^t u) + log Df^t(u) - log Dphi(u)
         u = self.phinv.value(y)
         v, ld = self.base.flow_log_deriv(u, t)
-        w, ld_v = self.phi.jet(v)
-        return w, ld_v + ld - self.phi.log_deriv(u)
+        w, ld_v = self.phi._jet(v)
+        return w, ld_v + ld - self.phi._log_deriv(u)
 
     def DX(self, y):
-        u = self.phinv.value(y)
-        return self.f1.log_deriv(u)
+        u = np.asarray(self.phinv.value(y))
+        return self.f1._log_deriv(u.ravel()).reshape(u.shape)[()]
 
     def __repr__(self):
         return f"_RegularizedField({self.base!r})"

@@ -1,11 +1,11 @@
 """Orientation-preserving diffeomorphisms of [0,1] and of the circle.
 
 Every map is a Diffeo with one protocol: value (f(x), or the lift F(x) for
-circle maps), log_deriv, jet and inverse_value; one compose / inverse /
-iterate serves both kinds.  Maps are kept as symbolic specs (Moebius
-fractions, rotations, compositions, inverses, flow times, grid
-tables, bump perturbations) for as long as possible; grids appear
-only at evaluation boundaries.  All evaluators are vectorized over numpy
+circle maps), log_deriv, jet, inverse_value and reflect; one compose /
+inverse / iterate serves both kinds.  Maps are kept as symbolic specs
+(Moebius fractions, rotations, compositions, inverses, flow times, grid
+tables, bump displacements) for as long as possible; grids appear only
+at evaluation boundaries.  All evaluators are vectorized over numpy
 arrays.
 
 The metrics are the C^1 / C^{1+bv} / C^{1+ac} / C^2 distances
@@ -48,6 +48,7 @@ __all__ = [
     "ChartMap",
     "GridMap",
     "Bump",
+    "BumpDisplacement",
     "BumpPerturbation",
     "identity",
     "compose",
@@ -208,6 +209,14 @@ class Diffeo:
         c = float(self._value(np.zeros(1))[0])
         return bisect_monotone(self._value, y, y - c - 2.0, y - c + 2.0)
 
+    def reflect(self) -> "Diffeo":
+        """r o f o r with r(x) = 1 - x: the same map seen from the other
+        endpoint.  Maps with an exact reflection override this; the generic
+        fallback, f in the chart u -> 1 - u, loses relative precision near
+        the endpoints (1 - (1 - x) quantizes tiny x), and a circle map has
+        none (ChartMap refuses it)."""
+        return ChartMap(self, 1.0, 0.0)
+
     # -- conveniences -------------------------------------------------------
     def __call__(self, x):
         return self.value(x)
@@ -223,14 +232,6 @@ class Diffeo:
 class IntervalDiffeo(Diffeo):
     """Leaf base of interval maps: an increasing diffeomorphism of [0,1]
     fixing the endpoints."""
-
-    def reflect(self) -> Diffeo:
-        """r o f o r with r(x) = 1 - x: the same map seen from the other
-        endpoint.  Subclasses with closed-form reflections override this;
-        the generic fallback, f in the chart u -> 1 - u, loses relative
-        precision near the endpoints (1 - (1 - x) quantizes tiny x), so
-        structured maps should prefer exact reflection."""
-        return ChartMap(self, 1.0, 0.0)
 
 
 class Moebius(IntervalDiffeo):
@@ -412,9 +413,11 @@ class ChartMap(IntervalDiffeo):
         return self._down(self.f.inverse_value(self._up(y)))
 
     def reflect(self):
+        # the chart (1, 0) is r o f o r itself; any other chart reflects to
+        # the mirrored chart of f's own reflection, exact where f's is
         if (self.a, self.b) == (1.0, 0.0):
             return self.f
-        return ChartMap(self.f, self.b, self.a)
+        return ChartMap(self.f.reflect(), 1.0 - self.b, 1.0 - self.a)
 
     def __repr__(self):
         return f"ChartMap({self.f!r}, {self.a}, {self.b})"
@@ -507,9 +510,6 @@ class GridMap(Diffeo):
             d[0] = d[-1] = (self.logd[1] - self.logd[-2]) / (2.0 * h)
         return self._read(d, x)
 
-    def reflect(self):
-        return ChartMap(self, 1.0, 0.0)
-
     def __repr__(self):
         return f"GridMap(N={len(self.nodes) - 1}, kind={self.kind!r})"
 
@@ -567,17 +567,17 @@ class Bump:
         return (np.asarray(x, dtype=float) - (self.center - self.width / 2)) / self.width
 
 
-class BumpPerturbation(IntervalDiffeo):
-    """base o b where b = id + sum of displacement bumps (disjoint supports)."""
+class BumpDisplacement(IntervalDiffeo):
+    """b = id + sum of displacement bumps with pairwise disjoint supports;
+    b maps each support onto itself."""
 
-    def __init__(self, base: IntervalDiffeo, bumps):
-        self.base = base
+    def __init__(self, bumps):
         self.bumps = tuple(bumps)
         sup = sorted(b.support for b in self.bumps)
         for (a1, b1), (a2, _) in zip(sup, sup[1:]):
             if b1 > a2:
                 raise ValueError("bump supports must be pairwise disjoint")
-        # b maps each support onto itself: tabulate it there for b^{-1}
+        # b tabulated on each support, for b^{-1}
         self._tables = []
         for b in self.bumps:
             us = np.linspace(*b.support, 1025)
@@ -596,37 +596,40 @@ class BumpPerturbation(IntervalDiffeo):
                 out[2] = out[2] + b.amplitude * eta[2] / b.width
         return out
 
-    def _b_inv(self, z):
-        x = np.array(z, dtype=float)
+    def _value(self, x):
+        return self._b(x)[0]
+
+    def _jet(self, x):
+        bx, db = self._b(x, 1)
+        return bx, np.log(db)
+
+    def _affine_deriv(self, x):
+        _, db, d2b = self._b(x, 2)
+        return d2b / db
+
+    def inverse_value(self, y):
+        x = np.array(y, dtype=float)
         for us, bs in self._tables:
             m = (x > us[0]) & (x < us[-1])
             if np.any(m):
                 x[m] = _table_inverse(x[m], us, bs, lambda v: self._b(v, 1))
         return x
 
-    def _value(self, x):
-        return self.base._value(self._b(x)[0])
-
-    def inverse_value(self, y):
-        return self._b_inv(self.base.inverse_map()._value(y))
-
-    def _jet(self, x):
-        bx, db = self._b(x, 1)
-        y, ld = self.base._jet(bx)
-        return y, ld + np.log(db)
-
-    def _affine_deriv(self, x):
-        bx, db, d2b = self._b(x, 2)
-        return d2b / db + self.base._affine_deriv(bx) * db
-
     def reflect(self):
         # the bump profile is symmetric under u -> 1-u, so each displacement
         # bump reflects to one at the mirrored center with negated amplitude
-        refl = [Bump(1.0 - b.center, b.width, -b.amplitude) for b in self.bumps]
-        return BumpPerturbation(self.base.reflect(), refl)
+        return BumpDisplacement([Bump(1.0 - b.center, b.width, -b.amplitude)
+                                 for b in self.bumps])
 
     def __repr__(self):
-        return f"BumpPerturbation({self.base!r}, {list(self.bumps)!r})"
+        return f"BumpDisplacement({list(self.bumps)!r})"
+
+
+def BumpPerturbation(base: Diffeo, bumps) -> Diffeo:
+    """base o b with b = id + sum of displacement bumps (disjoint supports):
+    the product compose(base, BumpDisplacement(bumps)), whose jet, inverse
+    and reflection are those of every composition."""
+    return compose(base, BumpDisplacement(bumps))
 
 
 # ---------------------------------------------------------------------------
@@ -822,25 +825,16 @@ def metric(f, g, r="1", starred: bool = False, cfg: ToleranceConfig = DEFAULT_CO
 
 
 class CircleDiffeo(Diffeo):
-    """Leaf base of circle maps: value is the lift F, read from lift_frac
-    on [0, 1] by F(x + k) = F(x) + k."""
+    """Leaf base of circle maps: value is the degree-one lift F."""
 
     kind = "circle"
-
-    def lift_frac(self, x):
-        """Lift evaluated for x in [0, 1]."""
-        raise NotImplementedError
-
-    def _value(self, x):
-        k = np.floor(x)
-        return k + self.lift_frac(x - k)
 
 
 class Rotation(CircleDiffeo):
     def __init__(self, alpha: float):
         self.alpha = float(alpha)
 
-    def lift_frac(self, x):
+    def _value(self, x):
         return x + self.alpha
 
     def _log_deriv(self, x):

@@ -331,14 +331,14 @@ class SzekeresField(VectorField1D):
         return table(np.clip(y, self._ref_x[0], self._ref_x[-1]))
 
     # -- orbit walks ------------------------------------------------------------
-    def _walk(self, y, idx, d, arrived, k=None, logchain=None):
-        """Step each point y[idx] by f (its d = 1) or f^-1 (d = -1) until
+    def _walk(self, y, idx, forward, arrived, k=None, logchain=None):
+        """Step each point y[idx] by f (forward) or by f^-1 until
         ``arrived(v, n, i)`` holds, v being the points still moving, n the
         steps each has taken and i their indices.  Each point is written
-        back to y on arrival, with its signed count d n into k and its
-        log Df^(d n) into logchain (when given).  Both directions advance
-        together; a step of f takes its value and log-derivative from one
-        ``_jet`` call, a step of f^-1 reads log Df at the point it reached."""
+        back to y on arrival, with its signed count (+n or -n) into k and
+        its log Df^(+-n) into logchain (when given).  A step of f takes its
+        value and log-derivative from one ``_jet`` call, a step of f^-1
+        reads log Df at the point it reached."""
         f = self.f
         v = y[idx]
         acc = None if logchain is None else np.zeros(v.shape)
@@ -349,37 +349,30 @@ class SzekeresField(VectorField1D):
                     f"{idx.size} point(s) need more than MAX_ITER="
                     f"{MAX_ITER} orbit steps (nearest the ends: "
                     f"{float(v[np.argmin(np.minimum(v, 1.0 - v))])!r})")
-            fwd = d > 0
-            new = np.empty_like(v)
-            # log Df^(+-1) = +log Df before a step of f, -log Df after a
-            # step of f^-1
-            ld = None if acc is None else np.empty_like(v)
-            if np.any(fwd):
-                if ld is None:
-                    new[fwd] = f._value(v[fwd])
-                else:
-                    new[fwd], ld[fwd] = f._jet(v[fwd])
-            if not np.all(fwd):
-                new[~fwd] = self.finv._value(v[~fwd])
-                if ld is not None:
-                    ld[~fwd] = f._log_deriv(new[~fwd])
-            if acc is not None:
-                acc += d * ld
-            v = new
+            if not forward:
+                v = self.finv._value(v)
+                if acc is not None:
+                    acc -= f._log_deriv(v)
+            elif acc is None:
+                v = f._value(v)
+            else:
+                v, ld = f._jet(v)
+                acc += ld
             n += 1
             done = arrived(v, n, idx)
             if np.any(done):
                 at = idx[done]
                 y[at] = v[done]
                 if k is not None:
-                    k[at] = d[done] * n
+                    k[at] = n if forward else -n
                 if acc is not None:
                     logchain[at] = acc[done]
                     acc = acc[~done]
-                idx, v, d = idx[~done], v[~done], d[~done]
+                idx, v = idx[~done], v[~done]
 
     def _walk_in(self, x, with_log: bool = False):
-        """Carry interior points x into the reference interval [f(c), c].
+        """Carry interior points x into the reference interval [f(c), c]:
+        those above it by f, those below by f^-1.
 
         Returns (y, k, log Df^k(x)) with y = f^k(x), k signed (k < 0 counts
         steps of f^-1); the last entry is None unless with_log.  A step that
@@ -390,8 +383,7 @@ class SzekeresField(VectorField1D):
         k = np.zeros(y.shape, dtype=int)
         logchain = np.zeros(y.shape) if with_log else None
         lo, hi = self._ref_x[0] - 1e-15, self._ref_x[-1] + 1e-15
-        up = y > hi
-        idx = np.flatnonzero(up | (y < lo))
+        up, down = y > hi, y < lo
         last = y.copy()
 
         def arrived(v, n, i):
@@ -405,7 +397,8 @@ class SzekeresField(VectorField1D):
             last[i] = v
             return np.where(up[i], v <= hi, v >= lo)
 
-        self._walk(y, idx, np.where(up[idx], 1, -1), arrived, k, logchain)
+        self._walk(y, np.flatnonzero(up), True, arrived, k, logchain)
+        self._walk(y, np.flatnonzero(down), False, arrived, k, logchain)
         return y, k, logchain
 
     def _walk_out(self, y, j, with_log: bool = False):
@@ -413,9 +406,9 @@ class SzekeresField(VectorField1D):
         second entry is None unless with_log."""
         out = np.array(y, dtype=float)
         logchain = np.zeros(out.shape) if with_log else None
-        idx = np.flatnonzero(j)
-        self._walk(out, idx, np.sign(j[idx]),
-                   lambda v, n, i: np.abs(j[i]) == n, None, logchain)
+        steps = lambda v, n, i: np.abs(j[i]) == n
+        self._walk(out, np.flatnonzero(j > 0), True, steps, None, logchain)
+        self._walk(out, np.flatnonzero(j < 0), False, steps, None, logchain)
         return out, logchain
 
     def _split_time(self, s):
@@ -536,6 +529,13 @@ class FlowTime(IntervalDiffeo):
 
     def inverse_map(self):
         return FlowTime(self.field, -self.t)
+
+    def reflect(self):
+        # the bridge field is odd under x -> 1 - x, so r o f^t o r is its
+        # time -t map, exactly; other fields take the generic chart
+        if isinstance(self.field, AnalyticField) and self.field.family == "bridge":
+            return FlowTime(self.field, -self.t)
+        return super().reflect()
 
     def _iterate_fast(self, n: int):
         return FlowTime(self.field, self.t * n)

@@ -22,7 +22,9 @@ from difflab import (
     identity,
     mather_inequality_check,
     mather_invariant,
+    moebius_field,
 )
+from difflab.diffeo import ChartMap
 
 LN2 = math.log(2.0)
 
@@ -99,6 +101,21 @@ class TestMatherInvariant:
         assert rep["holds"]
         assert rep["vinf"] == pytest.approx(2.0 * LN2, abs=1e-6)
         assert rep["slack"] >= -(rep["vinf_uncertainty"] + 1e-4)
+
+    @pytest.mark.parametrize("f", [
+        FlowTime(moebius_field(2.0), 0.3),
+        FlowTime(moebius_field(2.0), 0.8),
+        FlowTime(moebius_field(2.0), 1.0),
+        ChartMap(Moebius(2.0), 0.0, 1.0),
+    ], ids=["flow_0.3", "flow_0.8", "flow_1", "chart_moebius"])
+    def test_flow_map_is_a_rotation(self, f):
+        # times of an analytic flow: M_f is a rotation.  The far-end field
+        # is built from an exact reflection (the bridge flow at time -t, a
+        # chart of the reflected Moebius map); the generic chart read 0.448,
+        # 0.588, 1.038 and 2.0e-4
+        mi = mather_invariant(f)
+        assert mi.var_logDM <= 1e-8
+        assert mi.seam_residual <= 1e-8
 
     def test_anchor_fixed_rejected(self):
         with pytest.raises(ValueError):

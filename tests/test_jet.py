@@ -12,6 +12,7 @@ from difflab import (
     ActionTuple,
     AnalyticField,
     Bump,
+    BumpDisplacement,
     BumpPerturbation,
     Composition,
     DeformationPath,
@@ -49,7 +50,8 @@ def _interval_maps():
              FlowTime(regularize_flow(X).field, 0.5)]
     chartwise = ComponentwiseDiffeo([(0.0, 0.5), (0.5, 1.0)],
                                     [FlowTime(bridge, 0.8), iterate(grid, 2)])
-    return [Moebius(3.0), bumped, grid, smooth, *flows, chartwise,
+    bumps = BumpDisplacement([Bump(0.3, 0.1, 0.05), Bump(0.7, 0.2, -0.08)])
+    return [Moebius(3.0), bumped, bumps, grid, smooth, *flows, chartwise,
             Composition([Moebius(2.0), grid, InverseMap(smooth)]),
             InverseMap(bumped), InverseMap(flows[0]), ChartMap(flows[0], 1.0, 0.0),
             iterate(bumped, 3), ChartMap(chartwise, 0.0, 0.5)]
@@ -152,7 +154,7 @@ def _library_subclasses(cls):
 
 
 def test_every_map_class_is_in_the_lists():
-    # the leaf bases are abstract: value / lift_frac raise
+    # the leaf bases are markers: their value raises
     concrete = set(_library_subclasses(Diffeo)) - {IntervalDiffeo, CircleDiffeo}
     listed = {type(f) for f in _interval_maps() + _circle_maps()}
     assert {c.__name__ for c in concrete - listed} == set()
