@@ -397,11 +397,6 @@ class _RegularizedField(VectorField1D):
     def edge_rates(self):
         return self.base.edge_rates()
 
-    def flow(self, y, t):
-        # the same path as flow_log_deriv, so their flows agree bit for bit
-        u = self.phinv.value(y)
-        return self.phi._value(self.base.flow(u, t))
-
     def flow_log_deriv(self, y, t):
         # the flow is phi o f^t o phi^-1, so by the chain rule
         # log Df~^t(y) = log Dphi(f^t u) + log Df^t(u) - log Dphi(u)
@@ -485,7 +480,9 @@ def _flow_average(X: VectorField1D, x: np.ndarray, fx: np.ndarray) -> np.ndarray
     """int_0^1 log Df^s ds at interior points x, from fx = f(x), as the
     quotient of segment integrals in ``regularize_flow``: prefix sums of
     ``gauss_legendre`` over the cells between the merged sorted points
-    {x} u {fx}, each call of X reading one row of quadrature nodes."""
+    {x} u {fx}, each call of X reading one row of quadrature nodes.  The
+    quotient divides by the tau-length T(x) of [f(x), x], which is 1 up to
+    the quadrature error, so that error stays out of the average."""
     z = np.unique(np.concatenate((fx, x)))
 
     def rows(u):
@@ -510,8 +507,9 @@ def regularize_flow(X: VectorField1D, r: str = "1+ac",
 
         int log|X| / |X| dy / T(x) - log|X(x)|,   T(x) = int dy / |X|,
 
-    where dividing by the tau-length T (1 exactly, 1 + period_residual for
-    a Szekeres table) keeps the period error out; f and log Df come from
+    where dividing by the tau-length T keeps the period's quadrature error
+    out: T is 1 up to that error for an analytic field and for a Szekeres
+    table, which is scaled to period 1; f and log Df come from
     one time-1 jet of the grid.  The quadrature error, whole cells against
     split cells, is ``average_error`` (1e-10) where the flows are C^1 at
     both ends; it stays out of ``checks`` and every report, whose keys the

@@ -235,22 +235,28 @@ class IntervalDiffeo(Diffeo):
 
 
 class Moebius(IntervalDiffeo):
-    """x -> x / (a + (1-a) x); the one-parameter group h_a h_b = h_{ab}."""
+    """x -> x / (a + (1-a) x); the one-parameter group h_a h_b = h_{ab}.
+
+    The denominator is read as a (1 - x) + x, which is exactly 1 at x = 1
+    where a + (1 - a) x cancels for large a."""
 
     def __init__(self, a: float):
         if a <= 0:
             raise ValueError("Moebius parameter must be positive")
         self.a = float(a)
 
+    def _den(self, x):
+        return self.a * (1.0 - x) + x
+
     def _value(self, x):
-        return x / (self.a + (1.0 - self.a) * x)
+        return x / self._den(x)
 
     def _jet(self, x):
-        den = self.a + (1.0 - self.a) * x
+        den = self._den(x)
         return x / den, math.log(self.a) - 2.0 * np.log(den)
 
     def _affine_deriv(self, x):
-        return -2.0 * (1.0 - self.a) / (self.a + (1.0 - self.a) * x)
+        return -2.0 * (1.0 - self.a) / self._den(x)
 
     def inverse_map(self):
         return Moebius(1.0 / self.a)
@@ -316,8 +322,8 @@ class Composition(Diffeo):
         chain = np.ones_like(x)
         for m in reversed(self.maps):
             acc = acc + m._affine_deriv(x) * chain
-            chain = chain * np.exp(m._log_deriv(x))
-            x = m._value(x)
+            x, ld = m._jet(x)
+            chain = chain * np.exp(ld)
         return acc
 
     def inverse_map(self):

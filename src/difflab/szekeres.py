@@ -104,16 +104,13 @@ class VectorField1D:
     def flow(self, x, t):
         """f^t(x) for interior x of shape (n,); t is a scalar or one time
         per point."""
-        return self.tau_inv(self.tau(x) + t)
+        return self.flow_log_deriv(x, t)[0]
 
     def flow_log_deriv(self, x, t):
-        """(f^t(x), log Df^t(x)) for interior x; t as in ``flow``.
-
-        log Df^t = log(X o f^t / X); fields that reach both values in one
-        pass override this.  Non-finite entries are left to the caller."""
-        y = self.flow(x, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return y, np.log(self.X(y) / self.X(x))
+        """(f^t(x), log Df^t(x)) for interior x; t as in ``flow``: the one
+        flow kernel of a field.  Non-finite entries are left to the
+        caller."""
+        raise NotImplementedError
 
 
 class AnalyticField(VectorField1D):
@@ -180,6 +177,12 @@ class AnalyticField(VectorField1D):
             e = np.exp(-self.lam * t)
             return xa * e / (1.0 - xa + xa * e)
         return self.tau_inv(self.tau(x) + t)
+
+    def flow_log_deriv(self, x, t):
+        # log Df^t = log(X o f^t / X)
+        y = self.flow(x, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return y, np.log(self.X(y) / self.X(x))
 
     def __repr__(self):
         return f"AnalyticField({self.family!r}, lam={self.lam!r})"
@@ -292,11 +295,17 @@ class SzekeresField(VectorField1D):
         # differences of transported fields
         self._X_table = CubicTable(ref_x, xr, not_a_knot_slopes(ref_x, xr))
         cum = np.cumsum(CubicTable.integral(np.reciprocal, self._X_table.coef, np.diff(ref_x)))
-        # tau(anchor) = 0, tau(f(anchor)) = +1, tau decreases (cum < 0: X < 0)
-        tau = np.concatenate(([0.0], cum)) - cum[-1]
+        # the table's period P = int 1/X over [f(c), c] = -cum[-1] (cum < 0:
+        # X < 0) misses 1 by the series truncation; X scaled by P and tau by
+        # 1/P make f exactly the time-1 map of the table's flow, so tau
+        # decreases from tau(f(anchor)) = 1 to tau(anchor) = 0, exactly
+        period = -float(cum[-1])
+        self._period_residual = abs(period - 1.0)
+        self._X_table.coef *= period
+        xr = xr * period
+        tau = (np.concatenate(([0.0], cum)) + period) / period
         self._tau_table = CubicTable(ref_x, tau, 1.0 / xr)
         self._tau_inv_table = CubicTable(tau[::-1], ref_x[::-1], xr[::-1])
-        self._period = float(tau[0])  # = tau(f(anchor)), approx 1
 
     # -- series -------------------------------------------------------------
     def sigma(self, x, terms: int | None = None):
@@ -331,15 +340,13 @@ class SzekeresField(VectorField1D):
         return table(np.clip(y, self._ref_x[0], self._ref_x[-1]))
 
     # -- orbit walks ------------------------------------------------------------
-    def _walk(self, y, idx, forward, arrived, k=None, logchain=None):
-        """Step each point y[idx] by f (forward) or by f^-1 until
-        ``arrived(v, n, i)`` holds, v being the points still moving, n the
-        steps each has taken and i their indices.  Each point is written
-        back to y on arrival, with its signed count (+n or -n) into k and
-        its log Df^(+-n) into logchain (when given).  A step of f takes its
-        value and log-derivative from one ``_jet`` call, a step of f^-1
-        reads log Df at the point it reached."""
-        f = self.f
+    def _walk(self, g, y, idx, arrived, k=None, logchain=None):
+        """Step each point y[idx] by g (f or f^-1) until ``arrived(v, n, i)``
+        holds, v being the points still moving, n the steps each has taken
+        and i their indices.  Each point is written back to y on arrival,
+        with its count n into k and its log Dg^n into logchain (when
+        given).  A step takes g's value and log-derivative from one ``_jet``
+        call, or its value alone from ``_value`` when no log is kept."""
         v = y[idx]
         acc = None if logchain is None else np.zeros(v.shape)
         n = 0
@@ -349,14 +356,10 @@ class SzekeresField(VectorField1D):
                     f"{idx.size} point(s) need more than MAX_ITER="
                     f"{MAX_ITER} orbit steps (nearest the ends: "
                     f"{float(v[np.argmin(np.minimum(v, 1.0 - v))])!r})")
-            if not forward:
-                v = self.finv._value(v)
-                if acc is not None:
-                    acc -= f._log_deriv(v)
-            elif acc is None:
-                v = f._value(v)
+            if acc is None:
+                v = g._value(v)
             else:
-                v, ld = f._jet(v)
+                v, ld = g._jet(v)
                 acc += ld
             n += 1
             done = arrived(v, n, idx)
@@ -364,7 +367,7 @@ class SzekeresField(VectorField1D):
                 at = idx[done]
                 y[at] = v[done]
                 if k is not None:
-                    k[at] = n if forward else -n
+                    k[at] = n
                 if acc is not None:
                     logchain[at] = acc[done]
                     acc = acc[~done]
@@ -397,8 +400,9 @@ class SzekeresField(VectorField1D):
             last[i] = v
             return np.where(up[i], v <= hi, v >= lo)
 
-        self._walk(y, np.flatnonzero(up), True, arrived, k, logchain)
-        self._walk(y, np.flatnonzero(down), False, arrived, k, logchain)
+        self._walk(self.f, y, np.flatnonzero(up), arrived, k, logchain)
+        self._walk(self.finv, y, np.flatnonzero(down), arrived, k, logchain)
+        k[down] *= -1
         return y, k, logchain
 
     def _walk_out(self, y, j, with_log: bool = False):
@@ -407,16 +411,16 @@ class SzekeresField(VectorField1D):
         out = np.array(y, dtype=float)
         logchain = np.zeros(out.shape) if with_log else None
         steps = lambda v, n, i: np.abs(j[i]) == n
-        self._walk(out, np.flatnonzero(j > 0), True, steps, None, logchain)
-        self._walk(out, np.flatnonzero(j < 0), False, steps, None, logchain)
+        self._walk(self.f, out, np.flatnonzero(j > 0), steps, None, logchain)
+        self._walk(self.finv, out, np.flatnonzero(j < 0), steps, None, logchain)
         return out, logchain
 
     def _split_time(self, s):
         """tau^-1 = f^j o (tau on the reference interval)^-1: the count j
-        and the reference point for each time s."""
-        j = np.floor(s / self._period).astype(int)
-        r = np.clip(s - j * self._period, 0.0, self._period)
-        return j, self._tau_inv_table(r)
+        of whole periods (f is the time-1 map) and the reference point for
+        each time s."""
+        j = np.floor(s).astype(int)
+        return j, self._tau_inv_table(s - j)
 
     def edge_rates(self):
         # the flow's log-multipliers at the ends equal those of f; probe a
@@ -456,8 +460,10 @@ class SzekeresField(VectorField1D):
         return y, ratio + log_out + log_in
 
     def diagnostics(self):
+        # period_residual: the series table's period int 1/X over one
+        # fundamental interval, less 1, before the table was scaled by it
         return {"terms": self.n_terms, "tail_bound": self.tail_bound, "anchor": self.anchor,
-                "period_residual": abs(self._period - 1.0)}  # tau's error over one period
+                "period_residual": self._period_residual}
 
     def __repr__(self):
         return f"SzekeresField({self.f!r}, terms={self.n_terms})"
@@ -467,28 +473,13 @@ class SzekeresField(VectorField1D):
 # flow-time maps
 
 
-def _flow_jet(field: VectorField1D, x: np.ndarray, t: float):
-    """(f^t(x), log Df^t(x)) for 1-D x in [0, 1] and a scalar time t, the
-    points further than _EDGE_EPS inside from one ``flow_log_deriv`` call.
-    The rest stay put (all points at time 0), and their log-derivative is
-    t * DX(endpoint), as for interior points whose ratio is not finite (the
-    field underflows inside the endpoint linearization zone)."""
-    val = x.copy()
-    ld = np.zeros(x.shape)
-    edge0, edge1 = field.edge_rates()
-    interior = (x > _EDGE_EPS) & (x < 1.0 - _EDGE_EPS)
-    if t != 0.0 and interior.any():
-        xi = x[interior]
-        val[interior], ratio = field.flow_log_deriv(xi, t)
-        ld[interior] = np.where(np.isfinite(ratio), ratio,
-                                np.where(xi < 0.5, t * edge0, t * edge1))
-    ld[x <= _EDGE_EPS] = t * edge0
-    ld[x >= 1.0 - _EDGE_EPS] = t * edge1
-    return val, ld
-
-
 class FlowTime(IntervalDiffeo):
-    """The time-t map of a contraction field, as an interval diffeomorphism."""
+    """The time-t map of a contraction field, as an interval diffeomorphism.
+
+    Its jet reads the field's one flow kernel ``flow_log_deriv`` once, over
+    every interior point.  Within _EDGE_EPS of an end, and where the ratio
+    log X(f^t x) - log X(x) is not finite (the field underflows inside the
+    endpoint linearization zone), log Df^t is the endpoint rate t * DX(end)."""
 
     def __init__(self, field: VectorField1D, t: float):
         self.field = field
@@ -505,17 +496,15 @@ class FlowTime(IntervalDiffeo):
             out[interior] = self.field.flow(x[interior], self.t)
         return out
 
-    def _log_deriv(self, x):
-        # never flows the points within _EDGE_EPS of an end: a walk from
-        # there may not reach the reference interval in budget
-        return _flow_jet(self.field, x, self.t)[1]
-
     def _jet(self, x):
-        val, ld = _flow_jet(self.field, x, self.t)
-        # the rest of the interior, flowed as ``_value`` does
-        near = (x > 0.0) & (x < 1.0) & ((x <= _EDGE_EPS) | (x >= 1.0 - _EDGE_EPS))
-        if self.t != 0.0 and np.any(near):
-            val[near] = self.field.flow(x[near], self.t)
+        val = x.copy()
+        ld = np.zeros(x.shape)
+        interior = (x > 0.0) & (x < 1.0)
+        if self.t != 0.0 and np.any(interior):
+            val[interior], ld[interior] = self.field.flow_log_deriv(x[interior], self.t)
+        edge0, edge1 = self.field.edge_rates()
+        edge = (x <= _EDGE_EPS) | (x >= 1.0 - _EDGE_EPS) | ~np.isfinite(ld)
+        ld[edge] = np.where(x[edge] < 0.5, self.t * edge0, self.t * edge1)
         return val, ld
 
     def _affine_deriv(self, x):

@@ -1,9 +1,15 @@
 """Helpers shared by the test modules."""
 
 import pytest
+from hypothesis import settings
 
 from difflab import DEFAULT_CONFIG, IntervalDiffeo
 from difflab.cli import _build_action
+
+# every @given test draws the same examples on every run; a test's own
+# @settings (examples, deadline) inherit this profile
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 class LeafCounter(IntervalDiffeo):

@@ -4,6 +4,7 @@ determinism, file emission, and exit codes."""
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -136,6 +137,14 @@ class TestRunCommand:
                                         "params": {"k": 3}}))
         assert report["exit_code"] == 0
         assert report["report"]["half_map_residual"] <= 1e-12
+
+    def test_classify_reads_the_flow_time_ratio(self):
+        # on (0, 1/2) the default action's generators are the times 0.8 and
+        # 0.8 sqrt(2) of one flow; the first generator is exactly the time-1
+        # map of its Szekeres table, so the ratio is read to 1e-11
+        report = run_command(load_spec({"cmd": "classify"}))
+        alpha = report["report"]["components"][0]["alphas"][1]
+        assert abs(alpha - math.sqrt(2.0)) <= 1e-11
 
     @pytest.mark.parametrize("f_index", [2, -1])
     def test_drift_f_index_out_of_range(self, f_index):

@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from difflab import (
     AnalyticField,
     DEFAULT_CONFIG,
     Bump,
+    BumpDisplacement,
     BumpPerturbation,
     Composition,
     DomainError,
@@ -380,11 +382,14 @@ _BUMPED = BumpPerturbation(Moebius(2.0), [Bump(0.4, 0.2, 0.05)])
     (compose(_BUMPED, Moebius(3.0)), 1e-6),
     (_BUMPED, 1e-6),
     (Rotation(0.3), 1e-6),
+    (_SmoothConjugacy(np.linspace(0.0, 1.0, 65), 0.3 * np.cos(np.pi * np.linspace(0.0, 1.0, 65))),
+     1e-6),
     # node gradients read linearly against the slope of the linear
     # log_deriv in each cell: an O(1/N) gap
     (GridMap.from_log_deriv(
         0.3 * np.sin(2.0 * math.pi * np.linspace(0.0, 1.0, 4097))), 5e-3),
-], ids=["chart", "reflection", "composition", "bump", "rotation", "grid"])
+], ids=["chart", "reflection", "composition", "bump", "rotation", "smooth_conjugacy",
+        "grid"])
 def test_affine_deriv_is_slope_of_log_deriv(f, tol):
     x = np.linspace(0.05, 0.95, 181)
     assert np.max(np.abs(f.affine_deriv(x) - _central_log_deriv_slope(f, x))) <= tol
@@ -406,6 +411,36 @@ def test_iterate_is_power(a, n):
     x = np.linspace(0.0, 1.0, 33)
     assert np.max(np.abs(iterate(Moebius(a), n).value(x)
                          - Moebius(a ** n).value(x))) < 1e-10
+
+
+def test_moebius_keeps_the_end_one_for_large_a():
+    # a (1 - x) + x is exactly 1 at x = 1, where a + (1 - a) x cancels to 0
+    # for a = 2^64 (1 - a rounds to -a)
+    g = iterate(Moebius(2.0), 64)
+    assert g.jet(1.0) == (1.0, pytest.approx(64 * math.log(2.0), rel=1e-15))
+    x = 1.0 - 1e-12
+    exact = Fraction(x) / (Fraction(2**64) * (1 - Fraction(x)) + Fraction(x))
+    assert abs(Fraction(float(g.value(x))) / exact - 1) <= 1e-15
+
+
+def test_componentwise_iterate_is_the_n_fold_composition():
+    # the fast path iterates each chart inside its interval
+    f = ComponentwiseDiffeo([(0.1, 0.4), (0.5, 0.9)], [Moebius(2.0), _BUMPED])
+    x = np.linspace(0.0, 1.0, 201)
+    for n in (2, 5):
+        fast = iterate(f, n)
+        assert isinstance(fast, ComponentwiseDiffeo)
+        (v, ld), (w, lw) = fast.jet(x), Composition([f] * n).jet(x)
+        assert np.max(np.abs(v - w)) <= 1e-15
+        assert np.max(np.abs(ld - lw)) <= 1e-13
+
+
+def test_composition_affine_deriv_reads_one_jet_per_factor(leaf_counter):
+    tally = [0]
+    maps = [leaf_counter(m, tally) for m in
+            (Moebius(2.0), BumpDisplacement([Bump(0.4, 0.2, 0.05)]), Moebius(0.7))]
+    Composition(maps).affine_deriv(np.linspace(0.0, 1.0, 33))
+    assert tally[0] == len(maps)
 
 
 # ---------------------------------------------------------------------------

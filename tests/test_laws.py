@@ -7,7 +7,7 @@ ChartMap(., 1, 0), also at the tails x = 1e-12 and 1 - 1e-12."""
 
 import numpy as np
 
-from difflab import (AnalyticField, Bump, BumpDisplacement, BumpPerturbation, Composition,
+from difflab import (Bump, BumpDisplacement, BumpPerturbation, Composition,
                      Diffeo, FlowTime, moebius_field)
 from difflab.diffeo import ChartMap
 from test_jet import _interval_maps
@@ -29,12 +29,6 @@ _TOL = {
     "inverse": (1e-12, 1e-12,
                 "f o f^-1 = id to rounding, through Df; 80 bisection steps "
                 "resolve 2^-80 = 8e-25, 1.1e-13 relative at x = 1e-12"),
-    "inverse_szekeres": (1e-8, 1e-7,
-                         "tau shifts by whole periods, tau^-1 by the table's "
-                         "period 1 + period_residual, so f^t o f^-t misses id "
-                         "by about period_residual (3.4e-10) per period walked: "
-                         "3.8e-9 (value, at x = 0.0025) and 2.3e-8 (log Df, at "
-                         "x = 0.99); no stated error yet (ROADMAP item 8)"),
     "mirror": (1e-15, 1e-13,
                "1 - reflect(f)(1 - x) = f(x) to an ulp of 1 in value; log Df "
                "moved by 1 - (1 - x) through D log Df: 3.1e-14"),
@@ -78,10 +72,6 @@ def _exact(f) -> bool:
     return not (_holds(f, _generic_chart) or _holds(f.reflect(), _generic_chart))
 
 
-def _szekeres_table(m) -> bool:
-    return isinstance(m, FlowTime) and not isinstance(m.field, AnalyticField)
-
-
 def _reflect_twice(f, x):
     return f.jet(x), f.reflect().reflect().jet(x)
 
@@ -111,10 +101,7 @@ def _failures(law):
     its tolerance, interior or tails."""
     out = set()
     for f in _interval_maps():
-        tol = law
-        if law == "inverse" and _holds(f, _szekeres_table):
-            tol = "inverse_szekeres"
-        v_tol, ld_tol, _ = _TOL[tol]
+        v_tol, ld_tol, _ = _TOL[law]
         for x in (INTERIOR, TAILS) if _exact(f) else (INTERIOR,):
             (v, ld), (w, lw) = _LAWS[law](f, x)
             dv = np.abs(w - v) if law == "mirror" else np.abs(w - v) / np.abs(v)

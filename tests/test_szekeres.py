@@ -104,6 +104,18 @@ class TestSzekeresField:
 
     @pytest.mark.parametrize("f", [
         Moebius(2.0),
+        Moebius(4.0),
+        BumpPerturbation(Moebius(2.0), [Bump(0.4, 0.2, 0.05)]),
+    ], ids=["moebius2", "moebius4", "bumped"])
+    def test_tau_inv_inverts_tau_off_the_reference_interval(self, f):
+        # tau shifts by whole periods and the table is scaled to period 1,
+        # so tau^-1 walks out the whole periods that tau walked in
+        X = szekeres_field(f)
+        xs = np.linspace(0.05, 0.95, 2001)
+        assert np.max(np.abs(X.tau_inv(X.tau(xs)) - xs)) <= 4.4e-16
+
+    @pytest.mark.parametrize("f", [
+        Moebius(2.0),
         Moebius(1.05),
         BumpPerturbation(Moebius(2.0), [Bump(0.45, 0.2, 0.05)]),
     ])
@@ -244,13 +256,11 @@ class TestTransportBudget:
         f = leaf_counter(Moebius(2.0))
         ft = FlowTime(szekeres_field(f), 0.5)
         x = np.nextafter(1.0, 0.0)
-        for call in (ft.value, ft.jet):
+        for call in (ft.value, ft.jet, ft.log_deriv):
             before = f.calls
             with pytest.raises(TransportBudgetExceeded):
                 call(x)
             assert f.calls - before <= 3
-        # log_deriv reads the edge rate there and does not walk
-        assert float(ft.log_deriv(x)) == pytest.approx(0.5 * LN2, rel=1e-9)
 
     def test_within_budget(self, small_budget):
         X = SzekeresField(Moebius(2.0))
@@ -296,20 +306,20 @@ class TestFlowLogDeriv:
             assert np.array_equal(ld, ldi)
 
     def test_flow_jet_scalar_time_keeps_the_ends(self):
-        # end points and points within _EDGE_EPS of an end stay put with
-        # log-derivative t * DX(end); the rest is one flow_log_deriv call;
-        # time 0 is the identity
+        # FlowTime's jet is one flow_log_deriv call over the interior; the
+        # end points stay put, and log Df^t is t * DX(end) at them and
+        # within _EDGE_EPS of them; time 0 is the identity
         X = SzekeresField(_bumped())
         xs = np.concatenate([[0.0, 1e-14], np.linspace(0.01, 0.99, 99),
                              [1.0 - 1e-14, 1.0]])
         e0, e1 = X.edge_rates()
         for si in (-0.75, 0.125, 0.5, 1.0):
-            val, ld = szekeres._flow_jet(X, xs, si)
-            y, ratio = X.flow_log_deriv(xs[2:-2], si)
-            assert np.array_equal(val[2:-2], y) and np.array_equal(ld[2:-2], ratio)
-            assert np.array_equal(val[[0, 1, -2, -1]], xs[[0, 1, -2, -1]])
+            val, ld = FlowTime(X, si).jet(xs)
+            y, ratio = X.flow_log_deriv(xs[1:-1], si)
+            assert np.array_equal(val[1:-1], y) and np.array_equal(ld[2:-2], ratio[1:-1])
+            assert np.array_equal(val[[0, -1]], xs[[0, -1]])
             assert np.array_equal(ld[[0, 1, -2, -1]], [si * e0, si * e0, si * e1, si * e1])
-        val, ld = szekeres._flow_jet(X, xs, 0.0)
+        val, ld = FlowTime(X, 0.0).jet(xs)
         assert np.array_equal(val, xs) and not np.any(ld)
 
     def test_field_doors_check_their_points(self):
