@@ -9,11 +9,13 @@ glued deformation path from an action to the trivial one, with numeric
 certificates at every sampled parameter.
 
 Every box of words g_d^{k_d} o ... o g_1^{k_1} (g_1 first), 0 <= k_i < n
-(the Herman and geometric-mean averages), and every power's log-derivative
-log Df^n (the variation bound, the finite-order orbit checks) walks through
-the one kernel diffeo._walk_words: row starts depth first, k_1 outermost,
-then the g_d rows stacked in batches that take n - 1 steps each; circle
-orbits walk the lift.
+(the Herman and geometric-mean averages), and the orbits read at every
+power (the finite-order orbit checks) walk through the one kernel
+diffeo._walk_words: row starts depth first, k_1 outermost, then the g_d
+rows stacked in batches that take n - 1 steps each; circle orbits walk the
+lift.  A single power (the geometric-mean variation bound, the cyclic
+component's h^m) is read through diffeo.iterate, closed form where the map
+has one.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .diffeo import (
     CircleDiffeo,
     GridMap,
     IntervalDiffeo,
-    Rotation,
     commutator_residual,
     compose,
     fixed_point_analysis,
@@ -184,7 +185,7 @@ def herman_average(t: ActionTuple, n: int,
         raise ValueError("n must be >= 1")
 
     if n == 1:
-        phi = Rotation(0.0)
+        phi = identity("circle")
         conjs = t.generators
     else:
         x = np.linspace(0.0, 1.0, cfg.grid_N + 1)
@@ -256,14 +257,10 @@ def geometric_mean_conjugacy(t: ActionTuple, n: int = 8,
     # log D(phi f phi^-1) at phi(x) is u(x) = Psi(f x) + log Df(x) - Psi(x)
     # with Psi the exact box mean (no interpolation error enters the check)
     vars_c, bounds, slacks = [], [], []
-    for step in steps:
-        # the orbit f^k(x), k = 0..n, with log Df^k(x): the conjugate is
-        # read at k = 1 and the bound from log Df^n
-        orbit = _walk_words([step], n + 1, (x, np.zeros_like(x)))
-        for k, (y, acc) in enumerate(orbit):
-            if k == 1:
-                var_u = variation(mean_log_deriv(y) + acc - psi, periodic=circle)
-        bound = variation(acc, periodic=circle) / n
+    for g in t.generators:
+        y, ld = g._jet(x)
+        var_u = variation(mean_log_deriv(y) + ld - psi, periodic=circle)
+        bound = variation(iterate(g, n)._log_deriv(x), periodic=circle) / n
         slack = bound + _GM_BOUND_TOL - var_u
         vars_c.append(var_u)
         bounds.append(bound)
@@ -276,14 +273,10 @@ def geometric_mean_conjugacy(t: ActionTuple, n: int = 8,
 # interpolation along t log D(phi)
 
 
-def _id_like(kind: str):
-    return Rotation(0.0) if kind == "circle" else identity()
-
-
 def _scaled_conjugacy(phi, s: float, cfg: ToleranceConfig):
     """The conjugacy with log-derivative s * log D(phi) (normalized)."""
     if s <= 0.0:
-        return _id_like(phi.kind)
+        return identity(phi.kind)
     if s >= 1.0:
         return phi
     x = np.linspace(0.0, 1.0, cfg.grid_N + 1)
@@ -334,7 +327,7 @@ def interpolation_path(rho0: ActionTuple, rho1: ActionTuple, phi, t: float,
                          f"(residual {res:.3e} > {_CONJUGACY_TOL:.0e})")
 
     if t == 0.0:
-        phi_t = _id_like(kind)
+        phi_t = identity(kind)
         action = rho0
     elif t == 1.0:
         phi_t = phi
@@ -343,7 +336,7 @@ def interpolation_path(rho0: ActionTuple, rho1: ActionTuple, phi, t: float,
         phi_t = _scaled_conjugacy(phi, t, cfg)
         action = ActionTuple(tuple(_conjugate(phi_t, g) for g in rho0.generators))
 
-    ident = _id_like(kind)
+    ident = identity(kind)
     d0 = max(metric(g, ident, r, starred=True, cfg=cfg) for g in rho0.generators)
     d1 = max(metric(g, ident, r, starred=True, cfg=cfg) for g in rho1.generators)
     dt = max(metric(g, ident, r, starred=True, cfg=cfg) for g in action.generators)
@@ -519,7 +512,8 @@ def regularize_flow(X: VectorField1D, r: str = "1+ac",
     from the end 0; where its map's Mather invariant is not a rotation (var
     log DM > 0), its fractional flows are not differentiable at 1
     (Kopell-Mather), log Dphi oscillates there between grid nodes, and the
-    quadrature reads up to 2e-3 (a bumped Moebius map, within 2e-3 of 1)."""
+    quadrature reads up to 2e-3 (a bumped Moebius map, within 2e-3 of 1).
+    A non-finite flow average raises OverflowError."""
     if r not in ("1+ac", "2"):
         raise ValueError("r must be '1+ac' or '2'")
     f1 = FlowTime(X, 1.0)
@@ -527,13 +521,11 @@ def regularize_flow(X: VectorField1D, r: str = "1+ac",
     xg = np.linspace(0.0, 1.0, cfg.grid_N + 1)
     fx, ld = f1.jet(xg)
     # endpoints: log Df^s(p) = s * log Df(p) at a fixed endpoint, so the
-    # s-average is half the edge rate; fill any remaining non-finite nodes
-    # (flow evaluation degenerates at the very ends) by interpolation
+    # s-average is half the edge rate
     e0, e1 = X.edge_rates()
     acc = np.concatenate(([0.5 * e0], _flow_average(X, xg[1:-1], fx[1:-1]), [0.5 * e1]))
-    bad = ~np.isfinite(acc)
-    if np.any(bad):
-        acc[bad] = np.interp(xg[bad], xg[~bad], acc[~bad])
+    if not np.all(np.isfinite(acc)):
+        raise OverflowError("the flow average left the representable range")
     phi = _SmoothConjugacy(xg, acc)
     Xt = _RegularizedField(X, phi, f1)
 
@@ -807,8 +799,7 @@ class DeformationPath:
                     else:
                         h_s = log_linear_deform(obj, s, self.cfg)
                         for i, m in enumerate(c.exponents):
-                            per_gen[i].append(identity() if m == 0
-                                              else iterate(h_s, m))
+                            per_gen[i].append(iterate(h_s, m))
             out = ActionTuple(tuple(
                 ComponentwiseDiffeo(intervals, charts) if intervals else identity()
                 for charts in per_gen))

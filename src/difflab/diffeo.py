@@ -199,6 +199,15 @@ class Diffeo:
     def inverse_map(self) -> "Diffeo":
         return InverseMap(self)
 
+    # -- closed forms: a map with a product or power law answers it, else
+    # None, and compose / iterate build the general expression
+    def _compose_fast(self, other) -> "Diffeo | None":
+        return None
+
+    def _iterate_fast(self, n: int) -> "Diffeo | None":
+        """f^n for n >= 1 in closed form, or None."""
+        return None
+
     def inverse_value(self, y):
         """f^{-1}(y) by bisection on _value, for a 1-d array y; maps with a
         table override this.  An interval map's root lies in [0, 1].  The
@@ -261,6 +270,17 @@ class Moebius(IntervalDiffeo):
     def inverse_map(self):
         return Moebius(1.0 / self.a)
 
+    def _compose_fast(self, other):
+        return Moebius(self.a * other.a) if isinstance(other, Moebius) else None
+
+    def _iterate_fast(self, n: int):
+        # none where a^n leaves the positive floats
+        try:
+            a = self.a**n
+        except OverflowError:
+            return None
+        return Moebius(a) if a > 0.0 else None
+
     def reflect(self):
         # 1 - h_a(1 - x) = a x / (1 + (a-1) x) = h_{1/a}(x), exactly
         return Moebius(1.0 / self.a)
@@ -269,8 +289,10 @@ class Moebius(IntervalDiffeo):
         return f"Moebius({self.a!r})"
 
 
-def identity() -> Moebius:
-    return Moebius(1.0)
+def identity(kind: str = "interval") -> Diffeo:
+    """The identity map of the given kind: Moebius(1.0) on the interval,
+    Rotation(0.0) on the circle."""
+    return Rotation(0.0) if kind == "circle" else Moebius(1.0)
 
 
 def _is_identity(f) -> bool:
@@ -643,21 +665,16 @@ def BumpPerturbation(base: Diffeo, bumps) -> Diffeo:
 
 
 def compose(f, g):
-    """f o g, with symbolic fast paths; f and g must be of one kind."""
+    """f o g: the closed-form product where f has one for g, else the
+    composition; f and g must be of one kind."""
     if f.kind != g.kind:
         raise ValueError("cannot compose interval and circle maps")
-    if isinstance(f, Moebius) and isinstance(g, Moebius):
-        return Moebius(f.a * g.a)
     if _is_identity(f):
         return g
     if _is_identity(g):
         return f
-    fast = getattr(f, "_compose_fast", None)
-    if fast is not None:
-        out = fast(g)
-        if out is not None:
-            return out
-    return Composition([f, g])
+    out = f._compose_fast(g)
+    return Composition([f, g]) if out is None else out
 
 
 def inverse(f):
@@ -665,26 +682,17 @@ def inverse(f):
 
 
 def iterate(f, n: int):
-    """f^n via symbolic fast paths, else the composition of n copies of f
-    (evaluated by orbit accumulation)."""
+    """f^n: the closed-form power where f has one, else the composition of
+    n copies of f (evaluated by orbit accumulation)."""
     n = int(n)
     if n == 0:
-        return Rotation(0.0) if f.kind == "circle" else identity()
+        return identity(f.kind)
     if n < 0:
         return iterate(f.inverse_map(), -n)
-    if isinstance(f, Moebius):
-        return Moebius(f.a**n)
-    if isinstance(f, Rotation):
-        return Rotation(f.alpha * n)
-    # flow-time maps are handled by their own fast path
-    fast = getattr(f, "_iterate_fast", None)
-    if fast is not None:
-        out = fast(n)
-        if out is not None:
-            return out
-    if n == 1:
-        return f
-    return Composition([f] * n)
+    out = f._iterate_fast(n)
+    if out is not None:
+        return out
+    return f if n == 1 else Composition([f] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -856,6 +864,9 @@ class Rotation(CircleDiffeo):
         if isinstance(other, Rotation):
             return Rotation(self.alpha + other.alpha)
         return None
+
+    def _iterate_fast(self, n: int):
+        return Rotation(self.alpha * n)
 
     def __repr__(self):
         return f"Rotation({self.alpha!r})"

@@ -6,11 +6,13 @@ interval map compares the flows generated at the two ends; it is trivial
 exactly when the map embeds in a C^1 flow of the closed interval.  The drift
 of the affine-derivative cocycle c(f) = D^2f/Df in L^1 recovers V_inf.
 
-The orbits that accumulate log Df^n (V_inf, the Mather sweep, the drift) and
-the cocycle box average psi_n over the words g_d^{k_d} o ... o g_1^{k_1}
-walk through the one kernel diffeo._walk_words: row starts depth first,
-k_1 outermost, then the g_d rows stacked in batches that take n - 1 steps
-each; circle orbits walk the lift.
+The Mather sweep reads its one power f^k through diffeo.iterate, and V_inf
+reads each schedule entry from the map's closed-form power where it has
+one.  The orbits that accumulate log Df^n at several n (V_inf without a
+closed form, the drift) and the cocycle box average psi_n over the words
+g_d^{k_d} o ... o g_1^{k_1} walk through the one kernel diffeo._walk_words:
+row starts depth first, k_1 outermost, then the g_d rows stacked in
+batches that take n - 1 steps each; circle orbits walk the lift.
 """
 
 from __future__ import annotations
@@ -73,28 +75,22 @@ def asymptotic_variation(f, schedule=DEFAULT_SCHEDULE) -> VarEstimate:
     schedule = tuple(sorted(set(int(n) for n in schedule)))
     if not schedule or schedule[0] < 1:
         raise ValueError("schedule must contain positive integers")
-    circle = getattr(f, "kind", "interval") == "circle"
+    circle = f.kind == "circle"
     n_max = schedule[-1]
     pts = _orbit_sample_points(f, n_max, 256, circle)
-    pairs = []
-    fast = getattr(f, "_iterate_fast", None)
-    if fast is not None:
-        # maps with closed-form powers (flow time maps): evaluate log Df^n
-        # in one shot per schedule entry
-        for n in schedule:
-            ld = fast(n).log_deriv(pts)
-            if not np.all(np.isfinite(ld)):
-                raise OverflowError(f"derivative accumulation blew up at n={n}")
-            pairs.append((n, variation(ld) / n))
-    else:
-        want = set(schedule)
+    # log Df^n at each schedule entry: from the closed-form powers where f
+    # has them, else read off one walk of the orbit
+    powers = [f._iterate_fast(n) for n in schedule]
+    if any(p is None for p in powers):
         orbit = _walk_words([_jet_step(f)], n_max + 1, (pts, np.zeros_like(pts)))
-        for step, (_, acc) in enumerate(orbit):
-            if not np.all(np.isfinite(acc)):
-                raise OverflowError(f"derivative accumulation blew up at n={step}")
-            if step in want:
-                var_n = variation(acc, periodic=circle)
-                pairs.append((step, var_n / step))
+        lds = (acc for step, (_, acc) in enumerate(orbit) if step in schedule)
+    else:
+        lds = (p._log_deriv(pts) for p in powers)
+    pairs = []
+    for n, ld in zip(schedule, lds):
+        if not np.all(np.isfinite(ld)):
+            raise OverflowError(f"derivative accumulation blew up at n={n}")
+        pairs.append((n, variation(ld, periodic=circle) / n))
     vals = [v for _, v in pairs]
     envelope = np.minimum.accumulate(vals)
     limit = float(envelope[-1])
@@ -161,17 +157,14 @@ def mather_invariant(f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
     x0 = float(iterate(f, -n).value(half))
     fx0 = float(f.value(np.array(x0)))
     ps = np.linspace(fx0, x0, _MATHER_SAMPLES + 1)
-    for q, acc in _walk_words([_jet_step(f)], k + 1, (ps, np.zeros_like(ps))):
-        pass  # the last word: q = f^k(p), deep near 0, and log Df^k(p)
+    q, acc = iterate(f, k)._jet(ps)  # q = f^k(p), deep near 0
     V = np.log(-X.X(ps)) + acc - np.log(-Xg.X(1.0 - q))
     var_logDM = variation(V)
 
     # the circle map itself, via the time coordinates of both flows
     tgrid = np.linspace(0.0, 1.0, 513)
     p_t = X.tau_inv(tgrid)                       # psi0(t), in [f(1/2), 1/2]
-    z = p_t.copy()
-    for _ in range(m):
-        z = f._value(z)
+    z = iterate(f, m)._value(p_t)
     M = -Xg.tau(1.0 - z) - m
     seam = float(abs((M[-1] - M[0]) - 1.0))
     disp = M - tgrid

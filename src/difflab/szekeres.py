@@ -239,8 +239,6 @@ class SzekeresField(VectorField1D):
             self.c0 = math.log(df0) / (df0 - 1.0)
         self.cfg = cfg
 
-        fast = getattr(f, "_iterate_fast", None)
-
         def _certify(a: float):
             """Smallest i >= 1 with var(log Df; [0, f^i(a)]) < TAIL_TOL, and
             that bound, by a doubling search on i and then bisection.  f^i(a)
@@ -253,8 +251,9 @@ class SzekeresField(VectorField1D):
             def tail(i):
                 # the proof's majorant var(log Df; [0, f^i(a)]) on 513 probes
                 if i not in tails:
-                    if fast is not None and i:
-                        z = float(fast(i)._value(np.array([a]))[0])
+                    power = f._iterate_fast(i) if i else None
+                    if power is not None:
+                        z = float(power._value(np.array([a]))[0])
                     else:
                         while len(orbit) <= i:
                             orbit.append(float(f._value(np.array([orbit[-1]]))[0]))

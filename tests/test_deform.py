@@ -14,6 +14,7 @@ from difflab import (
     ActionTuple,
     Bump,
     BumpPerturbation,
+    ComponentwiseDiffeo,
     DeformationPath,
     FlowTime,
     GridMap,
@@ -206,6 +207,16 @@ class TestRegularizeFlow:
         # the regularized field still has multiplier -ln 2 at the origin
         assert float(rep.field.DX(np.array(0.0))) == pytest.approx(-LN2,
                                                                    abs=1e-6)
+
+    def test_non_finite_average_raises(self, monkeypatch):
+        def planted(X, x, fx):
+            out = _flow_average(X, x, fx)
+            out[out.size // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(deform, "_flow_average", planted)
+        with pytest.raises(OverflowError):
+            regularize_flow(moebius_field(2.0))
 
     def test_bad_regularity_selector(self):
         with pytest.raises(ValueError):
@@ -449,6 +460,19 @@ class TestClassifyAction:
                 assert np.max(np.abs(y - y_ref)) <= 1e-12
                 assert np.max(np.abs(ld - ld_ref)) <= 1e-12
 
+    def test_expanding_generators_read_negated_times(self):
+        # every generator of the inverse action expands, so each component
+        # embeds the inverse of its reference chart
+        act = example_two_component_action()
+        fwd = classify_action(act).components
+        back = classify_action(
+            ActionTuple(tuple(inverse(g) for g in act.generators))).components
+        assert [c.tag for c in back] == [c.tag for c in fwd] == ["flowable", "cyclic"]
+        assert back[1].exponents == (-1, -2)
+        assert back[1].base_time == 1
+        for c, d in zip(fwd, back):
+            assert np.max(np.abs(np.add(c.alphas, d.alphas))) <= 1e-10
+
     def test_non_commuting_rejected(self):
         from difflab import Bump, BumpPerturbation
         t = ActionTuple(generators=(Moebius(2.0),
@@ -470,6 +494,28 @@ class TestDeformAction:
             assert np.max(np.abs(a1.generators[i].value(xs) - xs)) < 1e-9
         assert c0["holds"]
         assert c0["crashed_components"] == 0
+
+    def test_crashed_component_bookkeeping(self, monkeypatch):
+        # with room for one component at r = "2", the cyclic one, of the
+        # smaller d*_2, is crashed to the identity; only its bookkeeping is
+        # checked here, not the certificate rows
+        monkeypatch.setattr(deform, "_MAX_COMPONENTS", 1)
+        path = DeformationPath(example_two_component_action(), r="2")
+        (crashed,) = path.crashed
+        assert (crashed.tag, crashed.interval) == ("cyclic", (0.5, 1.0))
+        cert = path.certificate(ts=[0.25])
+        mass = sum(metric(ComponentwiseDiffeo([crashed.interval], [ch]), identity(),
+                          "2", starred=True) for ch in crashed.charts)
+        assert cert["crashed_components"] == 1
+        assert cert["crashed_mass"] == mass
+        assert mass == pytest.approx(2.987, abs=1e-3)
+        x = np.linspace(0.5, 1.0, 257)
+        for t in (0.25, 0.75):
+            for g in path.at(t).generators:
+                y, ld = g.jet(x)
+                assert np.array_equal(y, x)
+                # 1/2 itself is read by the flowable component's chart
+                assert np.all(ld[1:] == 0.0)
 
     def test_path_rejects_bad_t(self):
         path = DeformationPath(ActionTuple(generators=(Moebius(2.0),)))

@@ -89,6 +89,7 @@ class TestEvaluate:
 class TestGroupOps:
     def test_moebius_composition_law(self):
         h = compose(Moebius(2.0), Moebius(3.0))
+        assert isinstance(h, Moebius) and h.a == 6.0
         x = np.linspace(0.0, 1.0, 101)
         assert np.max(np.abs(h.value(x) - Moebius(6.0).value(x))) < 1e-14
 
@@ -102,6 +103,15 @@ class TestGroupOps:
         x = np.linspace(0.0, 1.0, 11)
         assert np.max(np.abs(h.value(x) - x)) == 0.0
 
+    @pytest.mark.parametrize("f", [
+        Moebius(2.0),
+        BumpPerturbation(Moebius(2.0), [Bump(0.4, 0.2, 0.05)]),
+        Rotation(0.3),
+    ], ids=["moebius", "bumped", "rotation"])
+    def test_iterate_zero_is_the_identity_of_its_kind(self, f):
+        h, ref = iterate(f, 0), identity(f.kind)
+        assert type(h) is type(ref) and vars(h) == vars(ref)
+
     def test_iterate_matches_repeated_composition(self):
         f = Moebius(2.0)
         x = np.linspace(0.0, 1.0, 101)
@@ -113,6 +123,19 @@ class TestGroupOps:
         x = np.linspace(0.0, 1.0, 101)
         assert np.max(np.abs(iterate(f, -2).value(x)
                              - Moebius(0.25).value(x))) < 1e-12
+
+    def test_rotation_power_is_a_rotation(self):
+        r = iterate(Rotation(0.3), 3)
+        assert isinstance(r, Rotation) and r.alpha == 0.3 * 3
+
+    def test_moebius_power_beyond_the_floats_is_a_composition(self):
+        # 20^256 overflows and 20^-256 underflows: no closed form, so the
+        # power is the 256-fold product, and V_inf walks it
+        for n in (256, -256):
+            h = iterate(Moebius(20.0), n)
+            assert isinstance(h, Composition) and len(h.maps) == 256
+        ve = asymptotic_variation(Moebius(20.0))
+        assert ve.limit == pytest.approx(2.0 * math.log(20.0), abs=1e-12)
 
     def test_commuting_iterate_distributes(self):
         f, g = Moebius(2.0), Moebius(3.0)

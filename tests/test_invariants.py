@@ -24,6 +24,7 @@ from difflab import (
     mather_invariant,
     moebius_field,
 )
+from difflab import invariants
 from difflab.diffeo import ChartMap
 
 LN2 = math.log(2.0)
@@ -35,6 +36,20 @@ class TestAsymptoticVariation:
         ve = asymptotic_variation(Moebius(2.0))
         assert ve.limit == pytest.approx(2.0 * LN2, abs=1e-6)
         assert ve.lower_bound == pytest.approx(2.0 * LN2, abs=1e-12)
+
+    def test_closed_form_powers_need_no_walk(self, monkeypatch):
+        walks = []
+
+        def counted(*args):
+            walks.append(1)
+            return walk_words(*args)
+
+        walk_words = invariants._walk_words
+        monkeypatch.setattr(invariants, "_walk_words", counted)
+        ve = asymptotic_variation(Moebius(2.0))
+        assert walks == []
+        assert ve.limit == pytest.approx(2.0 * LN2, rel=1e-15)
+        assert ve.uncertainty == 0.0
 
     def test_identity_vanishes(self):
         assert asymptotic_variation(identity()).limit == 0.0

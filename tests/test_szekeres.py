@@ -156,14 +156,14 @@ def _linear_scan(f, a, cfg):
     """Reference for the truncation search: every i >= 0 in turn until
     var(log Df; [0, f^i(a)]), on the same 513 probes, is below TAIL_TOL;
     f^i(a) read as the search reads it."""
-    fast = getattr(f, "_iterate_fast", None)
     z, i = a, 0
     while True:
         tail = variation(f.log_deriv(np.linspace(0.0, z, 513)))
         if tail < TAIL_TOL:
             return max(i, 1), tail
         i += 1
-        z = float(fast(i).value(np.array(a)) if fast else f.value(np.array(z)))
+        power = f._iterate_fast(i)
+        z = float(f.value(np.array(z)) if power is None else power.value(np.array(a)))
 
 
 _BUMPED = BumpPerturbation(Moebius(2.0), [Bump(0.4, 0.2, 0.05)])
