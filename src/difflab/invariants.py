@@ -6,19 +6,24 @@ interval map compares the flows generated at the two ends; it is trivial
 exactly when the map embeds in a C^1 flow of the closed interval.  The drift
 of the affine-derivative cocycle c(f) = D^2f/Df in L^1 recovers V_inf.
 
-The Mather sweep reads its one power f^k through diffeo.iterate, and V_inf
-reads each schedule entry from the map's closed-form power where it has
-one.  The orbits that accumulate log Df^n at several n (V_inf without a
-closed form, the drift) and the cocycle box average psi_n over the words
-g_d^{k_d} o ... o g_1^{k_1} walk through the one kernel diffeo._walk_words:
-row starts depth first, k_1 outermost, then the g_d rows stacked in
-batches that take n - 1 steps each; circle orbits walk the lift.
+The Mather sweep reads its one power f^k through diffeo.iterate.  V_inf
+samples var(log Df^n) on the forward iterates f^k(x_i), k <= 64, of 257
+uniform nodes x_i, and reads each schedule entry from the map's
+closed-form power where it has one.  Without one, log Df^n(f^k x_i) is the
+window sum of the terms log Df(f^m x_i), k <= m < k + n, along the orbit
+of x_i: the 257 base orbits are walked once, not every sample.  The
+orbits (V_inf's base orbits, the drift) and the cocycle box average psi_n
+over the words g_d^{k_d} o ... o g_1^{k_1} walk through the one kernel
+diffeo._walk_words: row starts depth first, k_1 outermost, then the g_d
+rows stacked in batches that take n - 1 steps each; circle orbits walk
+the lift.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -45,6 +50,9 @@ __all__ = [
 
 
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+# V_inf samples: the forward iterates f^k, k <= lead, of a uniform grid
+_SAMPLE_BASE = 256
+_SAMPLE_LEAD = 64
 # sweep cells of the fundamental interval in mather_invariant
 _MATHER_SAMPLES = 1024
 
@@ -57,35 +65,63 @@ class VarEstimate:
     lower_bound: float      # |log Df(0)| + |log Df(1)| for interval maps
 
 
-def _orbit_sample_points(f, n_max: int, base: int, circle: bool) -> np.ndarray:
-    """Union of the forward iterates of a base grid: a dynamics-adapted
-    sample set on which var(log Df^n) is measured."""
-    x0 = np.linspace(0.0, 1.0, base + 1)
-    pts = [x0]
-    y = x0.copy()
-    for _ in range(min(n_max, 64)):
-        y = np.mod(f._value(y), 1.0) if circle else f._value(y)
-        pts.append(y)
-    return np.unique(np.concatenate(pts))
+def _window_sums(terms, lead, width, schedule, samples):
+    """log Df^n at the samples for each n of the schedule, from the terms
+    t_m = log Df(f^m x_i), m = 0, 1, ..., of the base orbits, one array
+    over the width nodes x_i per m.  Row k of the accumulator holds
+    log Df^n(f^k x_i) = t_k + ... + t_(k+n-1), summed left to right, for
+    k <= lead; samples index its flattened rows.  The last lead + 1 terms
+    are kept twice over in a ring, so that the window t_j .. t_(j+lead) of
+    step j is one slice and memory does not grow with n."""
+    size = lead + 1
+    ring = np.empty((2 * size, width))
+    acc = np.zeros((size, width))
+    for m, t in enumerate(terms):
+        ring[m % size] = ring[m % size + size] = t
+        j = m - lead
+        if j >= 0:
+            acc += ring[j % size:j % size + size]
+            if j + 1 in schedule:
+                yield acc.ravel()[samples]
 
 
 def asymptotic_variation(f, schedule=DEFAULT_SCHEDULE) -> VarEstimate:
     """var(log Df^n)/n along the schedule, with the subadditivity-backed
-    monotone-envelope extrapolation (no model fitting)."""
+    monotone-envelope extrapolation (no model fitting).
+
+    The samples are the forward iterates f^k(x_i), k <= lead = min(n_max,
+    64), of the 257 uniform nodes x_i, reduced mod 1 on the circle.  Where
+    f has closed-form powers, log Df^n is read from them on the samples.
+    Else log Df^n(f^k x_i) is the window sum of the terms log Df(f^m x_i),
+    k <= m < k + n, along the orbit of x_i, which is walked once for
+    lead + n_max steps: the k-th window sum gets its n-th term at step n,
+    the same additions in the same order as walking every sample n steps."""
     schedule = tuple(sorted(set(int(n) for n in schedule)))
     if not schedule or schedule[0] < 1:
         raise ValueError("schedule must contain positive integers")
     circle = f.kind == "circle"
     n_max = schedule[-1]
-    pts = _orbit_sample_points(f, n_max, 256, circle)
-    # log Df^n at each schedule entry: from the closed-form powers where f
-    # has them, else read off one walk of the orbit
+    lead = min(n_max, _SAMPLE_LEAD)
     powers = [f._iterate_fast(n) for n in schedule]
-    if any(p is None for p in powers):
-        orbit = _walk_words([_jet_step(f)], n_max + 1, (pts, np.zeros_like(pts)))
-        lds = (acc for step, (_, acc) in enumerate(orbit) if step in schedule)
-    else:
+    closed = all(p is not None for p in powers)
+    # state m of the walk: (f^m x_i, log Df(f^(m-1) x_i)); circle orbits
+    # walk the lift
+    x0 = np.linspace(0.0, 1.0, _SAMPLE_BASE + 1)
+    orbit = _walk_words([lambda s: f._jet(s[0])],
+                        lead + 1 if closed else lead + n_max + 1,
+                        (x0, np.zeros_like(x0)))
+    head = list(islice(orbit, lead + 1))
+    ys = np.array([y for y, _ in head])          # row k: f^k x_i
+    if circle:
+        ys[1:] = np.mod(ys[1:], 1.0)
+    if closed:
+        pts = np.unique(ys)
         lds = (p._log_deriv(pts) for p in powers)
+    else:
+        # where each distinct sample first occurs in the rows, in sorted order
+        _, first = np.unique(ys, return_index=True)
+        terms = (ld for _, ld in chain(head[1:], orbit))
+        lds = _window_sums(terms, lead, x0.size, schedule, first)
     pairs = []
     for n, ld in zip(schedule, lds):
         if not np.all(np.isfinite(ld)):

@@ -17,27 +17,37 @@ class LeafCounter(IntervalDiffeo):
     log-derivative kernels (_value, _log_deriv, _jet; deriv reaches
     _log_deriv) on it and on every inverse taken from it, in one shared
     tally, whether it is called at the root or as a factor; _affine_deriv
-    passes through uncounted."""
+    passes through uncounted.  A second shared tally, points, adds up the
+    points those evaluations were asked for."""
 
-    def __init__(self, f, tally=None):
+    def __init__(self, f, tally=None, point_tally=None):
         self.f = f
         self.tally = [0] if tally is None else tally
+        self.point_tally = [0] if point_tally is None else point_tally
 
     @property
     def calls(self) -> int:
         return self.tally[0]
 
-    def _value(self, x):
+    @property
+    def points(self) -> int:
+        return self.point_tally[0]
+
+    def _count(self, x):
         self.tally[0] += 1
+        self.point_tally[0] += x.size
+
+    def _value(self, x):
+        self._count(x)
         return self.f._value(x)
 
     def _log_deriv(self, x):
-        self.tally[0] += 1
+        self._count(x)
         return self.f._log_deriv(x)
 
     def _jet(self, x):
         # one evaluation of the wrapped map, as for _value and _log_deriv
-        self.tally[0] += 1
+        self._count(x)
         return self.f._jet(x)
 
     def _affine_deriv(self, x):
@@ -45,7 +55,7 @@ class LeafCounter(IntervalDiffeo):
         return self.f._affine_deriv(x)
 
     def inverse_map(self):
-        return LeafCounter(self.f.inverse_map(), self.tally)
+        return LeafCounter(self.f.inverse_map(), self.tally, self.point_tally)
 
 
 @pytest.fixture

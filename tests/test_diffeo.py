@@ -458,6 +458,46 @@ def test_componentwise_iterate_is_the_n_fold_composition():
         assert np.max(np.abs(ld - lw)) <= 1e-13
 
 
+def _b_on_all_points(bd, x, order):
+    """BumpDisplacement._b with every profile evaluated on all of x."""
+    out = [x, np.ones_like(x), np.zeros_like(x)][:order + 1]
+    for b in bd.bumps:
+        eta = diffeo._flat_bump(b._u(x), *diffeo._ETA, order)
+        out[0] = out[0] + b.amplitude * b.width * eta[0]
+        if order >= 1:
+            out[1] = out[1] + b.amplitude * eta[1]
+        if order == 2:
+            out[2] = out[2] + b.amplitude * eta[2] / b.width
+    return out
+
+
+@pytest.mark.parametrize("bumps", [
+    [Bump(0.45, 0.2, 0.08)],
+    [Bump(0.3, 0.1, 0.05), Bump(0.7, 0.1, -0.05)],
+    # the first bump's candidates (0.15, 0.55) cover the second's support
+    [Bump(0.25, 0.2, -0.06), Bump(0.45, 0.1, 0.07)],
+], ids=["one", "two", "two_adjacent"])
+def test_bump_evaluates_only_its_supports(bumps, monkeypatch):
+    bd = BumpDisplacement(bumps)
+    ends = [e for b in bumps for e in (*b.support, b.support[1] + b.width)]
+    special = [0.0, 1.0] + [np.nextafter(e, t) for e in ends for t in (0.0, e, 1.0)]
+    x = np.sort(np.concatenate([np.linspace(0.0, 1.0, 200_000 - len(special)), special]))
+    want = [_b_on_all_points(bd, x, order) for order in range(3)]
+    seen = []
+    real = diffeo._flat_bump
+    monkeypatch.setattr(diffeo, "_flat_bump",
+                        lambda u, *args: seen.append(u.size) or real(u, *args))
+    near = [np.count_nonzero((x > b.support[0]) & (x < b.support[1] + b.width))
+            for b in bumps]
+    for order in range(3):
+        seen.clear()
+        got = bd._b(x, order)
+        assert seen == near
+        assert got[0] is not x
+        for g, w in zip(got, want[order]):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
 def test_composition_affine_deriv_reads_one_jet_per_factor(leaf_counter):
     tally = [0]
     maps = [leaf_counter(m, tally) for m in

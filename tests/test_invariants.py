@@ -2,8 +2,10 @@
 circle-map obstruction to embedding in a flow, and cocycle drift."""
 
 import math
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from difflab import (
@@ -25,7 +27,8 @@ from difflab import (
     moebius_field,
 )
 from difflab import invariants
-from difflab.diffeo import ChartMap
+from difflab.diffeo import ChartMap, Composition, InverseMap, _jet_step, _walk_words
+from difflab.gridfn import variation
 
 LN2 = math.log(2.0)
 
@@ -38,16 +41,21 @@ class TestAsymptoticVariation:
         assert ve.lower_bound == pytest.approx(2.0 * LN2, abs=1e-12)
 
     def test_closed_form_powers_need_no_walk(self, monkeypatch):
+        # log Df^n comes from the powers; the one walk builds the sample
+        # set, the 64 forward iterates of the base grid, and accumulates
+        # nothing
         walks = []
 
         def counted(*args):
-            walks.append(1)
-            return walk_words(*args)
+            walks.append(0)
+            for state in walk_words(*args):
+                walks[-1] += 1
+                yield state
 
         walk_words = invariants._walk_words
         monkeypatch.setattr(invariants, "_walk_words", counted)
         ve = asymptotic_variation(Moebius(2.0))
-        assert walks == []
+        assert walks == [65]
         assert ve.limit == pytest.approx(2.0 * LN2, rel=1e-15)
         assert ve.uncertainty == 0.0
 
@@ -88,6 +96,87 @@ class TestAsymptoticVariation:
             asymptotic_variation(Moebius(2.0), schedule=(0, 4))
         with pytest.raises(ValueError):
             asymptotic_variation(Moebius(2.0), schedule=())
+
+
+def _certify_map(seed):
+    """The bumped Moebius map of the interval_certify benchmark workload
+    at this seed."""
+    rng = random.Random(seed)
+    center = rng.uniform(0.35, 0.55)
+    width = rng.uniform(0.15, 0.25)
+    amplitude = rng.uniform(0.06, 0.1)
+    return BumpPerturbation(Moebius(2.0), [Bump(center, width, amplitude)])
+
+
+def _sample_walk(f, lead, n_max):
+    """{n: var(log Df^n)/n} for n = 1..n_max on an interval map, read by
+    walking every sample n_max steps: the reference for the window sums.
+    The samples are the forward iterates f^k, k <= lead, of 257 uniform
+    nodes."""
+    y = np.linspace(0.0, 1.0, 257)
+    pts = [y]
+    for _ in range(lead):
+        y = f._value(y)
+        pts.append(y)
+    pts = np.unique(np.concatenate(pts))
+    orbit = _walk_words([_jet_step(f)], n_max + 1, (pts, np.zeros_like(pts)))
+    return {n: variation(ld) / n for n, (_, ld) in enumerate(orbit) if n}
+
+
+class TestWindowSums:
+    @pytest.mark.parametrize("make", [
+        lambda: _certify_map(0),
+        lambda: _certify_map(1),
+        lambda: Composition([Moebius(2.0), InverseMap(Moebius(3.0))]),
+        lambda: ChartMap(_certify_map(0), 1.0, 0.0),
+    ], ids=["certify_seed0", "certify_seed1", "moebius_inverse", "chart"])
+    def test_pairs_match_the_sample_walk_bit_for_bit(self, make):
+        # the same additions in the same order as walking every sample
+        f = make()
+        lead64 = _sample_walk(f, 64, 300)
+        lead8 = _sample_walk(f, 8, 8)
+        for schedule, walked in [(invariants.DEFAULT_SCHEDULE, lead64),
+                                 ((1, 2, 4, 8), lead8),
+                                 ((3, 100, 300), lead64)]:
+            pairs = asymptotic_variation(f, schedule).pairs
+            assert pairs == tuple((n, walked[n]) for n in schedule)
+
+    def test_walks_only_the_base_orbits(self, leaf_counter):
+        # 257 nodes for lead + n_max steps, and the two end multipliers;
+        # walking every sample would evaluate about 4.25M points
+        f = leaf_counter(_certify_map(0))
+        asymptotic_variation(f)
+        assert f.points <= 257 * (64 + 256) + 2
+
+    def test_memory_does_not_grow_with_n(self):
+        # a ring of the last 65 terms: a table of all 64 + 4096 terms of
+        # the 257 base orbits would hold 8.6 MB
+        f = _certify_map(0)
+        tracemalloc.start()
+        try:
+            asymptotic_variation(f, tuple(2**k for k in range(13)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_word_budget_before_the_first_step(self, leaf_counter):
+        f = leaf_counter(_certify_map(0))
+        with pytest.raises(ValueError, match="word budget"):
+            asymptotic_variation(f, schedule=(10**6,))
+        assert f.calls == 0
+
+    def test_circle_pairs_pinned(self, circle_pair):
+        # the values of a walk of every sample, reduced mod 1 at each step:
+        # the lift orbit, reduced once at the end, differs by rounding only
+        # (2.8e-12 relative at most)
+        (f,) = circle_pair.generators
+        walked = [1.5129671414100458, 0.5498025973092837, 0.4039333243147094,
+                  0.03554723958782787, 0.03498267543226122, 0.03279267188645396,
+                  0.02498024496541982, 0.00425598732013561, 0.004003930601499985]
+        pairs = asymptotic_variation(f).pairs
+        assert [n for n, _ in pairs] == list(invariants.DEFAULT_SCHEDULE)
+        assert [v for _, v in pairs] == pytest.approx(walked, rel=1e-10, abs=0.0)
 
 
 class TestMatherInvariant:
