@@ -46,6 +46,7 @@ from .diffeo import (
     iterate,
     metric,
     rotation_number,
+    _is_identity,
 )
 from .szekeres import (
     AnalyticField,
@@ -538,8 +539,7 @@ def _cmd_deform(spec: ExperimentSpec, cfg: ToleranceConfig):
         _sanitize([row for row in cert["samples"] if not row["ok"]])))
     rows = [[row["t"], row["d_star"], row["commutation"]]
             for row in cert["samples"]]
-    trivial = (t == 1.0 and all(
-        getattr(g, "a", None) == 1.0 for g in action.generators))
+    trivial = t == 1.0 and all(map(_is_identity, action.generators))
     report = {"t": t, "certificate": cert, "trivial": trivial}
     series = {"path": _series(["t", "d_star", "commutation"], rows, "t",
                               "d*_r to identity")}

@@ -290,31 +290,27 @@ class Moebius(IntervalDiffeo):
 
 
 def identity(kind: str = "interval") -> Diffeo:
-    """The identity map of the given kind: Moebius(1.0) on the interval,
-    Rotation(0.0) on the circle."""
-    return Rotation(0.0) if kind == "circle" else Moebius(1.0)
+    """The identity map of the given kind: the empty product, the unit
+    that cancellation leaves of f o f^-1."""
+    return Composition((), kind)
 
 
 def _is_identity(f) -> bool:
-    return isinstance(f, Moebius) and f.a == 1.0
+    return isinstance(f, Composition) and not f.maps
 
 
 class Composition(Diffeo):
     """Composition(maps) represents maps[0] o maps[1] o ... (outer first),
-    all of one kind."""
+    all of one kind; kind names the kind of the empty product only."""
 
-    def __init__(self, maps):
+    def __init__(self, maps, kind: str = "interval"):
         maps = tuple(maps)
         kinds = {m.kind for m in maps}
         if len(kinds) > 1:
             raise ValueError("cannot compose interval and circle maps")
-        self.kind = kinds.pop() if kinds else "interval"
-        flat = []
-        for m in maps:
-            if isinstance(m, Composition):
-                flat.extend(m.maps)
-            elif not _is_identity(m):
-                flat.append(m)
+        self.kind = kinds.pop() if kinds else kind
+        # nested products are flattened, so the empty one drops out
+        flat = [f for m in maps for f in (m.maps if isinstance(m, Composition) else (m,))]
         # adjacent factors that cancel exactly go, so conjugacy chains like
         # phi f phi^-1 phi g phi^-1 collapse symbolically, keeping
         # commutator residuals at the level of the inner maps
@@ -326,17 +322,19 @@ class Composition(Diffeo):
                 stack.append(m)
         self.maps = tuple(stack)
 
+    # the empty product returns a copy of its points, as every leaf returns
+    # a new array, so that a caller may write into a result
     def _value(self, x):
         for m in reversed(self.maps):
             x = m._value(x)
-        return x
+        return x if self.maps else x.copy()
 
     def _jet(self, x):
         acc = np.zeros_like(x)
         for m in reversed(self.maps):
             x, ld = m._jet(x)
             acc = acc + ld
-        return x, acc
+        return x if self.maps else x.copy(), acc
 
     def _affine_deriv(self, x):
         # c(f o g) = c(g) + (c(f) o g) * Dg, accumulated inner-to-outer
@@ -349,12 +347,10 @@ class Composition(Diffeo):
         return acc
 
     def inverse_map(self):
-        if not self.maps:  # the identity, of its own kind
-            return self
-        return Composition([m.inverse_map() for m in reversed(self.maps)])
+        return Composition([m.inverse_map() for m in reversed(self.maps)], self.kind)
 
     def reflect(self):
-        return Composition([m.reflect() for m in self.maps])
+        return Composition([m.reflect() for m in self.maps], self.kind)
 
     def __repr__(self):
         return f"Composition({list(self.maps)!r})"

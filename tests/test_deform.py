@@ -41,7 +41,7 @@ from difflab import (
 )
 from difflab import deform, diffeo
 from difflab.deform import _flow_average
-from difflab.gridfn import gauss_legendre
+from difflab.gridfn import ToleranceConfig, gauss_legendre
 from difflab.diffeo import ChartMap
 from difflab.szekeres import SzekeresField
 
@@ -495,27 +495,48 @@ class TestDeformAction:
         assert c0["holds"]
         assert c0["crashed_components"] == 0
 
-    def test_crashed_component_bookkeeping(self, monkeypatch):
-        # with room for one component at r = "2", the cyclic one, of the
-        # smaller d*_2, is crashed to the identity; only its bookkeeping is
-        # checked here, not the certificate rows
-        monkeypatch.setattr(deform, "_MAX_COMPONENTS", 1)
-        path = DeformationPath(example_two_component_action(), r="2")
-        (crashed,) = path.crashed
-        assert (crashed.tag, crashed.interval) == ("cyclic", (0.5, 1.0))
-        cert = path.certificate(ts=[0.25])
-        mass = sum(metric(ComponentwiseDiffeo([crashed.interval], [ch]), identity(),
-                          "2", starred=True) for ch in crashed.charts)
-        assert cert["crashed_components"] == 1
-        assert cert["crashed_mass"] == mass
-        assert mass == pytest.approx(2.987, abs=1e-3)
-        x = np.linspace(0.5, 1.0, 257)
-        for t in (0.25, 0.75):
-            for g in path.at(t).generators:
-                y, ld = g.jet(x)
-                assert np.array_equal(y, x)
-                # 1/2 itself is read by the flowable component's chart
-                assert np.all(ld[1:] == 0.0)
+    def test_every_component_is_deformed_at_r2(self):
+        # 17 flowable components on the dyadic cells [k/32, (k+1)/32], the
+        # identity on [17/32, 1]; cells ending at k/17 raise TailNotReached
+        X = moebius_field(2.0)
+        ivs = [(k / 32, (k + 1) / 32) for k in range(17)]
+        act = ActionTuple(tuple(ComponentwiseDiffeo(ivs, [FlowTime(X, time)] * 17)
+                                for time in (0.8, 0.8 * math.sqrt(2.0))))
+        path = DeformationPath(act, r="2", cfg=ToleranceConfig(grid_N=256))
+        assert len(path.plans) == 17
+        cert = path.certificate(ts=[0.0, 0.25])
+        assert cert["crashed_components"] == 0
+        assert [row["ok"] for row in cert["samples"]] == [True, True]
+
+    def test_path_construction_reads_no_r(self, monkeypatch):
+        rs = []
+
+        def counted(f, g, r="1", *args, **kwargs):
+            rs.append(str(r))
+            return metric(f, g, r, *args, **kwargs)
+
+        monkeypatch.setattr(deform, "metric", counted)
+        DeformationPath(example_two_component_action(), r="2")
+        assert "2" not in rs
+
+    def test_path_is_the_same_for_both_metrics(self):
+        act = example_two_component_action()
+        paths = [DeformationPath(act, r=r) for r in ("1+ac", "2")]
+        x = np.linspace(0.0, 1.0, 1025)
+        for t in (0.3, 0.7):
+            for f, g in zip(*(p.at(t).generators for p in paths)):
+                for u, v in zip(f.jet(x), g.jet(x)):
+                    assert np.array_equal(u, v)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "r = '2' end defect: FlowTime._affine_deriv probes 2e-9 inside x = 1, "
+        "where (DX(f^t y) - DX(y)) / X(y) cancels for the regularized field; "
+        "d*_2 at t = 0.6 reads 42.7 against the bound 6.66"))
+    def test_moebius_pair_holds_at_r2(self):
+        X = moebius_field(2.0)
+        act = ActionTuple((FlowTime(X, 1.0), FlowTime(X, math.sqrt(2.0))))
+        cert = DeformationPath(act, r="2").certificate(ts=[0.6])
+        assert cert["samples"][0]["ok"]
 
     def test_path_rejects_bad_t(self):
         path = DeformationPath(ActionTuple(generators=(Moebius(2.0),)))

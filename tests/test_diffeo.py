@@ -812,6 +812,42 @@ def test_cancelled_circle_composition_keeps_its_kind():
     assert np.array_equal(inverse(f).value(x), x)
 
 
+class TestIdentity:
+    """identity(kind) is the empty product of its kind, the unit that
+    cancellation leaves of c o c^-1."""
+
+    def test_circle_unit_drops_out_of_products(self):
+        g = conjugated_rotation(0.3)
+        e = identity("circle")
+        assert compose(e, g) is g and compose(g, e) is g
+
+    @pytest.mark.parametrize("c", [
+        GridMap.from_log_deriv(0.3 * np.sin(2 * np.pi * _CX)),
+        _CIRCLE_GRIDS[0],
+    ], ids=["interval", "circle"])
+    def test_identity_is_the_empty_product(self, c):
+        assert diffeo._is_identity(identity(c.kind))
+        assert diffeo._is_identity(compose(c, InverseMap(c)))
+        assert not diffeo._is_identity(Moebius(2.0))
+
+    def test_empty_circle_product_keeps_its_kind(self):
+        e = identity("circle")
+        assert inverse(e).kind == "circle" and e.reflect().kind == "circle"
+
+    @pytest.mark.parametrize("kind, x", [
+        ("interval", np.linspace(0.0, 1.0, 1001)),
+        ("circle", np.linspace(0.0, 1.0, 1001)),
+        ("circle", np.linspace(-3.0, 3.0, 1001)),
+    ], ids=["interval", "circle", "circle-lift"])
+    def test_identity_jet_is_exact(self, kind, x):
+        y, ld = identity(kind).jet(x)
+        assert y.tobytes() == x.tobytes()
+        assert ld.tobytes() == np.zeros_like(x).tobytes()
+        # a new array, as every map returns, never a view of the points
+        assert not np.shares_memory(y, x)
+        assert not np.shares_memory(identity(kind).value(x), x)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_circle_expr)
 def test_circle_expressions_are_lifts(f):
