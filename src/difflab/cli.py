@@ -404,7 +404,7 @@ def _cmd_szekeres(spec: ExperimentSpec, cfg: ToleranceConfig):
               "edge_rates": list(X.edge_rates())}
     if isinstance(f, Moebius):
         interior = (xs >= 0.05) & (xs <= 0.95)
-        oracle = -math.log(f.a) * xs * (1.0 - xs)
+        oracle = moebius_field(f.a).X(xs)
         report["oracle_sup_gap"] = float(
             np.max(np.abs(vals[interior] - oracle[interior])))
     series = {"field": _series(["x", "X"], np.column_stack((xs, vals)),

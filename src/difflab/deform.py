@@ -387,15 +387,13 @@ class _RegularizedField(VectorField1D):
         self.phi = phi
         self.phinv = inverse(phi)
         self.f1 = f1
+        self._edge_rates = base.edge_rates()
 
     # each method checks y once, in phinv.value, and then reads phi and f1
     # through their kernels
     def X(self, y):
         u = self.phinv.value(y)
         return np.exp(self.phi._log_deriv(u)) * self.base.X(u)
-
-    def edge_rates(self):
-        return self.base.edge_rates()
 
     def flow_log_deriv(self, y, t):
         # the flow is phi o f^t o phi^-1, so by the chain rule

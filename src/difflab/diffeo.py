@@ -608,22 +608,18 @@ class BumpDisplacement(IntervalDiffeo):
             self._tables.append((us, self._b(us)[0]))
 
     def _b(self, x, order=0):
-        """[b, Db, D^2 b](x) up to the given order, one profile per bump, as
-        fresh arrays.  A profile is evaluated only on its candidates, x in
-        (lo, hi + width) for the support (lo, hi): u > 0 there exactly, and
-        the interval covers every x that rounds to u < 1.  Every other point
-        keeps x, 1 and 0, as if it had added the profile's exact zeros."""
+        """[b, Db, D^2 b](x) up to the given order, as fresh arrays, in one
+        pass: each profile is evaluated on all of x, flat zero off its
+        support."""
         x = np.asarray(x, dtype=float)
         out = [x.copy(), np.ones_like(x), np.zeros_like(x)][:order + 1]
         for b in self.bumps:
-            lo, hi = b.support
-            near = (x > lo) & (x < hi + b.width)
-            eta = _flat_bump(b._u(x[near]), *_ETA, order)
-            out[0][near] += b.amplitude * b.width * eta[0]
+            eta = _flat_bump(b._u(x), *_ETA, order)
+            out[0] += b.amplitude * b.width * eta[0]
             if order >= 1:
-                out[1][near] += b.amplitude * eta[1]
+                out[1] += b.amplitude * eta[1]
             if order == 2:
-                out[2][near] += b.amplitude * eta[2] / b.width
+                out[2] += b.amplitude * eta[2] / b.width
         return out
 
     def _value(self, x):

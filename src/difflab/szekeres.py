@@ -8,16 +8,17 @@ limit field
     theta(x) = log[ (f^2(x) - f(x)) / (Df(x) * (f(x) - x)) ],
     c0(f) = log Df(0) / (Df(0) - 1)   (:= 1 when Df(0) = 1).
 
-The series is summed once, on one reference fundamental interval [f(c), c].
-Everything else reaches that interval by exact f-iteration, through two orbit
-walks.  The inbound walk carries x to y = f^k(x) in the interval and adds up
-log Df^k(x), so X(x) = X(y) / Df^k(x) (from X(f(x)) = X(x) Df(x)).  Flows are
-evaluated in the time-change coordinate tau = int du/X, in which the flow is
-the unit-speed translation, f^t = tau^{-1} o T_t o tau; tau(x) = tau(y) - k,
-so the improper integral near the endpoints is never formed.  The outbound
-walk applies f^j to a point of the interval read off the tau^{-1} table (of
-the integral of 1/X) and adds up log Df^j on the way.  One walk in and one out
-therefore give both f^t(x) and log Df^t(x) = log X(f^t x) - log X(x).
+The series is summed once, on one reference fundamental interval
+[f(1/2), 1/2].  Everything else reaches that interval by exact f-iteration,
+through two orbit walks.  The inbound walk carries x to y = f^k(x) in the
+interval and adds up log Df^k(x), so X(x) = X(y) / Df^k(x) (from
+X(f(x)) = X(x) Df(x)).  Flows are evaluated in the time-change coordinate
+tau = int du/X, in which the flow is the unit-speed translation,
+f^t = tau^{-1} o T_t o tau; tau(x) = tau(y) - k, so the improper integral
+near the endpoints is never formed.  The outbound walk applies f^j to a
+point of the interval read off the tau^{-1} table (of the integral of 1/X)
+and adds up log Df^j on the way.  One walk in and one out therefore give
+both f^t(x) and log Df^t(x) = log X(f^t x) - log X(x).
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ _EDGE_EPS = 1e-13
 
 class VectorField1D:
     """A field X on [0,1], strictly negative on (0,1) (contraction field),
-    vanishing at 0 and 1."""
+    vanishing at 0 and 1.  Each field stores its end rates
+    ``_edge_rates`` once, where it is built."""
 
     def X(self, x):
         raise NotImplementedError
@@ -92,7 +94,7 @@ class VectorField1D:
 
     def edge_rates(self):
         """(DX(0), DX(1)): the log-multipliers of the time-1 map at the ends."""
-        return float(self.DX(np.array(0.0))), float(self.DX(np.array(1.0)))
+        return self._edge_rates
 
     # -- time change --------------------------------------------------------
     def tau(self, x):
@@ -130,6 +132,7 @@ class AnalyticField(VectorField1D):
             raise ValueError("lam must be positive")
         self.family = family
         self.lam = float(lam)
+        self._edge_rates = (float(self.DX(np.array(0.0))), float(self.DX(np.array(1.0))))
 
     def X(self, x):
         x = np.asarray(x, dtype=float)
@@ -215,18 +218,18 @@ def _theta(y, y1, y2, ld):
 class SzekeresField(VectorField1D):
     """X = c0 * (f - id) * exp(Sigma) with Sigma summed to a certified tail.
 
-    The series is summed once, at construction, on the nodes of the
-    reference fundamental interval [f(anchor), anchor], and interpolated
-    there by the C^2 not-a-knot cubic spline (a ``CubicTable``); tau and
-    tau^-1 are Hermite tables of its integral of 1/X, with exact node
-    slopes.  Every other interior point is served by one inbound orbit walk
-    into that interval (``X``, ``tau``) and, for flows, one outbound walk
-    from it (``tau_inv``, ``flow_log_deriv``); a walk longer than MAX_ITER
-    steps raises ``TransportBudgetExceeded``.  X vanishes at 0 and 1.
+    The series is summed once, at construction, on the nodes of the one
+    reference fundamental interval [f(1/2), 1/2], and interpolated there by
+    the C^2 not-a-knot cubic spline (a ``CubicTable``); tau and tau^-1 are
+    Hermite tables of its integral of 1/X, with exact node slopes.  Every
+    other interior point is served by one inbound orbit walk into that
+    interval (``X``, ``tau``) and, for flows, one outbound walk from it
+    (``tau_inv``, ``flow_log_deriv``); a walk longer than MAX_ITER steps
+    raises ``TransportBudgetExceeded``.  X vanishes at 0 and 1.  The end
+    rates are fixed at construction too.
     """
 
-    def __init__(self, f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG,
-                 anchor: float = 0.5):
+    def __init__(self, f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG):
         xs = np.linspace(0.0, 1.0, 513)[1:-1]
         if not np.all(f._value(xs) < xs):
             raise NotAContraction("szekeres_field needs f(x) < x on (0,1)")
@@ -238,6 +241,11 @@ class SzekeresField(VectorField1D):
         else:
             self.c0 = math.log(df0) / (df0 - 1.0)
         self.cfg = cfg
+        # the flow's log-multipliers at the ends equal those of f; probe a
+        # hair inside so charts that share an endpoint with a neighbor are
+        # read from the correct side
+        lo, hi = f._log_deriv(np.array([1e-12, 1.0 - 1e-12]))
+        self._edge_rates = (float(lo), float(hi))
 
         def _certify(a: float):
             """Smallest i >= 1 with var(log Df; [0, f^i(a)]) < TAIL_TOL, and
@@ -280,8 +288,8 @@ class SzekeresField(VectorField1D):
 
         self.n_terms, self.tail_bound = _certify(1.0 - 1.0 / cfg.grid_N)
 
-        # reference fundamental interval around the anchor
-        self.anchor = float(anchor)
+        # reference fundamental interval [f(1/2), 1/2]
+        self.anchor = 0.5
         fa = float(f.value(np.array(self.anchor)))
         ref_x = np.linspace(fa, self.anchor, _REF_NODES)
         self._ref_x = ref_x
@@ -294,7 +302,7 @@ class SzekeresField(VectorField1D):
         # differences of transported fields
         self._X_table = CubicTable(ref_x, xr, not_a_knot_slopes(ref_x, xr))
         cum = np.cumsum(CubicTable.integral(np.reciprocal, self._X_table.coef, np.diff(ref_x)))
-        # the table's period P = int 1/X over [f(c), c] = -cum[-1] (cum < 0:
+        # the table's period P = int 1/X over [f(1/2), 1/2] = -cum[-1] (cum < 0:
         # X < 0) misses 1 by the series truncation; X scaled by P and tau by
         # 1/P make f exactly the time-1 map of the table's flow, so tau
         # decreases from tau(f(anchor)) = 1 to tau(anchor) = 0, exactly
@@ -329,7 +337,7 @@ class SzekeresField(VectorField1D):
         # only interior points: the fixed points 0 and 1 never reach the
         # reference interval
         interior = (x > 0.0) & (x < 1.0)
-        y, _, logchain = self._walk_in(x[interior], with_log=True)
+        y, _, logchain = self._walk_in(x[interior])
         out[interior] = self._read(self._X_table, y) * np.exp(-logchain)
         return out[()]
 
@@ -339,15 +347,15 @@ class SzekeresField(VectorField1D):
         return table(np.clip(y, self._ref_x[0], self._ref_x[-1]))
 
     # -- orbit walks ------------------------------------------------------------
-    def _walk(self, g, y, idx, arrived, k=None, logchain=None):
+    def _walk(self, g, y, idx, arrived, logchain, k=None):
         """Step each point y[idx] by g (f or f^-1) until ``arrived(v, n, i)``
         holds, v being the points still moving, n the steps each has taken
         and i their indices.  Each point is written back to y on arrival,
-        with its count n into k and its log Dg^n into logchain (when
-        given).  A step takes g's value and log-derivative from one ``_jet``
-        call, or its value alone from ``_value`` when no log is kept."""
+        with its log Dg^n into logchain and its count n into k (when
+        given).  Every step takes g's value and log-derivative from one
+        ``_jet`` call."""
         v = y[idx]
-        acc = None if logchain is None else np.zeros(v.shape)
+        acc = np.zeros(v.shape)
         n = 0
         while idx.size:
             if n == MAX_ITER:
@@ -355,35 +363,29 @@ class SzekeresField(VectorField1D):
                     f"{idx.size} point(s) need more than MAX_ITER="
                     f"{MAX_ITER} orbit steps (nearest the ends: "
                     f"{float(v[np.argmin(np.minimum(v, 1.0 - v))])!r})")
-            if acc is None:
-                v = g._value(v)
-            else:
-                v, ld = g._jet(v)
-                acc += ld
+            v, ld = g._jet(v)
+            acc += ld
             n += 1
             done = arrived(v, n, idx)
             if np.any(done):
                 at = idx[done]
                 y[at] = v[done]
+                logchain[at] = acc[done]
                 if k is not None:
                     k[at] = n
-                if acc is not None:
-                    logchain[at] = acc[done]
-                    acc = acc[~done]
-                idx, v = idx[~done], v[~done]
+                idx, v, acc = idx[~done], v[~done], acc[~done]
 
-    def _walk_in(self, x, with_log: bool = False):
-        """Carry interior points x into the reference interval [f(c), c]:
+    def _walk_in(self, x):
+        """Carry interior points x into the reference interval [f(1/2), 1/2]:
         those above it by f, those below by f^-1.
 
         Returns (y, k, log Df^k(x)) with y = f^k(x), k signed (k < 0 counts
-        steps of f^-1); the last entry is None unless with_log.  A step that
-        leaves a point short of the interval where it was (f(x) rounds to x
-        within an ulp of an end) would repeat forever, so it raises
-        ``TransportBudgetExceeded`` at once."""
+        steps of f^-1).  A step that leaves a point short of the interval
+        where it was (f(x) rounds to x within an ulp of an end) would repeat
+        forever, so it raises ``TransportBudgetExceeded`` at once."""
         y = np.array(x, dtype=float)
         k = np.zeros(y.shape, dtype=int)
-        logchain = np.zeros(y.shape) if with_log else None
+        logchain = np.zeros(y.shape)
         lo, hi = self._ref_x[0] - 1e-15, self._ref_x[-1] + 1e-15
         up, down = y > hi, y < lo
         last = y.copy()
@@ -399,19 +401,18 @@ class SzekeresField(VectorField1D):
             last[i] = v
             return np.where(up[i], v <= hi, v >= lo)
 
-        self._walk(self.f, y, np.flatnonzero(up), arrived, k, logchain)
-        self._walk(self.finv, y, np.flatnonzero(down), arrived, k, logchain)
+        self._walk(self.f, y, np.flatnonzero(up), arrived, logchain, k)
+        self._walk(self.finv, y, np.flatnonzero(down), arrived, logchain, k)
         k[down] *= -1
         return y, k, logchain
 
-    def _walk_out(self, y, j, with_log: bool = False):
-        """(f^j(y), log Df^j(y)) per point, j signed as in ``_walk_in``; the
-        second entry is None unless with_log."""
+    def _walk_out(self, y, j):
+        """(f^j(y), log Df^j(y)) per point, j signed as in ``_walk_in``."""
         out = np.array(y, dtype=float)
-        logchain = np.zeros(out.shape) if with_log else None
+        logchain = np.zeros(out.shape)
         steps = lambda v, n, i: np.abs(j[i]) == n
-        self._walk(self.f, out, np.flatnonzero(j > 0), steps, None, logchain)
-        self._walk(self.finv, out, np.flatnonzero(j < 0), steps, None, logchain)
+        self._walk(self.f, out, np.flatnonzero(j > 0), steps, logchain)
+        self._walk(self.finv, out, np.flatnonzero(j < 0), steps, logchain)
         return out, logchain
 
     def _split_time(self, s):
@@ -420,13 +421,6 @@ class SzekeresField(VectorField1D):
         each time s."""
         j = np.floor(s).astype(int)
         return j, self._tau_inv_table(s - j)
-
-    def edge_rates(self):
-        # the flow's log-multipliers at the ends equal those of f; probe a
-        # hair inside so charts that share an endpoint with a neighbor are
-        # read from the correct side
-        lo, hi = self.f._log_deriv(np.array([1e-12, 1.0 - 1e-12]))
-        return float(lo), float(hi)
 
     # -- time change via the reference interval -----------------------------
     def tau(self, x):
@@ -451,9 +445,9 @@ class SzekeresField(VectorField1D):
         # log Df^t(x) = log X(f^t x) - log X(x), both read off the table.
         # The walks read f's kernels, so x is checked here (X and tau see
         # (0, 1))
-        y0, k, log_in = self._walk_in(unit_points(x, 1e-12), with_log=True)
+        y0, k, log_in = self._walk_in(unit_points(x, 1e-12))
         j, z = self._split_time(self._read(self._tau_table, y0) - k + t)
-        y, log_out = self._walk_out(z, j, with_log=True)
+        y, log_out = self._walk_out(z, j)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.log(self._read(self._X_table, z) / self._read(self._X_table, y0))
         return y, ratio + log_out + log_in
@@ -475,10 +469,12 @@ class SzekeresField(VectorField1D):
 class FlowTime(IntervalDiffeo):
     """The time-t map of a contraction field, as an interval diffeomorphism.
 
-    Its jet reads the field's one flow kernel ``flow_log_deriv`` once, over
-    every interior point.  Within _EDGE_EPS of an end, and where the ratio
+    Its one kernel is the jet (its value is the jet's first output), which
+    reads the field's one flow kernel ``flow_log_deriv`` once, over every
+    interior point.  Within _EDGE_EPS of an end, and where the ratio
     log X(f^t x) - log X(x) is not finite (the field underflows inside the
-    endpoint linearization zone), log Df^t is the endpoint rate t * DX(end)."""
+    endpoint linearization zone), log Df^t is the endpoint rate t * DX(end),
+    from the rates the field stored when it was built."""
 
     def __init__(self, field: VectorField1D, t: float):
         self.field = field
@@ -489,11 +485,7 @@ class FlowTime(IntervalDiffeo):
     log_deriv = IntervalDiffeo.log_deriv
 
     def _value(self, x):
-        out = x.copy()
-        interior = (x > 0.0) & (x < 1.0)
-        if self.t != 0.0 and np.any(interior):
-            out[interior] = self.field.flow(x[interior], self.t)
-        return out
+        return self._jet(x)[0]
 
     def _jet(self, x):
         val = x.copy()
@@ -566,10 +558,12 @@ def szekeres_bv_check(f: IntervalDiffeo, c: float,
     """The C^{bv} control of the limit field on one fundamental interval:
 
         | var(log|X|; [f(c), c]) - |log Df(0)| |  <=  var(log Df; [0, c]).
-    """
+
+    X is read on [f(c), c] from the one field of f, whose inbound walk
+    carries each sample to the field's reference interval."""
     if not (0.0 < c < 1.0):
         raise ValueError("anchor c must be interior")
-    X = SzekeresField(f, cfg, anchor=c)
+    X = SzekeresField(f, cfg)
     fc = float(f.value(np.array(c)))
     xs = np.linspace(fc, c, 4097)
     logX = np.log(-X.X(xs))

@@ -279,10 +279,10 @@ class TestRegularizeFlow:
         walked, reads, done = [], [], [False]
         walk_out, read, average = SzekeresField._walk_out, SzekeresField.X, deform._flow_average
 
-        def counted_walk_out(self, y, j, with_log=False):
+        def counted_walk_out(self, y, j):
             if not done[0]:
                 walked.append(int(np.count_nonzero(j)))
-            return walk_out(self, y, j, with_log)
+            return walk_out(self, y, j)
 
         def counted_read(self, x):
             if not done[0]:

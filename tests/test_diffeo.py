@@ -41,6 +41,7 @@ from difflab import (
     metric,
     moebius_field,
     RotationNumber,
+    ToleranceConfig,
     rotation_number,
 )
 from difflab import cli, diffeo, szekeres
@@ -391,6 +392,25 @@ class TestFixedPointAnalysis:
         assert [p.location for p in rep.points] == [0.0, 0.5, 1.0]
         assert rep.components == ((0.0, 0.5), (0.5, 1.0))
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "a near-identity map reads as fixed near its ends: every node with "
+        "|f(x) - x| < loc_tol = 1e-10 joins a flat run, so Moebius(e^1e-8) "
+        "reports [0, 0.01001] and [0.98999, 1] as fixed intervals"))
+    def test_near_identity_has_no_fixed_interval(self):
+        rep = fixed_point_analysis(ActionTuple((Moebius(math.exp(1e-8)),)))
+        assert rep.global_fixed_intervals == ()
+        assert rep.components == ((0.0, 1.0),)
+
+    def test_multiplier_at_the_threshold_is_unresolved(self):
+        # on 65 nodes no node is flat, and the end multipliers
+        # +-(1e-8 - 1.1e-17) sit inside the band around the threshold 1e-8
+        rep = fixed_point_analysis(ActionTuple((Moebius(math.exp(1e-8)),)),
+                                   cfg=ToleranceConfig(grid_N=64))
+        assert [p.location for p in rep.points] == [0.0, 1.0]
+        assert [p.classification for p in rep.points] == ["unresolved"] * 2
+        assert rep.global_fixed_intervals == ()
+        assert rep.components == ((0.0, 1.0),)
+
 
 def _central_log_deriv_slope(f, x, h=1e-6):
     return (f.log_deriv(x + h) - f.log_deriv(x - h)) / (2.0 * h)
@@ -474,25 +494,17 @@ def _b_on_all_points(bd, x, order):
 @pytest.mark.parametrize("bumps", [
     [Bump(0.45, 0.2, 0.08)],
     [Bump(0.3, 0.1, 0.05), Bump(0.7, 0.1, -0.05)],
-    # the first bump's candidates (0.15, 0.55) cover the second's support
+    # two supports closer than one width
     [Bump(0.25, 0.2, -0.06), Bump(0.45, 0.1, 0.07)],
 ], ids=["one", "two", "two_adjacent"])
-def test_bump_evaluates_only_its_supports(bumps, monkeypatch):
+def test_bump_profiles_sum_on_all_points_into_fresh_arrays(bumps):
     bd = BumpDisplacement(bumps)
     ends = [e for b in bumps for e in (*b.support, b.support[1] + b.width)]
     special = [0.0, 1.0] + [np.nextafter(e, t) for e in ends for t in (0.0, e, 1.0)]
     x = np.sort(np.concatenate([np.linspace(0.0, 1.0, 200_000 - len(special)), special]))
     want = [_b_on_all_points(bd, x, order) for order in range(3)]
-    seen = []
-    real = diffeo._flat_bump
-    monkeypatch.setattr(diffeo, "_flat_bump",
-                        lambda u, *args: seen.append(u.size) or real(u, *args))
-    near = [np.count_nonzero((x > b.support[0]) & (x < b.support[1] + b.width))
-            for b in bumps]
     for order in range(3):
-        seen.clear()
         got = bd._b(x, order)
-        assert seen == near
         assert got[0] is not x
         for g, w in zip(got, want[order]):
             assert np.array_equal(g.view(np.int64), w.view(np.int64))

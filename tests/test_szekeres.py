@@ -338,6 +338,22 @@ class TestFlowLogDeriv:
         FlowTime(X, 0.5).log_deriv(np.linspace(0.0, 1.0, 257))
         assert f.calls - before <= 70
 
+    def test_walks_and_flow_values_step_by_the_jet(self, monkeypatch):
+        # once built, the field's walks and its flow maps read f (and f^-1)
+        # through _jet alone: tau, tau^-1 and the value of a flow map answer
+        # with the value kernel gone
+        X = szekeres_field(Moebius(2.0))
+        xs = np.linspace(0.05, 0.95, 19)
+        want = X.tau(xs), X.tau_inv(xs), FlowTime(X, 0.5).value(xs)
+
+        def no_value(self, x):
+            raise AssertionError("value kernel called")
+
+        monkeypatch.setattr(Moebius, "_value", no_value)
+        got = X.tau(xs), X.tau_inv(xs), FlowTime(X, 0.5).value(xs)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
 
 class TestAnalyticField:
     @pytest.mark.parametrize("family", ["parabolic_right", "parabolic_both"])
@@ -398,6 +414,19 @@ class TestFlowTime:
             var_ld = float(np.abs(np.diff(ld)).sum())
             assert var_ld <= abs(t) * var_DX + 1e-6
 
+    def test_end_rates_are_read_once_where_the_field_is_built(self, monkeypatch):
+        X = moebius_field(2.0)
+        assert X.edge_rates() == (-LN2, LN2)
+        calls = []
+        real = AnalyticField.DX
+        monkeypatch.setattr(AnalyticField, "DX",
+                            lambda self, x: calls.append(x) or real(self, x))
+        f = FlowTime(X, 0.3)
+        xs = np.linspace(0.0, 1.0, 33)
+        for _ in range(5):
+            f.jet(xs)
+        assert calls == []
+
 
 class TestFlowGroupLaw:
     def test_trivial(self):
@@ -424,6 +453,16 @@ class TestBvCheck:
         rep = szekeres_bv_check(Moebius(2.0), 0.5)
         assert rep["abs_log_df0"] == pytest.approx(LN2, abs=1e-12)
         assert rep["inequality_holds"]
+
+    @pytest.mark.parametrize("c", [0.2, 0.5, 0.8])
+    def test_moebius_variation_in_closed_form(self, c):
+        # X = -ln 2 x (1 - x) is read on [f(c), c] through the inbound walk
+        # from the one reference interval at 1/2, for every c
+        f = Moebius(2.0)
+        xs = np.linspace(float(f.value(c)), c, 4097)
+        exact = variation(np.log(LN2 * xs * (1.0 - xs)))
+        rep = szekeres_bv_check(f, c)
+        assert abs(rep["var_logX_fundamental"] - exact) <= 1e-9
 
     def test_parabolic_at_zero_tail_unreachable(self):
         # with a parabolic fixed point at 0 the truncation majorant
