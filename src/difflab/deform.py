@@ -32,6 +32,7 @@ from .gridfn import (
     ABS_TOL,
     DEFAULT_CONFIG,
     CubicTable,
+    PointMemo,
     ToleranceConfig,
     gauss_legendre,
     not_a_knot_slopes,
@@ -380,7 +381,9 @@ class _RegularizedField(VectorField1D):
     """The field phi_* X: X~(y) = Dphi(u) X(u) at u = phi^-1(y), with the
     time change pulled back through phi (flow equivariance is exact).  For
     the averaging conjugacy phi its derivative is exactly the log-derivative
-    of the original time-1 map f1 in the new coordinate."""
+    of the original time-1 map f1 in the new coordinate.  A flow's start,
+    u and log Dphi(u), does not depend on the time, so ``flow_log_deriv``
+    holds it for the last 8 point sets in a ``PointMemo``."""
 
     def __init__(self, base: VectorField1D, phi: IntervalDiffeo, f1):
         self.base = base
@@ -388,20 +391,25 @@ class _RegularizedField(VectorField1D):
         self.phinv = inverse(phi)
         self.f1 = f1
         self._edge_rates = base.edge_rates()
+        self._starts = PointMemo()
 
     # each method checks y once, in phinv.value, and then reads phi and f1
     # through their kernels
-    def X(self, y):
+    def _start(self, y):
         u = self.phinv.value(y)
-        return np.exp(self.phi._log_deriv(u)) * self.base.X(u)
+        return u, self.phi._log_deriv(u)
+
+    def X(self, y):
+        u, ld_u = self._start(y)
+        return np.exp(ld_u) * self.base.X(u)
 
     def flow_log_deriv(self, y, t):
         # the flow is phi o f^t o phi^-1, so by the chain rule
         # log Df~^t(y) = log Dphi(f^t u) + log Df^t(u) - log Dphi(u)
-        u = self.phinv.value(y)
+        u, ld_u = self._starts(y, self._start)
         v, ld = self.base.flow_log_deriv(u, t)
         w, ld_v = self.phi._jet(v)
-        return w, ld_v + ld - self.phi._log_deriv(u)
+        return w, ld_v + ld - ld_u
 
     def DX(self, y):
         u = np.asarray(self.phinv.value(y))

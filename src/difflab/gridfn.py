@@ -11,6 +11,9 @@ CubicTable holds a C^1 piecewise cubic in Hermite form instead, with exact
 node slopes where they are known, else ``not_a_knot_slopes``; the one
 quadrature rule, ``gauss_legendre``, integrates per cell (g(p) for a cell's
 cubic p in ``CubicTable.integral``).
+
+A ``PointMemo`` holds, for one object, the results of one computation on
+its last few point sets.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "ToleranceConfig",
     "GridFunction",
     "CubicTable",
+    "PointMemo",
     "not_a_knot_slopes",
     "variation",
 ]
@@ -58,6 +62,36 @@ def unit_points(x, slack: float, message: str = "point outside [0, 1]"):
     if lo < 0.0 or hi > 1.0:
         return np.clip(x, 0.0, 1.0)
     return x
+
+
+class PointMemo:
+    """The results of one computation on the last ``SIZE`` point sets,
+    held by one object: ``memo(x, compute)`` is compute(x), a tuple of
+    arrays, keyed on the shape and bytes of x.  A hit moves its key to the
+    newest end; an insert drops the oldest key.  The arrays come back as
+    read-only views.  A compute that raises stores nothing, so a refused
+    point set is refused again on every call."""
+
+    # a deformation path's row past t = 1/2 reads its flows on one grid
+    # set and on the probe sets that refine each distance's argmax; with
+    # one entry the probes evicted the grid set
+    SIZE = 8
+
+    def __init__(self):
+        self._held = {}  # insertion order is recency order
+
+    def __call__(self, x, compute):
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        out = self._held.pop(key, None)
+        if out is None:
+            out = tuple(np.asarray(a).view() for a in compute(x))
+            for a in out:
+                a.flags.writeable = False
+            if len(self._held) >= self.SIZE:
+                del self._held[next(iter(self._held))]
+        self._held[key] = out
+        return out
 
 
 # absolute comparison tolerance

@@ -34,6 +34,7 @@ from .gridfn import (
     TAIL_TOL,
     CubicTable,
     DomainError,
+    PointMemo,
     ToleranceConfig,
     not_a_knot_slopes,
     unit_points,
@@ -227,6 +228,11 @@ class SzekeresField(VectorField1D):
     (``tau_inv``, ``flow_log_deriv``); a walk longer than MAX_ITER steps
     raises ``TransportBudgetExceeded``.  X vanishes at 0 and 1.  The end
     rates are fixed at construction too.
+
+    A flow's walk in does not depend on the time, so ``flow_log_deriv``
+    holds its start (tau(x), X on the table and log Df^k(x)) for the last
+    8 point sets in a ``PointMemo``: flows of one field at several times
+    walk a point set in once.  ``X`` and ``tau`` are not held.
     """
 
     def __init__(self, f: IntervalDiffeo, cfg: ToleranceConfig = DEFAULT_CONFIG):
@@ -313,6 +319,7 @@ class SzekeresField(VectorField1D):
         tau = (np.concatenate(([0.0], cum)) + period) / period
         self._tau_table = CubicTable(ref_x, tau, 1.0 / xr)
         self._tau_inv_table = CubicTable(tau[::-1], ref_x[::-1], xr[::-1])
+        self._starts = PointMemo()
 
     # -- series -------------------------------------------------------------
     def sigma(self, x, terms: int | None = None):
@@ -332,7 +339,7 @@ class SzekeresField(VectorField1D):
         return self.c0 * (self.f._value(x) - x) * np.exp(self.sigma(x, terms))
 
     def X(self, x):
-        x = np.asarray(x, dtype=float)
+        x = unit_points(x, 1e-12)
         out = np.zeros_like(x)
         # only interior points: the fixed points 0 and 1 never reach the
         # reference interval
@@ -434,22 +441,30 @@ class SzekeresField(VectorField1D):
 
     def tau_inv(self, s):
         s = np.asarray(s, dtype=float)
+        if not np.all(np.isfinite(s)):
+            raise DomainError("tau_inv needs finite times")
         # f^j for j > 0 moves toward 0, matching increasing tau
         j, z = self._split_time(s.ravel())
         y, _ = self._walk_out(z, j)
         return y.reshape(s.shape)[()]
 
-    def flow_log_deriv(self, x, t):
-        # one walk in gives tau(x) and log Df^k(x), one walk out from the
-        # reference point of tau(x) + t gives f^t(x) and log Df^j there:
-        # log Df^t(x) = log X(f^t x) - log X(x), both read off the table.
-        # The walks read f's kernels, so x is checked here (X and tau see
-        # (0, 1))
+    def _start(self, x):
+        # the walks read f's kernels, so x is checked here, before the walk
+        # in: (tau(x), X(y0) on the table, log Df^k(x)) for y0 = f^k(x)
         y0, k, log_in = self._walk_in(unit_points(x, 1e-12))
-        j, z = self._split_time(self._read(self._tau_table, y0) - k + t)
+        return self._read(self._tau_table, y0) - k, self._read(self._X_table, y0), log_in
+
+    def flow_log_deriv(self, x, t):
+        """One walk in gives tau(x) and log Df^k(x), one walk out from the
+        reference point of tau(x) + t gives f^t(x) and log Df^j there:
+        log Df^t(x) = log X(f^t x) - log X(x), both read off the table.
+        The walk in does not depend on t: its start is held for the last
+        8 point sets, so flows at several times walk a point set in once."""
+        tau0, x0, log_in = self._starts(x, self._start)
+        j, z = self._split_time(tau0 + t)
         y, log_out = self._walk_out(z, j)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.log(self._read(self._X_table, z) / self._read(self._X_table, y0))
+            ratio = np.log(self._read(self._X_table, z) / x0)
         return y, ratio + log_out + log_in
 
     def diagnostics(self):
@@ -479,6 +494,8 @@ class FlowTime(IntervalDiffeo):
     def __init__(self, field: VectorField1D, t: float):
         self.field = field
         self.t = float(t)
+        if not math.isfinite(self.t):
+            raise ValueError(f"a flow time must be finite, not {self.t!r}")
 
     # perfbench/tracing.py times these two public entries by name on FlowTime
     value = IntervalDiffeo.value

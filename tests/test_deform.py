@@ -538,6 +538,40 @@ class TestDeformAction:
         cert = DeformationPath(act, r="2").certificate(ts=[0.6])
         assert cert["samples"][0]["ok"]
 
+    @staticmethod
+    def _certificate_counts(monkeypatch):
+        # walks into the Szekeres reference interval (calls, points) and
+        # inverse reads of the averaging conjugacy, over one path's
+        # construction and its certificate rows 0.1 ... 0.9
+        counts = [0, 0, 0]
+        walk_in, table_inverse = SzekeresField._walk_in, deform._table_inverse
+
+        def walk(self, x):
+            counts[0] += 1
+            counts[1] += x.size
+            return walk_in(self, x)
+
+        def inv(*args):
+            counts[2] += 1
+            return table_inverse(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(SzekeresField, "_walk_in", walk)
+            m.setattr(deform, "_table_inverse", inv)
+            path = DeformationPath(example_two_component_action())
+            path.certificate(ts=[k / 10.0 for k in range(1, 10)])
+        return counts
+
+    def test_rows_past_half_share_each_flow_start(self, monkeypatch):
+        # the rows t = 0.6 ... 0.9 evaluate flows of one regularized field
+        # on the same grid points: each point set is walked in, and read
+        # through phi^-1, once per field (55 walks over 87,469 points and
+        # 56 inverse reads when every row repeated them)
+        walks, points, inverses = self._certificate_counts(monkeypatch)
+        assert walks <= 36 and points <= 72_744 and inverses <= 37
+        # the held starts belong to the fields, so a fresh path counts the same
+        assert self._certificate_counts(monkeypatch) == [walks, points, inverses]
+
     def test_path_rejects_bad_t(self):
         path = DeformationPath(ActionTuple(generators=(Moebius(2.0),)))
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 """Tests for the grid substrate: grid-sampled functions, the cubic table,
-the variation helper and the tolerance policy."""
+the variation helper, the point-set memo and the tolerance policy."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from difflab import GridFunction, ToleranceConfig
-from difflab.gridfn import CubicTable, not_a_knot_slopes, variation
+from difflab.gridfn import CubicTable, PointMemo, not_a_knot_slopes, variation
 
 EPS = np.finfo(float).eps
 
@@ -134,3 +134,45 @@ def test_variation_superadditive_on_split(coeffs, a, b):
     a, b = min(a, b), max(a, b)
     v = samples(lambda x: sum(c * x ** i for i, c in enumerate(coeffs)), 256)
     assert variation(v) >= variation(v[a:b + 1]) - 1e-12
+
+
+class TestPointMemo:
+    def test_least_recently_used_set_goes_first(self):
+        memo = PointMemo()
+        calls = []
+
+        def compute(x):
+            calls.append(x.size)
+            return (2.0 * x,)
+
+        for n in range(1, PointMemo.SIZE + 1):
+            memo(np.zeros(n), compute)
+        memo(np.zeros(1), compute)  # a hit: the first set becomes the newest
+        memo(np.zeros(PointMemo.SIZE + 1), compute)  # drops the second set
+        memo(np.zeros(1), compute)
+        memo(np.zeros(2), compute)
+        assert calls == list(range(1, PointMemo.SIZE + 2)) + [2]
+        assert len(memo._held) == PointMemo.SIZE
+
+    def test_results_are_read_only_views(self):
+        memo = PointMemo()
+        x = np.linspace(0.0, 1.0, 5)
+        (out,) = memo(x, lambda v: (v,))
+        assert not out.flags.writeable and x.flags.writeable
+        assert np.array_equal(memo(x.copy(), lambda v: (None,))[0], x)
+
+    def test_shape_is_part_of_the_key(self):
+        memo = PointMemo()
+        assert memo(np.array(0.5), lambda v: (v,))[0].shape == ()
+        assert memo(np.array([0.5]), lambda v: (v,))[0].shape == (1,)
+
+    def test_a_raising_compute_stores_nothing(self):
+        memo = PointMemo()
+
+        def refuse(x):
+            raise ValueError("refused")
+
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                memo(np.ones(3), refuse)
+        assert not memo._held

@@ -19,6 +19,7 @@ from difflab import (
     TailNotReached,
     ToleranceConfig,
     TransportBudgetExceeded,
+    classify_action,
     example_two_component_action,
     flow_group_residual,
     identity,
@@ -329,6 +330,15 @@ class TestFlowLogDeriv:
             X.flow_log_deriv(np.array([1.5]), 0.5)
         with pytest.raises(DomainError):
             X.sigma(np.array([1.5]))
+        # X reads 0 at the ends and refuses points outside [0, 1]
+        assert np.array_equal(X.X(np.array([0.0, 1.0])), [0.0, 0.0])
+        for bad in ([1.5, 0.5], [-0.2], [1.5, -0.2, math.nan]):
+            with pytest.raises(DomainError):
+                X.X(np.array(bad))
+        # tau^-1 refuses times that are not finite before any walk
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                X.tau_inv(np.array([0.5, bad]))
 
     def test_one_walk_in_and_one_out(self, leaf_counter):
         # four walks (tau, tau^-1, X at both ends) took 95 leaf calls here
@@ -355,6 +365,69 @@ class TestFlowLogDeriv:
             assert np.array_equal(g, w)
 
 
+def _example_regularized_field():
+    decomp = classify_action(example_two_component_action())
+    flowable = next(c for c in decomp.components if c.tag == "flowable")
+    return regularize_flow(flowable.field).field
+
+
+def _seed0_bumped():
+    # the bumped Moebius map whose Mather invariant the benchmark checks at seed 0
+    return BumpPerturbation(Moebius(2.0), [Bump(0.5188843703050097, 0.22579544029403026,
+                                                0.0768228632332338)])
+
+
+class TestFlowStartMemo:
+    """A field holds the time-independent start of its flows (the walk in,
+    and phi^-1 for a regularized field) for its last 8 point sets."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: szekeres_field(Moebius(2.0)),
+        lambda: szekeres_field(_seed0_bumped()),
+        _example_regularized_field,
+    ])
+    def test_held_starts_read_the_bits_of_a_fresh_field(self, make):
+        X = make()
+        xs = np.linspace(0.0, 1.0, 257)
+        for t in (-0.7, 0.3, 1.4):
+            got = FlowTime(X, t).jet(xs)
+            want = FlowTime(make(), t).jet(xs)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_writes_do_not_reach_the_held_start(self):
+        X = szekeres_field(Moebius(2.0))
+        xs = np.linspace(0.01, 0.99, 99)
+        y, ld = X.flow_log_deriv(xs, 0.3)
+        want = y.copy(), ld.copy()
+        y[:] = 0.0
+        ld[:] = 0.0
+        for g, w in zip(X.flow_log_deriv(xs, 0.3), want):
+            assert np.array_equal(g, w)
+        # the held arrays are read-only, and the caller's points stay writable
+        for a in X._starts(xs, X._start):
+            assert not a.flags.writeable
+        assert xs.flags.writeable
+        # points written in place form a new key
+        xs[:] = np.linspace(0.02, 0.98, 99)
+        for g, w in zip(X.flow_log_deriv(xs, 0.3),
+                        szekeres_field(Moebius(2.0)).flow_log_deriv(xs, 0.3)):
+            assert np.array_equal(g, w)
+
+    def test_refused_points_are_refused_every_time(self):
+        X = szekeres_field(Moebius(2.0))
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                X.flow_log_deriv(np.array([1.5]), 0.3)
+        assert not X._starts._held
+
+    def test_at_most_eight_point_sets_are_held(self):
+        X = szekeres_field(Moebius(2.0))
+        for k in range(20):
+            X.flow_log_deriv(np.linspace(0.1, 0.9, 5 + k), 0.3)
+        assert len(X._starts._held) == 8
+
+
 class TestAnalyticField:
     @pytest.mark.parametrize("family", ["parabolic_right", "parabolic_both"])
     def test_tau_round_trip(self, family):
@@ -373,6 +446,14 @@ class TestAnalyticField:
 
 
 class TestFlowTime:
+    @pytest.mark.parametrize("make", [lambda: szekeres_field(Moebius(2.0)),
+                                      lambda: moebius_field(2.0)])
+    def test_flow_time_must_be_finite(self, make):
+        X = make()
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                FlowTime(X, bad)
+
     def test_half_time_oracle(self):
         X = AnalyticField("bridge", LN2)
         # h_{sqrt 2}(1/2) = sqrt 2 - 1
